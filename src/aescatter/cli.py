@@ -31,24 +31,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import FarField, IncidentWave, MaterialParams, far_field, solve_forward
-from .geometry import (
-    NodeGrid,
-    StarlikeCurve,
-    jet,
-    make_apple,
-    make_circle,
-    make_fourier,
-    make_peanut,
-    translate,
+from .forward import (
+    FarField,
+    IncidentWave,
+    MaterialParams,
+    far_field,
+    gamma_far,
+    solve_forward,
 )
+from .geometry import NodeGrid, StarlikeCurve, jet, make_apple, translate
 from .inverse_phased import (
+    BoundaryUpdate,
     InverseConfig,
     add_noise_phased,
-    boundary_error,
     frechet_columns,
     run_phased,
-    trapezoid_norm,
 )
 from .inverse_phaseless import (
     PhaselessData,
@@ -110,17 +107,10 @@ def _material(cfg: dict) -> MaterialParams:
 
 
 def _obstacle(cfg: dict) -> StarlikeCurve:
-    spec = cfg["obstacle"]
-    kind = spec["kind"]
-    if kind == "apple":
-        return make_apple()
-    if kind == "peanut":
-        return make_peanut()
-    if kind == "circle":
-        return make_circle(tuple(spec["center"]), spec["radius"])
-    if kind == "fourier":
-        return make_fourier(tuple(spec["center"]), spec["a"], spec.get("b", []))
-    raise ValueError(f"unknown obstacle kind {kind!r}")
+    spec = {"center": [0.0, 0.0], "b": [], **cfg["obstacle"]}
+    return StarlikeCurve.from_dict(
+        {"kind": spec["kind"], "center": spec["center"], "parameters": spec}
+    )
 
 
 def _ball(cfg: dict) -> ReferenceBallSpec | None:
@@ -312,8 +302,6 @@ def cmd_verify(quick: bool = False) -> tuple[bool, str]:
     rng = np.random.default_rng(5)
     eps = 1e-5
     worst_fd = 0.0
-    from .inverse_phased import BoundaryUpdate
-
     for _ in range(2 if quick else 5):
         xi = rng.standard_normal(15)
         xi /= np.linalg.norm(xi)
@@ -326,7 +314,6 @@ def cmd_verify(quick: bool = False) -> tuple[bool, str]:
             jets_p = curve.point(t_nodes) + shift
             xh = np.column_stack([np.cos(t_nodes), np.sin(t_nodes)])
             p = jets_p + dr[:, None] * xh
-            from .forward import gamma_far
             ka = params.kappa_a
             vartheta = densities.phi3_tilde * jet(curve, t_nodes).G ** 2
             phase = np.exp(-1j * ka * (np.cos(angles)[:, None] * p[:, 0]

@@ -13,7 +13,7 @@ third derivatives of the radial function out of the kernels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -155,30 +155,20 @@ def rhs_plane_wave(
 
 
 def _ops(jets: CurveJet, grid: NodeGrid, kappa: float):
-    """Quadrature-operator builders for one wavenumber on one grid.
+    """Quadrature matrices for one wavenumber on one grid.
 
-    Returns (S, K, H) where each maps a weight matrix Q[i, j] to the dense
-    matrix acting on node samples of the (scaled) density. K and H carry
-    the 1/G(t) factor of the parametrized operators.
+    Returns (S, K, H); the elementwise product with a weight matrix Q[i, j]
+    gives the dense matrix acting on node samples of the (scaled) density.
+    K and H carry the 1/G(t) factor of the parametrized operators.
     """
     n = grid.n
     R = log_weight_table(n)
     T = cauchy_weight_table(n)
     tab = kernel_tables(jets, grid, kappa)
     pin = np.pi / n
-    s_core = R * tab.m1 + pin * tab.m2
-    k_core = (R * tab.k1 + pin * tab.k2) / jets.G[:, None]
-    h_core = (T * tab.h1 + R * tab.h2 + pin * tab.h3) / jets.G[:, None]
-
-    def S(Q):
-        return s_core * Q
-
-    def K(Q):
-        return k_core * Q
-
-    def H(Q):
-        return h_core * Q
-
+    S = R * tab.m1 + pin * tab.m2
+    K = (R * tab.k1 + pin * tab.k2) / jets.G[:, None]
+    H = (T * tab.h1 + R * tab.h2 + pin * tab.h3) / jets.G[:, None]
     return S, K, H
 
 
@@ -219,48 +209,48 @@ def assemble_system(
     Sa, Ka, Ha = _ops(jets, grid, ka)
 
     A11 = (
-        -mu * kp**2 * Sp(nu_n**2)
-        + mu * Kp(nu_np) @ D
-        + mu * Kp(nu_npd)
-        - mu * Hp(nu_n) @ D
-        - mu * Hp(nu_nd)
-        - (lam + mu) * kp**2 * Sp(G2)
+        -mu * kp**2 * (Sp * nu_n**2)
+        + mu * (Kp * nu_np) @ D
+        + mu * (Kp * nu_npd)
+        - mu * (Hp * nu_n) @ D
+        - mu * (Hp * nu_nd)
+        - (lam + mu) * kp**2 * (Sp * G2)
         + np.diag(mu * np.einsum("ik,ik->i", nu, npd) / G)
     )
     A12 = (
-        mu * ks**2 * Ss(nu_np * nu_n)
-        + mu * Ks(nu_n) @ D
-        + mu * Ks(nu_nd)
-        + mu * Hs(nu_np) @ D
-        + mu * Hs(nu_npd)
+        mu * ks**2 * (Ss * (nu_np * nu_n))
+        + mu * (Ks * nu_n) @ D
+        + mu * (Ks * nu_nd)
+        + mu * (Hs * nu_np) @ D
+        + mu * (Hs * nu_npd)
         + mu * D
         + np.diag(mu * np.einsum("ik,ik->i", nu, nd) / G)
     )
-    A13 = Sa(G2)
+    A13 = Sa * G2
 
     A21 = (
-        -kp**2 * Sp(tau_n * nu_n)
-        + Kp(tau_np) @ D
-        + Kp(tau_npd)
-        - Hp(tau_n) @ D
-        - Hp(tau_nd)
+        -kp**2 * (Sp * (tau_n * nu_n))
+        + (Kp * tau_np) @ D
+        + (Kp * tau_npd)
+        - (Hp * tau_n) @ D
+        - (Hp * tau_nd)
         + D
         + np.diag(np.einsum("ik,ik->i", tau, npd) / G)
     )
     A22 = (
-        ks**2 * Ss(tau_np * nu_n)
-        + Ks(tau_n) @ D
-        + Ks(tau_nd)
-        + Hs(tau_np) @ D
-        + Hs(tau_npd)
+        ks**2 * (Ss * (tau_np * nu_n))
+        + (Ks * tau_n) @ D
+        + (Ks * tau_nd)
+        + (Hs * tau_np) @ D
+        + (Hs * tau_npd)
         + np.diag(np.einsum("ik,ik->i", tau, nd) / G)
     )
     A23 = np.zeros((N, N), dtype=complex)
 
     w2r = params.omega**2 * params.rho_a
-    A31 = Kp(G2) + np.diag(G)
-    A32 = Hs(G2)
-    A33 = -Ka(G2) / w2r + np.diag(G / w2r)
+    A31 = Kp * G2 + np.diag(G)
+    A32 = Hs * G2
+    A33 = -Ka * G2 / w2r + np.diag(G / w2r)
 
     A = np.block([[A11, A12, A13], [A21, A22, A23], [A31, A32, A33]])
     if not np.all(np.isfinite(A)):
@@ -378,41 +368,16 @@ def near_field(
 # Verification helpers
 # ---------------------------------------------------------------------------
 
-def _limit_matrices(jets: CurveJet, grid: NodeGrid, kappa: float):
-    """Node-to-node matrices for int Phi g ds and its nu/tau derivatives.
-
-    Applied to samples of theta = G * g; the factor 1/2 converts the
-    doubled boundary operators to plain boundary integrals.
-    """
-    n = grid.n
-    R = log_weight_table(n)
-    T = cauchy_weight_table(n)
-    tab = kernel_tables(jets, grid, kappa)
-    pin = np.pi / n
-    Smat = 0.5 * (R * tab.m1 + pin * tab.m2)
-    Kmat = 0.5 * (R * tab.k1 + pin * tab.k2) / jets.G[:, None]
-    Hmat = 0.5 * (T * tab.h1 + R * tab.h2 + pin * tab.h3) / jets.G[:, None]
-    return Smat, Kmat, Hmat
-
-
-def _offside_grad(curve, kappa, g_fn, x_eval, h):
-    """grad of the single-layer potential at a point at distance ~h off the
-    boundary, by a dense trapezoid rule sized to the near-singularity."""
+def _offside_sum(curve, kappa, g_fn, x_eval, h, kernel):
+    """Trapezoid sum of kernel(x_eval, y, kappa) g(y) ds(y) at a point at
+    distance ~h off the boundary, with a node count sized to the
+    near-singularity; ``kernel`` is grad_phi or hess_phi."""
     N = int(min(2 ** 17, max(4096, 2 ** int(np.ceil(np.log2(60.0 / h))))))
     s = 2.0 * np.pi * np.arange(N) / N
     js = jet(curve, s)
     theta = g_fn(s) * js.G
-    gp = grad_phi(x_eval, js.p, kappa)
-    return (2.0 * np.pi / N) * np.sum(gp * theta[:, None], axis=0)
-
-
-def _offside_hess(curve, kappa, g_fn, x_eval, h):
-    N = int(min(2 ** 17, max(4096, 2 ** int(np.ceil(np.log2(60.0 / h))))))
-    s = 2.0 * np.pi * np.arange(N) / N
-    js = jet(curve, s)
-    theta = g_fn(s) * js.G
-    hp = hess_phi(x_eval, js.p, kappa)
-    return (2.0 * np.pi / N) * np.einsum("jkl,j->kl", hp, theta)
+    values = kernel(x_eval, js.p, kappa)
+    return (2.0 * np.pi / N) * np.einsum("j...,j->...", values, theta)
 
 
 def jump_check(
@@ -433,7 +398,9 @@ def jump_check(
     kappa = params.kappa_p
     grid = NodeGrid(n)
     jets = jet(curve, grid.nodes)
-    Smat, Kmat, Hmat = _limit_matrices(jets, grid, kappa)
+    # The factor 1/2 turns the doubled boundary operators into plain
+    # boundary integrals of theta = G * g.
+    Smat, Kmat, Hmat = (0.5 * M for M in _ops(jets, grid, kappa))
     D = diff_matrix(n)
 
     g = density(grid.nodes)
@@ -478,14 +445,14 @@ def jump_check(
 
             for sign, key in ((+1.0, "plus"), (-1.0, "minus")):
                 xe = x0 + sign * h * nu_i
-                grad_num = _offside_grad(curve, kappa, density, xe, h)
+                grad_num = _offside_sum(curve, kappa, density, xe, h, grad_phi)
                 curl_num = np.array([grad_num[1], -grad_num[0]])
                 grad_lim = grad_int[i] - sign * 0.5 * nu_i * g[i]
                 curl_lim = curl_int[i] + sign * 0.5 * tau_i * g[i]
                 errs["grad"][key].append(np.linalg.norm(grad_num - grad_lim))
                 errs["curl"][key].append(np.linalg.norm(curl_num - curl_lim))
 
-                hess_num = _offside_hess(curve, kappa, density, xe, h) @ nu_i
+                hess_num = _offside_sum(curve, kappa, density, xe, h, hess_phi) @ nu_i
                 hess_curl_num = np.array([hess_num[1], -hess_num[0]])
                 lim1 = hess_lim - sign * 0.5 * dgtau[i]
                 lim2 = hess_curl_lim - sign * 0.5 * dgnu[i]

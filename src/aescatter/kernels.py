@@ -16,8 +16,6 @@ import numpy as np
 from .geometry import CurveJet, NodeGrid, StarlikeCurve, jet
 from .specfun import (
     EULER_GAMMA,
-    bessel_j0,
-    bessel_j1,
     hankel1_0,
     hankel1_1,
 )
@@ -111,89 +109,36 @@ class KernelSplitH:
     h3: complex
 
 
-def _wrap(angle: float) -> float:
-    return (angle + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def _log_sing(t: float, s: float) -> float:
-    return np.log(4.0 * np.sin((t - s) / 2.0) ** 2)
-
-
-def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitM:
-    """Split parts of the parametrized single-layer kernel at (t, ς)."""
-    if abs(_wrap(t - s)) < _DIAGONAL_SWITCH:
-        jt = jet(curve, t)
-        m2 = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * jt.G) / np.pi
-        return KernelSplitM(m1=-1.0 / (2.0 * np.pi), m2=complex(m2))
-    pt, ps = curve.point(t), curve.point(s)
-    r = np.linalg.norm(pt - ps)
-    direct = 0.5j * hankel1_0(kappa * r)
-    m1 = -bessel_j0(kappa * r) / (2.0 * np.pi)
-    return KernelSplitM(m1=float(m1), m2=complex(direct - m1 * _log_sing(t, s)))
-
-
-def split_k(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitK:
-    """Split parts of the parametrized normal-derivative kernel at (t, ς)."""
-    jt = jet(curve, t)
-    if abs(_wrap(t - s)) < _DIAGONAL_SWITCH:
-        k2 = (jt.n @ jt.ddp) / (2.0 * np.pi * jt.G**2)
-        return KernelSplitK(k1=0.0, k2=float(k2))
-    ps = curve.point(s)
-    d = ps - jt.p
-    r = np.linalg.norm(d)
-    direct = 0.5j * kappa * (jt.n @ d) * hankel1_1(kappa * r) / r
-    k1 = kappa * (jt.n @ (-d)) * bessel_j1(kappa * r) / (2.0 * np.pi * r)
-    return KernelSplitK(k1=float(k1), k2=complex(direct - k1 * _log_sing(t, s)))
-
-
-def split_h(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitH:
-    """Split parts of the parametrized tangential-derivative kernel at (t, ς)."""
-    jt = jet(curve, t)
-    if abs(_wrap(t - s)) < _DIAGONAL_SWITCH:
-        return KernelSplitH(h1=1.0 / np.pi, h2=0.0, h3=0.0)
-    ps = curve.point(s)
-    d = ps - jt.p
-    r = np.linalg.norm(d)
-    direct = 0.5j * kappa * (jt.n_perp @ d) * hankel1_1(kappa * r) / r
-    h1_over_sin = (jt.n_perp @ d) / (np.pi * r**2)
-    h1 = h1_over_sin * np.sin(s - t)
-    h2 = kappa * (jt.n_perp @ (-d)) * bessel_j1(kappa * r) / (2.0 * np.pi * r)
-    h3 = direct - h1_over_sin - h2 * _log_sing(t, s)
-    return KernelSplitH(h1=float(h1), h2=float(h2), h3=complex(h3))
-
-
 @dataclass(frozen=True)
 class KernelTables:
-    """All split-kernel matrices on a grid, indexed [target, source]."""
+    """All split-kernel matrices for a set of pairs, indexed [target, source]."""
 
     m1: np.ndarray
     m2: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
     h1: np.ndarray
-    h1_over_sin: np.ndarray
     h2: np.ndarray
     h3: np.ndarray
 
 
-def kernel_tables(jets: CurveJet, grid: NodeGrid, kappa: float) -> KernelTables:
-    """Evaluate every split part at all node pairs of the grid.
+def _split_tables(jets: CurveJet, t: np.ndarray, kappa: float) -> KernelTables:
+    """Every split part at all pairs (t_i, ς_j) of the parameters ``t``.
 
-    ``jets`` must hold the curve data at the grid nodes. Diagonal entries
-    are the closed-form limits; 1/sin(ς-t) is never formed near its zeros
+    ``jets`` holds the curve data at ``t``. Where |t_i - ς_j| modulo 2pi is
+    below ``_DIAGONAL_SWITCH`` the entries are the closed-form diagonal
+    limits at the target t_i; 1/sin(ς-t) is never formed near its zeros
     (the ratio h1/sin is evaluated directly, which is smooth there).
     """
-    t = grid.nodes
-    N = grid.size
     d = jets.p[None, :, :] - jets.p[:, None, :]        # p(ς_j) - p(t_i)
-    r = np.linalg.norm(d, axis=-1)
-    np.fill_diagonal(r, 1.0)                           # placeholder, overwritten
+    dt = t[:, None] - t[None, :]
+    diag = np.abs((dt + np.pi) % (2.0 * np.pi) - np.pi) < _DIAGONAL_SWITCH
+    r = np.where(diag, 1.0, np.linalg.norm(d, axis=-1))  # placeholder, overwritten
 
     z = kappa * r
     h0, h1b = hankel1_0(z), hankel1_1(z)
-    j0, j1b = bessel_j0(z), bessel_j1(z)
-    dt = t[:, None] - t[None, :]
-    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2 + np.eye(N))  # diag patched below
+    j0, j1b = h0.real, h1b.real                        # J_m = Re H_m^(1), exactly
+    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2 + diag)  # diag patched below
 
     n_dot = np.einsum("ik,ijk->ij", jets.n, d)         # n(t_i) . (p_j - p_i)
     np_dot = np.einsum("ik,ijk->ij", jets.n_perp, d)
@@ -207,14 +152,46 @@ def kernel_tables(jets: CurveJet, grid: NodeGrid, kappa: float) -> KernelTables:
     h2 = -kappa * np_dot * j1b / (2.0 * np.pi * r)
     h3 = 0.5j * kappa * np_dot * h1b / r - h1_over_sin - h2 * logsin
 
-    idx = np.arange(N)
-    m1[idx, idx] = -1.0 / (2.0 * np.pi)
-    m2[idx, idx] = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * jets.G) / np.pi
-    k1[idx, idx] = 0.0
-    k2[idx, idx] = np.einsum("ik,ik->i", jets.n, jets.ddp) / (2.0 * np.pi * jets.G**2)
-    h1[idx, idx] = 1.0 / np.pi
-    h1_over_sin[idx, idx] = 0.0  # unused: the Cauchy weight vanishes at its own node
-    h2[idx, idx] = 0.0
-    h3[idx, idx] = 0.0
-    return KernelTables(m1=m1, m2=m2, k1=k1, k2=k2,
-                        h1=h1, h1_over_sin=h1_over_sin, h2=h2, h3=h3)
+    m2_lim = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * jets.G) / np.pi
+    k2_lim = np.einsum("ik,ik->i", jets.n, jets.ddp) / (2.0 * np.pi * jets.G**2)
+    np.copyto(m1, -1.0 / (2.0 * np.pi), where=diag)
+    np.copyto(m2, m2_lim[:, None], where=diag)
+    np.copyto(k1, 0.0, where=diag)
+    np.copyto(k2, k2_lim[:, None], where=diag)
+    np.copyto(h1, 1.0 / np.pi, where=diag)
+    np.copyto(h2, 0.0, where=diag)
+    np.copyto(h3, 0.0, where=diag)
+    return KernelTables(m1=m1, m2=m2, k1=k1, k2=k2, h1=h1, h2=h2, h3=h3)
+
+
+def kernel_tables(jets: CurveJet, grid: NodeGrid, kappa: float) -> KernelTables:
+    """Evaluate every split part at all node pairs of the grid.
+
+    ``jets`` must hold the curve data at the grid nodes; the diagonal
+    entries are the closed-form limits.
+    """
+    return _split_tables(jets, grid.nodes, kappa)
+
+
+def _pair_tables(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelTables:
+    """Split tables of the two-point set (t, ς); entry [0, 1] is the pair (t, ς)."""
+    ts = np.array([t, s], dtype=float)
+    return _split_tables(jet(curve, ts), ts, kappa)
+
+
+def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitM:
+    """Split parts of the parametrized single-layer kernel at (t, ς)."""
+    tab = _pair_tables(curve, t, s, kappa)
+    return KernelSplitM(m1=tab.m1[0, 1], m2=tab.m2[0, 1])
+
+
+def split_k(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitK:
+    """Split parts of the parametrized normal-derivative kernel at (t, ς)."""
+    tab = _pair_tables(curve, t, s, kappa)
+    return KernelSplitK(k1=tab.k1[0, 1], k2=tab.k2[0, 1])
+
+
+def split_h(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitH:
+    """Split parts of the parametrized tangential-derivative kernel at (t, ς)."""
+    tab = _pair_tables(curve, t, s, kappa)
+    return KernelSplitH(h1=tab.h1[0, 1], h2=tab.h2[0, 1], h3=tab.h3[0, 1])

@@ -107,14 +107,16 @@ class TestSplits:
         kappa = 2.2
         t = 0.7
         jt = jet(curve, t)
-        m = split_m(curve, t, t, kappa)
-        assert m.m1 == pytest.approx(-1.0 / (2.0 * np.pi))
-        k = split_k(curve, t, t, kappa)
-        assert k.k1 == 0.0
-        assert k.k2 == pytest.approx((jt.n @ jt.ddp) / (2.0 * np.pi * jt.G**2))
-        h = split_h(curve, t, t, kappa)
-        assert h.h1 == pytest.approx(1.0 / np.pi)
-        assert h.h2 == 0.0 and h.h3 == 0.0
+        # the limits must also hold one period away and just off the diagonal
+        for s in (t, t + 2.0 * np.pi, t + 1e-9):
+            m = split_m(curve, t, s, kappa)
+            assert m.m1 == pytest.approx(-1.0 / (2.0 * np.pi))
+            k = split_k(curve, t, s, kappa)
+            assert k.k1 == 0.0
+            assert k.k2 == pytest.approx((jt.n @ jt.ddp) / (2.0 * np.pi * jt.G**2))
+            h = split_h(curve, t, s, kappa)
+            assert h.h1 == pytest.approx(1.0 / np.pi)
+            assert h.h2 == 0.0 and h.h3 == 0.0
 
     def test_smooth_part_continuity_near_diagonal(self):
         # m2 approaches its diagonal limit as s -> t
