@@ -36,8 +36,10 @@ __all__ = [
     "gamma_far",
     "rhs_plane_wave",
     "assemble_system",
+    "factor_system",
     "solve_densities",
     "solve_forward",
+    "far_field_matrix",
     "far_field",
     "near_field",
     "NearField",
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 _COND_WARN_RCOND = 1e-12
+_RESIDUAL_GATE = 1e-10
 _NEAR_FIELD_CLEARANCE = 1e-3
 
 
@@ -258,17 +261,16 @@ def assemble_system(
     return A
 
 
-def solve_densities(system: np.ndarray, rhs) -> DensitySet:
-    """Direct dense solve of the Nystrom system.
+def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """LU-factor a square Nystrom system once and return its checked solver.
 
     Warns when the reciprocal condition estimate drops below 1e-12 (an
-    interior eigenvalue or a Jones-adjacent frequency can do this).
+    interior eigenvalue or a Jones-adjacent frequency can do this). The
+    returned ``solve(b)`` takes one right-hand side or a matrix of them as
+    columns, and raises FloatingPointError when the relative residual
+    ||A x - b|| / ||b|| of any column exceeds 1e-10.
     """
-    b = np.concatenate([np.asarray(r, dtype=complex) for r in rhs])
-    if system.shape[0] != system.shape[1] or system.shape[0] != len(b):
-        raise ValueError("system and right-hand side sizes do not match")
     lu, piv = lu_factor(system)
-    x = lu_solve((lu, piv), b)
     gecon = get_lapack_funcs("gecon", (system,))
     rcond, _ = gecon(lu, np.linalg.norm(system, 1))
     if rcond < _COND_WARN_RCOND:
@@ -277,10 +279,25 @@ def solve_densities(system: np.ndarray, rhs) -> DensitySet:
             "possible interior eigenvalue or Jones-adjacent frequency",
             RuntimeWarning,
         )
-    resid = np.linalg.norm(system @ x - b)
-    bnorm = np.linalg.norm(b)
-    if bnorm > 0 and resid / bnorm > 1e-10:
-        raise FloatingPointError(f"linear solve residual too large: {resid / bnorm:.2e}")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = lu_solve((lu, piv), b)
+        resid = np.linalg.norm(system @ x - b, axis=0)
+        bnorm = np.linalg.norm(b, axis=0)
+        rel = np.max(resid / np.where(bnorm > 0, bnorm, 1.0))
+        if rel > _RESIDUAL_GATE:
+            raise FloatingPointError(f"linear solve residual too large: {rel:.2e}")
+        return x
+
+    return solve
+
+
+def solve_densities(system: np.ndarray, rhs) -> DensitySet:
+    """Direct dense solve of the Nystrom system, checked by ``factor_system``."""
+    b = np.concatenate([np.asarray(r, dtype=complex) for r in rhs])
+    if system.shape[0] != system.shape[1] or system.shape[0] != len(b):
+        raise ValueError("system and right-hand side sizes do not match")
+    x = factor_system(system)(b)
     N = len(b) // 3
     return DensitySet(x[:N], x[N : 2 * N], x[2 * N :])
 
@@ -296,6 +313,22 @@ def solve_forward(
     return solve_densities(A, rhs_plane_wave(curve, params, wave, grid))
 
 
+def far_field_matrix(
+    curve: StarlikeCurve, params: MaterialParams, obs_angles, grid: NodeGrid
+) -> np.ndarray:
+    """Trapezoid-rule matrix taking the scaled acoustic density at the grid
+    nodes to the far field at the observation angles."""
+    obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
+    jets = jet(curve, grid.nodes)
+    ka = params.kappa_a
+    xhat = np.stack([np.cos(obs_angles), np.sin(obs_angles)], axis=-1)
+    # cos + i sin of the real phase: np.exp of the imaginary array gives
+    # the same values at several times the cost
+    arg = (-ka * xhat) @ jets.p.T
+    phase = np.cos(arg) + 1j * np.sin(arg)
+    return phase * (gamma_far(ka) * (np.pi / grid.n) * jets.G**2)
+
+
 def far_field(
     densities: DensitySet,
     curve: StarlikeCurve,
@@ -307,14 +340,8 @@ def far_field(
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
     if grid is None:
         grid = NodeGrid(len(densities.phi3_tilde) // 2)
-    jets = jet(curve, grid.nodes)
-    ka = params.kappa_a
-    xhat = np.stack([np.cos(obs_angles), np.sin(obs_angles)], axis=-1)
-    phase = np.exp(-1j * ka * xhat @ jets.p.T)
-    vals = gamma_far(ka) * (np.pi / grid.n) * (
-        phase @ (densities.phi3_tilde * jets.G**2)
-    )
-    return FarField(angles=obs_angles, values=vals, gamma_a=gamma_far(ka))
+    vals = far_field_matrix(curve, params, obs_angles, grid) @ densities.phi3_tilde
+    return FarField(angles=obs_angles, values=vals, gamma_a=gamma_far(params.kappa_a))
 
 
 class NearField(NamedTuple):

@@ -184,7 +184,8 @@ def frechet_columns(
     s = grid.nodes[None, :]
     c1, c2 = curve.center
     r = curve.radial.radius(grid.nodes)[None, :]
-    phase = np.exp(-1j * ka * (c1 * np.cos(t) + c2 * np.sin(t) + r * np.cos(t - s)))
+    arg = -ka * (c1 * np.cos(t) + c2 * np.sin(t) + r * np.cos(t - s))
+    phase = np.cos(arg) + 1j * np.sin(arg)
     common = (-1j * ka * gamma_far(ka) * np.pi / grid.n) * phase * vartheta[None, :]
 
     B = np.empty((len(obs_angles), 2 * M + 3), dtype=complex)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import IncidentWave, MaterialParams
+from .forward import (
+    IncidentWave,
+    MaterialParams,
+    assemble_system,
+    factor_system,
+    far_field_matrix,
+    rhs_plane_wave,
+)
 from .geometry import NodeGrid, StarlikeCurve, make_circle
 from .inverse_phased import (
     BoundaryUpdate,
@@ -32,6 +39,8 @@ from .inverse_phased import (
 )
 from .multibody import (
     TwoBodyDensities,
+    assemble_two_body,
+    cross_blocks,
     far_field_sum,
     separation,
     solve_two_body_forward,
@@ -159,30 +168,59 @@ def exact_phaseless_jacobian(
     grid: NodeGrid,
     step: float = 1e-6,
 ) -> np.ndarray:
-    """Central-difference Jacobian of the predicted |u_inf|^2, 2n x (2M+3).
+    """Jacobian of the predicted |u_inf|^2, 2n x (2M+3), by implicit
+    differentiation of the two-body Nystrom system A x = b.
 
-    ``curve_d`` must carry a trigonometric radial profile (every iterate
-    of the reconstruction does), since the perturbations go through
-    ``apply_update``. Unlike ``phaseless_columns`` the densities are re-solved on every
-    perturbed boundary, so the density response to the shape change is
-    included. The squared modulus is quadratic in the fields and the
-    density response is not a small correction there: the frozen-density
-    matrix can point uphill, while this one is the true derivative.
+    A is assembled and factored once. For each parameter only the
+    obstacle-dependent pieces (A_dd x_d, A_db x_b, A_bd x_d, b_d and the
+    obstacle's far-field quadrature applied to x_d) are central-differenced
+    with ``step``; the density response dx = -A^{-1}(dA x - db) then comes
+    from the one factorization, every column behind the same residual gate
+    as a forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. The
+    ball's self-block and right-hand side are built once. ``curve_d`` must
+    carry a trigonometric radial profile (every iterate of the
+    reconstruction does), since the perturbations go through
+    ``apply_update``. Unlike ``phaseless_columns`` the density response to
+    the shape change is included. The squared modulus is quadratic in the
+    fields and the density response is not a small correction there: the
+    frozen-density matrix can point uphill, while this one is the true
+    derivative.
     """
+    N = grid.size
+    b_b = np.concatenate(rhs_plane_wave(ball_curve, params, wave, grid))
+    solve = factor_system(assemble_two_body(curve_d, ball_curve, params, grid))
+    x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid), b_b]))
+    x_d, x_b = x[: 3 * N], x[3 * N :]
+
+    def moving_terms(curve):
+        # the rows of A x - b and the far field that change with the obstacle
+        A_db, A_bd = cross_blocks(curve, ball_curve, params, grid, grid)
+        rows_d = (
+            assemble_system(curve, params, grid) @ x_d
+            + A_db @ x_b
+            - np.concatenate(rhs_plane_wave(curve, params, wave, grid))
+        )
+        ff = far_field_matrix(curve, params, angles, grid) @ x_d[2 * N :]
+        return np.concatenate([rows_d, A_bd @ x_d]), ff
+
     n_par = 2 * M + 3
-    cols = np.empty((len(angles), n_par))
+    dR = np.empty((len(x), n_par), dtype=complex)
+    dF = np.empty((len(angles), n_par), dtype=complex)
     for i in range(n_par):
         xi = np.zeros(n_par)
         xi[i] = step
         bump = BoundaryUpdate(xi[:2], xi[2 : 3 + M], xi[3 + M :])
-        plus = _predicted_modulus(
-            apply_update(curve_d, bump), ball_curve, params, wave, angles, grid
-        )
-        minus = _predicted_modulus(
-            apply_update(curve_d, bump.scaled(-1.0)), ball_curve, params, wave, angles, grid
-        )
-        cols[:, i] = (plus - minus) / (2.0 * step)
-    return cols
+        r_plus, f_plus = moving_terms(apply_update(curve_d, bump))
+        r_minus, f_minus = moving_terms(apply_update(curve_d, bump.scaled(-1.0)))
+        dR[:, i] = (r_plus - r_minus) / (2.0 * step)
+        dF[:, i] = (f_plus - f_minus) / (2.0 * step)
+    dx = solve(-dR)
+
+    F_d = far_field_matrix(curve_d, params, angles, grid)
+    F_b = far_field_matrix(ball_curve, params, angles, grid)
+    u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * N :]
+    du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[5 * N :]
+    return 2.0 * (np.conj(u)[:, None] * du).real
 
 
 def run_phaseless(
@@ -197,7 +235,8 @@ def run_phaseless(
 
     Only the obstacle is updated; the reference ball is trusted as given,
     and every iterate is checked to stay clear of it. Each step solves the
-    Tikhonov system with the exact differenced Jacobian of |u_inf|^2 and
+    Tikhonov system with the exact Jacobian of |u_inf|^2 (implicit
+    differentiation, one two-body factorization per step) and
     lambda_k equal to the residual norm, then scales the step down (rho,
     rho/2, ...) until the residual actually decreases; candidates that
     pinch the curve, collide with the ball, or break the forward solve are

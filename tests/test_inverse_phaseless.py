@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from aescatter import inverse_phaseless, multibody
 from aescatter.forward import IncidentWave, gamma_far
-from aescatter.geometry import NodeGrid, jet, make_peanut, translate
+from aescatter.geometry import NodeGrid, jet, make_fourier, make_peanut, translate
 from aescatter.inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
+    apply_update,
     frechet_columns,
     initial_curve,
 )
 from aescatter.inverse_phaseless import (
     PhaselessData,
     ReferenceBallSpec,
+    _predicted_modulus,
     add_noise_phaseless,
     exact_phaseless_jacobian,
     phaseless_columns,
@@ -181,6 +184,51 @@ class TestColumns:
                                 params, wave, OBS, grid)
         secant = (pp - pm) / (2 * h)
         assert np.abs(J[:, 0] - secant).max() / np.abs(secant).max() < 1e-4
+
+
+class TestExactJacobian:
+    DEGREE = 2
+
+    @staticmethod
+    def _curve():
+        return make_fourier((0.0, 0.1), [0.49, 0.02, -0.15], [0.03, 0.01])
+
+    def test_matches_differenced_solves(self, params, wave):
+        """Every column against central differences of full two-body
+        solves on the perturbed boundaries."""
+        grid, M, h = NodeGrid(32), self.DEGREE, 1e-6
+        curve = self._curve()
+        J = exact_phaseless_jacobian(curve, BALL.curve(), params, wave, OBS, M, grid)
+        n_par = 2 * M + 3
+        fd = np.empty((len(OBS), n_par))
+        for i in range(n_par):
+            xi = np.zeros(n_par)
+            xi[i] = h
+            bump = BoundaryUpdate(xi[:2], xi[2:3 + M], xi[3 + M:])
+            plus, minus = (
+                _predicted_modulus(apply_update(curve, b), BALL.curve(), params,
+                                   wave, OBS, grid)
+                for b in (bump, bump.scaled(-1.0))
+            )
+            fd[:, i] = (plus - minus) / (2.0 * h)
+        assert np.abs(J - fd).max() / np.abs(fd).max() <= 1e-6
+
+    def test_one_assembly_and_factorization(self, params, wave, monkeypatch):
+        calls = {"assemble_two_body": 0, "factor_system": 0, "solve_two_body_forward": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            for module in (inverse_phaseless, multibody):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        exact_phaseless_jacobian(self._curve(), BALL.curve(), params, wave, OBS,
+                                 self.DEGREE, NodeGrid(16))
+        assert calls == {"assemble_two_body": 1, "factor_system": 1,
+                         "solve_two_body_forward": 0}
 
 
 class TestRunPhaseless:

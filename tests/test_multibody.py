@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from aescatter.forward import IncidentWave, far_field, solve_forward
-from aescatter.geometry import NodeGrid, make_circle, make_peanut
+from aescatter.geometry import NodeGrid, jet, make_apple, make_circle, make_peanut
+from aescatter.kernels import grad_phi, hess_phi, phi
 from aescatter.multibody import (
     assemble_two_body,
+    cross_blocks,
     far_field_sum,
     separation,
     solve_two_body_forward,
@@ -93,3 +95,50 @@ class TestReferenceBallMechanism:
             solve_two_body_forward(moved, ball, params, wave, grid),
             moved, ball, params, OBS, grid, grid).values)
         assert np.abs(two - two_h).max() > 1e-3
+
+
+def _pointwise_cross_block(jets_t, jets_s, grid_s, params):
+    """Cross block from the pointwise phi / grad_phi / hess_phi formulas:
+    rows the three equations at the target nodes, columns the source's
+    three densities, weighted by the trapezoid rule times G^2."""
+    kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
+    lam, mu = params.lam, params.mu
+    w2r = params.omega**2 * params.rho_a
+    x, y = jets_t.p[:, None, :], jets_s.p[None, :, :]
+    nu, tau = jets_t.nu, jets_t.tau
+    wj = (np.pi / grid_s.n) * jets_s.G**2
+    Hp, Hs = hess_phi(x, y, kp), hess_phi(x, y, ks)
+    nuHp_nu = np.einsum("ik,ijkl,il->ij", nu, Hp, nu)
+    tauHs_nu = np.einsum("ik,ijkl,il->ij", tau, Hs, nu)
+    tauHp_nu = np.einsum("ik,ijkl,il->ij", tau, Hp, nu)
+    nuHs_nu = np.einsum("ik,ijkl,il->ij", nu, Hs, nu)
+    nu_gp = np.einsum("ik,ijk->ij", nu, grad_phi(x, y, kp))
+    tau_gs = np.einsum("ik,ijk->ij", tau, grad_phi(x, y, ks))
+    nu_ga = np.einsum("ik,ijk->ij", nu, grad_phi(x, y, ka))
+    A11 = 2.0 * (mu * nuHp_nu - (lam + mu) * kp**2 * phi(x, y, kp)) * wj
+    A12 = 2.0 * mu * tauHs_nu * wj
+    A13 = 2.0 * phi(x, y, ka) * wj
+    A21 = 2.0 * tauHp_nu * wj
+    A22 = -2.0 * nuHs_nu * wj
+    A31 = 2.0 * nu_gp * wj
+    A32 = 2.0 * tau_gs * wj
+    A33 = -2.0 * nu_ga * wj / w2r
+    return np.block([[A11, A12, A13], [A21, A22, np.zeros_like(A13)], [A31, A32, A33]])
+
+
+class TestCrossBlocks:
+    @pytest.mark.parametrize("shape", [make_peanut, make_apple], ids=["peanut", "apple"])
+    @pytest.mark.parametrize("n_d,n_b", [(32, 32), (32, 48)])
+    def test_matches_pointwise_kernels(self, params, shape, n_d, n_b):
+        """Both directions of the shared-Hankel builder against the
+        pointwise Hessian / gradient formulas, on equal and unequal grids."""
+        curve, ball = shape(), make_circle((6.6, 0.0), 0.71)
+        grid_d, grid_b = NodeGrid(n_d), NodeGrid(n_b)
+        jets_d, jets_b = jet(curve, grid_d.nodes), jet(ball, grid_b.nodes)
+        A_db, A_bd = cross_blocks(curve, ball, params, grid_d, grid_b)
+        for got, ref in (
+            (A_db, _pointwise_cross_block(jets_d, jets_b, grid_b, params)),
+            (A_bd, _pointwise_cross_block(jets_b, jets_d, grid_d, params)),
+        ):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-13
