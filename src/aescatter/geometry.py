@@ -37,14 +37,18 @@ class RadialProfile:
 
     kind = "abstract"
 
-    def radius(self, t):
+    def derivatives(self, t):
+        """(r, r', r'') at t, in one pass over the shared subexpressions."""
         raise NotImplementedError
+
+    def radius(self, t):
+        return self.derivatives(t)[0]
 
     def dradius(self, t):
-        raise NotImplementedError
+        return self.derivatives(t)[1]
 
     def ddradius(self, t):
-        raise NotImplementedError
+        return self.derivatives(t)[2]
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -55,27 +59,16 @@ class AppleProfile(RadialProfile):
 
     kind = "apple"
 
-    def _parts(self, t):
+    def derivatives(self, t):
         num = 0.55 * (1.0 + 0.9 * np.cos(t) + 0.1 * np.sin(2.0 * t))
         dnum = 0.55 * (-0.9 * np.sin(t) + 0.2 * np.cos(2.0 * t))
         ddnum = 0.55 * (-0.9 * np.cos(t) - 0.4 * np.sin(2.0 * t))
         den = 1.0 + 0.75 * np.cos(t)
         dden = -0.75 * np.sin(t)
         ddden = -0.75 * np.cos(t)
-        return num, dnum, ddnum, den, dden, ddden
-
-    def radius(self, t):
-        num, _, _, den, _, _ = self._parts(t)
-        return num / den
-
-    def dradius(self, t):
-        num, dnum, _, den, dden, _ = self._parts(t)
-        return (dnum * den - num * dden) / den**2
-
-    def ddradius(self, t):
-        num, dnum, ddnum, den, dden, ddden = self._parts(t)
         dr = (dnum * den - num * dden) / den**2
-        return (ddnum * den - num * ddden) / den**2 - 2.0 * dden * dr / den
+        ddr = (ddnum * den - num * ddden) / den**2 - 2.0 * dden * dr / den
+        return num / den, dr, ddr
 
     def params(self):
         return {}
@@ -86,23 +79,13 @@ class PeanutProfile(RadialProfile):
 
     kind = "peanut"
 
-    def _q(self, t):
+    def derivatives(self, t):
         q = 0.25 * np.cos(t) ** 2 + np.sin(t) ** 2
         dq = 0.75 * np.sin(2.0 * t)
         ddq = 1.5 * np.cos(2.0 * t)
-        return q, dq, ddq
-
-    def radius(self, t):
-        q, _, _ = self._q(t)
-        return 0.65 * np.sqrt(q)
-
-    def dradius(self, t):
-        q, dq, _ = self._q(t)
-        return 0.65 * dq / (2.0 * np.sqrt(q))
-
-    def ddradius(self, t):
-        q, dq, ddq = self._q(t)
-        return 0.65 * (ddq / (2.0 * np.sqrt(q)) - dq**2 / (4.0 * q**1.5))
+        sq = np.sqrt(q)
+        ddr = 0.65 * (ddq / (2.0 * sq) - dq**2 / (4.0 * q**1.5))
+        return 0.65 * sq, 0.65 * dq / (2.0 * sq), ddr
 
     def params(self):
         return {}
@@ -116,13 +99,9 @@ class ConstantProfile(RadialProfile):
             raise ValueError(f"radius must be positive, got {radius}")
         self._r = float(radius)
 
-    def radius(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self._r)
-
-    def dradius(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    ddradius = dradius
+    def derivatives(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.full_like(t, self._r), np.zeros_like(t), np.zeros_like(t)
 
     def params(self):
         return {"radius": self._r}
@@ -142,23 +121,14 @@ class FourierProfile(RadialProfile):
                 f"got {len(self.b)} and {len(self.a)}"
             )
 
-    def _modes(self, t):
+    def derivatives(self, t):
         t = np.asarray(t, dtype=float)
         m = np.arange(1, len(self.a))
         mt = np.multiply.outer(t, m)
-        return m, np.cos(mt), np.sin(mt)
-
-    def radius(self, t):
-        m, cos_mt, sin_mt = self._modes(t)
-        return self.a[0] + cos_mt @ self.a[1:] + sin_mt @ self.b
-
-    def dradius(self, t):
-        m, cos_mt, sin_mt = self._modes(t)
-        return -sin_mt @ (m * self.a[1:]) + cos_mt @ (m * self.b)
-
-    def ddradius(self, t):
-        m, cos_mt, sin_mt = self._modes(t)
-        return -cos_mt @ (m**2 * self.a[1:]) - sin_mt @ (m**2 * self.b)
+        cos_mt, sin_mt = np.cos(mt), np.sin(mt)
+        r = self.a[0] + cos_mt @ self.a[1:] + sin_mt @ self.b
+        dr = -sin_mt @ (m * self.a[1:]) + cos_mt @ (m * self.b)
+        return r, dr, -cos_mt @ (m**2 * self.a[1:]) - sin_mt @ (m**2 * self.b)
 
     def params(self):
         return {"a": self.a.tolist(), "b": self.b.tolist()}
@@ -239,9 +209,7 @@ class CurveJet:
 def jet(curve: StarlikeCurve, t) -> CurveJet:
     """Evaluate the curve and all derived frame quantities at angle(s) t."""
     t = np.asarray(t, dtype=float)
-    r = curve.radial.radius(t)
-    dr = curve.radial.dradius(t)
-    ddr = curve.radial.ddradius(t)
+    r, dr, ddr = curve.radial.derivatives(t)
     c, s = np.cos(t), np.sin(t)
     e_r = np.stack([c, s], axis=-1)
     e_t = np.stack([-s, c], axis=-1)

@@ -152,10 +152,16 @@ def _predicted_modulus(
     wave: IncidentWave,
     angles: np.ndarray,
     grid: NodeGrid,
-) -> np.ndarray:
-    densities = solve_two_body_forward(curve_d, ball_curve, params, wave, grid)
-    total = far_field_sum(densities, curve_d, ball_curve, params, angles, grid, grid)
-    return np.abs(total.values) ** 2
+):
+    """Predicted |u_inf|^2 at ``angles``, with the (checked solver, density
+    vector) pair of the two-body system it came from, for a Jacobian there."""
+    solve = factor_system(assemble_two_body(curve_d, ball_curve, params, grid))
+    x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid),
+                              *rhs_plane_wave(ball_curve, params, wave, grid)]))
+    N = grid.size
+    total = (far_field_matrix(curve_d, params, angles, grid) @ x[2 * N : 3 * N]
+             + far_field_matrix(ball_curve, params, angles, grid) @ x[5 * N :])
+    return np.abs(total) ** 2, (solve, x)
 
 
 def exact_phaseless_jacobian(
@@ -186,10 +192,15 @@ def exact_phaseless_jacobian(
     frozen-density matrix can point uphill, while this one is the true
     derivative.
     """
+    _, scene = _predicted_modulus(curve_d, ball_curve, params, wave, angles, grid)
+    return _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene, step)
+
+
+def _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene, step=1e-6):
+    """``exact_phaseless_jacobian`` from the (solver, densities) pair of the
+    two-body system at ``curve_d``, which the caller already has."""
+    solve, x = scene
     N = grid.size
-    b_b = np.concatenate(rhs_plane_wave(ball_curve, params, wave, grid))
-    solve = factor_system(assemble_two_body(curve_d, ball_curve, params, grid))
-    x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid), b_b]))
     x_d, x_b = x[: 3 * N], x[3 * N :]
 
     def moving_terms(curve):
@@ -236,11 +247,11 @@ def run_phaseless(
     Only the obstacle is updated; the reference ball is trusted as given,
     and every iterate is checked to stay clear of it. Each step solves the
     Tikhonov system with the exact Jacobian of |u_inf|^2 (implicit
-    differentiation, one two-body factorization per step) and
-    lambda_k equal to the residual norm, then scales the step down (rho,
-    rho/2, ...) until the residual actually decreases; candidates that
-    pinch the curve, collide with the ball, or break the forward solve are
-    skipped. Stops at E_k <= epsilon, at the iteration cap, or when no
+    differentiation on the two-body factorization that the line search
+    already made at the current iterate) and lambda_k equal to the
+    residual norm, then scales the step down (rho, rho/2, ...) until the
+    residual actually decreases; candidates that pinch the curve, collide
+    with the ball, or break the forward solve are skipped. Stops at E_k <= epsilon, at the iteration cap, or when no
     admissible step decreases the residual (stagnation).
     """
     curve = initial_curve(config)
@@ -253,7 +264,9 @@ def run_phaseless(
             f"(separation {sep:.3f} < {_MIN_BALL_SEPARATION})"
         )
     obs_norm = trapezoid_norm(data.values)
-    predicted = _predicted_modulus(curve, ball_curve, params, wave, data.angles, grid)
+    predicted, scene = _predicted_modulus(
+        curve, ball_curve, params, wave, data.angles, grid
+    )
     residual = trapezoid_norm(data.values - predicted)
     records: list[IterationRecord] = []
     for k in range(config.max_iter + 1):
@@ -262,12 +275,12 @@ def run_phaseless(
         records.append(IterationRecord(k=k, E_k=E_k, Err_k=err, curve=curve))
         if E_k <= config.epsilon or k == config.max_iter:
             break
-        A = exact_phaseless_jacobian(
-            curve, ball_curve, params, wave, data.angles, config.M, grid
+        A = _jacobian_at(
+            curve, ball_curve, params, wave, data.angles, config.M, grid, scene
         )
+        scene = None  # only an accepted candidate's factorization is needed next
         w = data.values - predicted
         update = tikhonov_step(A, w, residual, config.M, config.rho)
-        accepted = False
         for scale in _STEP_SCALES:
             try:
                 candidate = apply_update(curve, update.scaled(scale))
@@ -276,7 +289,7 @@ def run_phaseless(
             if separation(candidate, ball_curve) < _MIN_BALL_SEPARATION:
                 continue
             try:
-                cand_pred = _predicted_modulus(
+                cand_pred, scene = _predicted_modulus(
                     candidate, ball_curve, params, wave, data.angles, grid
                 )
             except FloatingPointError:
@@ -284,8 +297,8 @@ def run_phaseless(
             cand_res = trapezoid_norm(data.values - cand_pred)
             if cand_res < residual:
                 curve, predicted, residual = candidate, cand_pred, cand_res
-                accepted = True
                 break
-        if not accepted:
-            break
+            scene = None  # free it before the next candidate's factorization
+        else:
+            break  # no admissible step decreases the residual
     return records

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CurveJet, NodeGrid, StarlikeCurve, jet
+from .geometry import CurveJet, StarlikeCurve, jet
 from .specfun import (
     EULER_GAMMA,
     hankel1_0,
@@ -31,6 +31,8 @@ __all__ = [
     "split_k",
     "split_h",
     "KernelTables",
+    "PairGeometry",
+    "pair_geometry",
     "kernel_tables",
 ]
 
@@ -122,61 +124,99 @@ class KernelTables:
     h3: np.ndarray
 
 
-def _split_tables(jets: CurveJet, t: np.ndarray, kappa: float) -> KernelTables:
-    """Every split part at all pairs (t_i, ς_j) of the parameters ``t``.
+@dataclass(frozen=True)
+class PairGeometry:
+    """Wavenumber-independent split data at all pairs (t_i, ς_j), [target, source].
 
-    ``jets`` holds the curve data at ``t``. Where |t_i - ς_j| modulo 2pi is
-    below ``_DIAGONAL_SWITCH`` the entries are the closed-form diagonal
-    limits at the target t_i; 1/sin(ς-t) is never formed near its zeros
-    (the ratio h1/sin is evaluated directly, which is smooth there).
+    ``lim`` indexes the (symmetric) pairs with |t_i - ς_j| mod 2pi below
+    ``_DIAGONAL_SWITCH``, where every part takes its closed-form limit. r is
+    exactly symmetric (p_j - p_i = -(p_i - p_j) in floating point): ``r_upper``
+    holds it at the strict upper-triangle flat indices ``upper`` (1 at the
+    ``lim`` pairs), ``lower`` the mirrored ones. ``n_dot``, ``np_dot`` are
+    n(t_i) . (p_j - p_i) / r and the same with n_perp; h1 has no wavenumber.
     """
-    d = jets.p[None, :, :] - jets.p[:, None, :]        # p(ς_j) - p(t_i)
+
+    jets: CurveJet
+    lim: tuple[np.ndarray, np.ndarray]
+    upper: np.ndarray
+    lower: np.ndarray
+    r_upper: np.ndarray
+    logsin: np.ndarray
+    n_dot: np.ndarray
+    np_dot: np.ndarray
+    h1_over_sin: np.ndarray
+    h1: np.ndarray
+
+
+def pair_geometry(jets: CurveJet, t) -> PairGeometry:
+    """Pair geometry of the parameters ``t``; ``jets`` holds the curve at t."""
+    t = np.asarray(t, dtype=float)
+    idx = np.arange(len(t))
+    dx = jets.p[None, :, 0] - jets.p[:, None, 0]      # p(ς_j) - p(t_i)
+    dy = jets.p[None, :, 1] - jets.p[:, None, 1]
     dt = t[:, None] - t[None, :]
     diag = np.abs((dt + np.pi) % (2.0 * np.pi) - np.pi) < _DIAGONAL_SWITCH
-    r = np.where(diag, 1.0, np.linalg.norm(d, axis=-1))  # placeholder, overwritten
+    diag |= diag.T
+    r = np.where(diag, 1.0, np.hypot(dx, dy))
+    iu, ju = np.nonzero(idx[:, None] < idx)
+    upper, lower = iu * len(t) + ju, ju * len(t) + iu
 
-    z = kappa * r
-    h0, h1b = hankel1_0(z), hankel1_1(z)
-    j0, j1b = h0.real, h1b.real                        # J_m = Re H_m^(1), exactly
-    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2 + diag)  # diag patched below
-
-    n_dot = np.einsum("ik,ijk->ij", jets.n, d)         # n(t_i) . (p_j - p_i)
-    np_dot = np.einsum("ik,ijk->ij", jets.n_perp, d)
-
-    m1 = -j0 / (2.0 * np.pi)
-    m2 = 0.5j * h0 - m1 * logsin
-    k1 = -kappa * n_dot * j1b / (2.0 * np.pi * r)
-    k2 = 0.5j * kappa * n_dot * h1b / r - k1 * logsin
-    h1_over_sin = np_dot / (np.pi * r**2)
+    logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2 + diag)  # 0 at the lim pairs
+    n_dot = (jets.n[:, 0, None] * dx + jets.n[:, 1, None] * dy) / r
+    np_dot = (jets.n_perp[:, 0, None] * dx + jets.n_perp[:, 1, None] * dy) / r
+    h1_over_sin = np_dot / (np.pi * r)
     h1 = h1_over_sin * np.sin(-dt)
-    h2 = -kappa * np_dot * j1b / (2.0 * np.pi * r)
-    h3 = 0.5j * kappa * np_dot * h1b / r - h1_over_sin - h2 * logsin
-
-    m2_lim = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * jets.G) / np.pi
-    k2_lim = np.einsum("ik,ik->i", jets.n, jets.ddp) / (2.0 * np.pi * jets.G**2)
-    np.copyto(m1, -1.0 / (2.0 * np.pi), where=diag)
-    np.copyto(m2, m2_lim[:, None], where=diag)
-    np.copyto(k1, 0.0, where=diag)
-    np.copyto(k2, k2_lim[:, None], where=diag)
-    np.copyto(h1, 1.0 / np.pi, where=diag)
-    np.copyto(h2, 0.0, where=diag)
-    np.copyto(h3, 0.0, where=diag)
-    return KernelTables(m1=m1, m2=m2, k1=k1, k2=k2, h1=h1, h2=h2, h3=h3)
+    lim = np.nonzero(diag)
+    h1[lim] = 1.0 / np.pi
+    return PairGeometry(
+        jets=jets, lim=lim, upper=upper, lower=lower, r_upper=r.ravel()[upper],
+        logsin=logsin, n_dot=n_dot, np_dot=np_dot, h1_over_sin=h1_over_sin, h1=h1,
+    )
 
 
-def kernel_tables(jets: CurveJet, grid: NodeGrid, kappa: float) -> KernelTables:
-    """Evaluate every split part at all node pairs of the grid.
+def _split_tables(geom: PairGeometry, kappa: float) -> KernelTables:
+    """Every split part at all pairs of ``geom`` for one wavenumber.
 
-    ``jets`` must hold the curve data at the grid nodes; the diagonal
-    entries are the closed-form limits.
+    H0 and H1 are evaluated once each, on the strict upper triangle, and
+    J0, J1 are their real parts. The ``lim`` pairs get the closed-form
+    diagonal limits at the target t_i; 1/sin(ς-t) is never formed near its
+    zeros (the ratio h1/sin is evaluated directly, which is smooth there).
     """
-    return _split_tables(jets, grid.nodes, kappa)
+    z = kappa * geom.r_upper
+    h0, h1b = np.zeros((2,) + geom.logsin.shape, dtype=complex)
+    for full, hankel in ((h0, hankel1_0), (h1b, hankel1_1)):
+        flat = full.reshape(-1)                        # diagonal: limits below
+        flat[geom.upper] = flat[geom.lower] = hankel(z)
+    j0, j1b = h0.real, h1b.real                        # J_m = Re H_m^(1), exactly
+    logsin = geom.logsin
+
+    m1 = j0 * (-1.0 / (2.0 * np.pi))
+    m2 = 0.5j * h0 - m1 * logsin
+    k1 = (-kappa / (2.0 * np.pi)) * geom.n_dot * j1b
+    k2 = (0.5j * kappa) * geom.n_dot * h1b - k1 * logsin
+    h2 = (-kappa / (2.0 * np.pi)) * geom.np_dot * j1b
+    h3 = (0.5j * kappa) * geom.np_dot * h1b - geom.h1_over_sin - h2 * logsin
+
+    lim, rows, jets = geom.lim, geom.lim[0], geom.jets
+    G, n_ddp = jets.G[rows], np.einsum("ik,ik->i", jets.n[rows], jets.ddp[rows])
+    m1[lim] = -1.0 / (2.0 * np.pi)
+    m2[lim] = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * G) / np.pi
+    k2[lim] = n_ddp / (2.0 * np.pi * G**2)
+    k1[lim] = h2[lim] = h3[lim] = 0.0
+    return KernelTables(m1=m1, m2=m2, k1=k1, k2=k2, h1=geom.h1, h2=h2, h3=h3)
+
+
+def kernel_tables(geom: PairGeometry, kappa: float) -> KernelTables:
+    """Evaluate every split part at all node pairs of the grid geometry
+    ``geom`` (from :func:`pair_geometry` on the grid nodes) for one
+    wavenumber; the diagonal entries are the closed-form limits."""
+    return _split_tables(geom, kappa)
 
 
 def _pair_tables(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelTables:
     """Split tables of the two-point set (t, ς); entry [0, 1] is the pair (t, ς)."""
     ts = np.array([t, s], dtype=float)
-    return _split_tables(jet(curve, ts), ts, kappa)
+    return _split_tables(pair_geometry(jet(curve, ts), ts), kappa)
 
 
 def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitM:

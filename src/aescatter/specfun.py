@@ -24,54 +24,44 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 
-def _check_real(x, name):
+def _checked(x, name, message, allow_zero=False):
+    """``x`` as a float array, after one comparison: every entry must be
+    positive (non-negative with ``allow_zero``), which NaN never is. Only
+    on failure is the cause looked up, to raise the matching message."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
-        raise ValueError(f"{name} expects finite input, got NaN")
+    if not (x >= 0.0 if allow_zero else x > 0.0).all():
+        if np.isnan(x).any():
+            raise ValueError(f"{name} expects finite input, got NaN")
+        raise ValueError(message)
     return x
 
 
 def bessel_j0(x):
     """J0(x) for x >= 0."""
-    x = _check_real(x, "bessel_j0")
-    if np.any(x < 0.0):
-        raise ValueError("bessel_j0 expects x >= 0")
-    return special.j0(x)
+    return special.j0(_checked(x, "bessel_j0", "bessel_j0 expects x >= 0", True))
 
 
 def bessel_j1(x):
     """J1(x) for x >= 0."""
-    x = _check_real(x, "bessel_j1")
-    if np.any(x < 0.0):
-        raise ValueError("bessel_j1 expects x >= 0")
-    return special.j1(x)
+    return special.j1(_checked(x, "bessel_j1", "bessel_j1 expects x >= 0", True))
 
 
 def bessel_y0(x):
-    x = _check_real(x, "bessel_y0")
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_y0 expects x > 0 (logarithmic singularity)")
+    x = _checked(x, "bessel_y0", "bessel_y0 expects x > 0 (logarithmic singularity)")
     return special.y0(x)
 
 
 def bessel_y1(x):
-    x = _check_real(x, "bessel_y1")
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_y1 expects x > 0")
-    return special.y1(x)
+    return special.y1(_checked(x, "bessel_y1", "bessel_y1 expects x > 0"))
 
 
 def hankel1_0(x):
     """H0^(1)(x) = J0(x) + i Y0(x) for x > 0."""
-    x = _check_real(x, "hankel1_0")
-    if np.any(x <= 0.0):
-        raise ValueError("hankel1_0 expects x > 0 (logarithmic singularity)")
+    x = _checked(x, "hankel1_0", "hankel1_0 expects x > 0 (logarithmic singularity)")
     return special.j0(x) + 1j * special.y0(x)
 
 
 def hankel1_1(x):
     """H1^(1)(x) = J1(x) + i Y1(x) for x > 0."""
-    x = _check_real(x, "hankel1_1")
-    if np.any(x <= 0.0):
-        raise ValueError("hankel1_1 expects x > 0")
+    x = _checked(x, "hankel1_1", "hankel1_1 expects x > 0")
     return special.j1(x) + 1j * special.y1(x)

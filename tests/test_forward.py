@@ -23,11 +23,14 @@ from aescatter.geometry import (
     jet,
     make_apple,
     make_circle,
+    make_fourier,
     make_peanut,
     translate,
 )
 from aescatter.kernels import grad_phi, hess_phi
 from aescatter.kernels import phi as Phi
+from aescatter.quadrature import cauchy_weight_table, diff_matrix, log_weight_table
+from aescatter.specfun import EULER_GAMMA, hankel1_0, hankel1_1
 
 OBS = np.pi * np.arange(128) / 64
 
@@ -222,3 +225,95 @@ class TestJumpRelations:
         report = jump_check(curve, params, lambda t: np.cos(t) + 0.3)
         for name, entry in report.items():
             assert entry["monotone"], (name, entry)
+
+
+def per_wavenumber_assembly(curve, params, grid):
+    """The system matrix built one wavenumber at a time: the full N x N
+    distance, log-sin and Hankel matrices for each of kappa_p, kappa_s and
+    kappa_a, eight complex products with D and np.block, as assemble_system
+    did before it shared the pair geometry."""
+    jets = jet(curve, grid.nodes)
+    t, n, N = grid.nodes, grid.n, grid.size
+    lam, mu = params.lam, params.mu
+    kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
+    D = diff_matrix(n)
+    R, T = log_weight_table(n), cauchy_weight_table(n)
+
+    def ops(kappa):
+        d = jets.p[None, :, :] - jets.p[:, None, :]
+        dt = t[:, None] - t[None, :]
+        diag = np.abs((dt + np.pi) % (2.0 * np.pi) - np.pi) < 1e-6
+        r = np.where(diag, 1.0, np.linalg.norm(d, axis=-1))
+        h0, h1b = hankel1_0(kappa * r), hankel1_1(kappa * r)
+        j0, j1b = h0.real, h1b.real
+        logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2 + diag)
+        n_dot = np.einsum("ik,ijk->ij", jets.n, d)
+        np_dot = np.einsum("ik,ijk->ij", jets.n_perp, d)
+        m1 = -j0 / (2.0 * np.pi)
+        m2 = 0.5j * h0 - m1 * logsin
+        k1 = -kappa * n_dot * j1b / (2.0 * np.pi * r)
+        k2 = 0.5j * kappa * n_dot * h1b / r - k1 * logsin
+        h1_over_sin = np_dot / (np.pi * r**2)
+        h1 = h1_over_sin * np.sin(-dt)
+        h2 = -kappa * np_dot * j1b / (2.0 * np.pi * r)
+        h3 = 0.5j * kappa * np_dot * h1b / r - h1_over_sin - h2 * logsin
+        m2_lim = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * jets.G) / np.pi
+        k2_lim = np.einsum("ik,ik->i", jets.n, jets.ddp) / (2.0 * np.pi * jets.G**2)
+        np.copyto(m1, -1.0 / (2.0 * np.pi), where=diag)
+        np.copyto(m2, m2_lim[:, None], where=diag)
+        np.copyto(k1, 0.0, where=diag)
+        np.copyto(k2, k2_lim[:, None], where=diag)
+        np.copyto(h1, 1.0 / np.pi, where=diag)
+        np.copyto(h2, 0.0, where=diag)
+        np.copyto(h3, 0.0, where=diag)
+        pin = np.pi / n
+        S = R * m1 + pin * m2
+        K = (R * k1 + pin * k2) / jets.G[:, None]
+        H = (T * h1 + R * h2 + pin * h3) / jets.G[:, None]
+        return S, K, H
+
+    nu, tau, G = jets.nu, jets.tau, jets.G
+    nu_n, nu_np = nu @ jets.n.T, nu @ jets.n_perp.T
+    nu_npd, nu_nd = nu @ jets.n_perp_prime.T, nu @ jets.n_prime.T
+    tau_n, tau_np = tau @ jets.n.T, tau @ jets.n_perp.T
+    tau_npd, tau_nd = tau @ jets.n_perp_prime.T, tau @ jets.n_prime.T
+    G2 = np.broadcast_to(G**2, (N, N))
+    Sp, Kp, Hp = ops(kp)
+    Ss, Ks, Hs = ops(ks)
+    Sa, Ka, _ = ops(ka)
+    A11 = (-mu * kp**2 * (Sp * nu_n**2) + mu * (Kp * nu_np) @ D + mu * (Kp * nu_npd)
+           - mu * (Hp * nu_n) @ D - mu * (Hp * nu_nd) - (lam + mu) * kp**2 * (Sp * G2)
+           + np.diag(mu * np.einsum("ik,ik->i", nu, jets.n_perp_prime) / G))
+    A12 = (mu * ks**2 * (Ss * (nu_np * nu_n)) + mu * (Ks * nu_n) @ D + mu * (Ks * nu_nd)
+           + mu * (Hs * nu_np) @ D + mu * (Hs * nu_npd) + mu * D
+           + np.diag(mu * np.einsum("ik,ik->i", nu, jets.n_prime) / G))
+    A21 = (-kp**2 * (Sp * (tau_n * nu_n)) + (Kp * tau_np) @ D + (Kp * tau_npd)
+           - (Hp * tau_n) @ D - (Hp * tau_nd) + D
+           + np.diag(np.einsum("ik,ik->i", tau, jets.n_perp_prime) / G))
+    A22 = (ks**2 * (Ss * (tau_np * nu_n)) + (Ks * tau_n) @ D + (Ks * tau_nd)
+           + (Hs * tau_np) @ D + (Hs * tau_npd)
+           + np.diag(np.einsum("ik,ik->i", tau, jets.n_prime) / G))
+    w2r = params.omega**2 * params.rho_a
+    return np.block([
+        [A11, A12, Sa * G2],
+        [A21, A22, np.zeros((N, N), dtype=complex)],
+        [Kp * G2 + np.diag(G), Hs * G2, -Ka * G2 / w2r + np.diag(G / w2r)],
+    ])
+
+
+class TestSharedGeometryAssembly:
+    @pytest.mark.parametrize("make", [
+        make_apple,
+        make_peanut,
+        lambda: make_fourier((0.1, -0.2), *np.split(
+            np.r_[0.55, 0.06 * np.random.default_rng(7).standard_normal(6)], [4])),
+    ])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_matches_per_wavenumber_assembly(self, params, make, n, shifted):
+        # the half-step shifted grid is the one boundary_residual assembles on
+        grid = NodeGrid(n, offset=0.5 * np.pi / n if shifted else 0.0)
+        curve = make()
+        A = assemble_system(curve, params, grid)
+        ref = per_wavenumber_assembly(curve, params, grid)
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -124,6 +124,55 @@ class TestJet:
         np.testing.assert_allclose(jets.dp, dp_fd, atol=1e-7)
 
 
+def separate_derivatives(kind, t, a=None, b=None):
+    """r, r', r'' of each profile by the separate formulas that radius,
+    dradius and ddradius evaluated before they shared one pass."""
+    if kind == "apple":
+        def parts():
+            return (0.55 * (1.0 + 0.9 * np.cos(t) + 0.1 * np.sin(2.0 * t)),
+                    0.55 * (-0.9 * np.sin(t) + 0.2 * np.cos(2.0 * t)),
+                    0.55 * (-0.9 * np.cos(t) - 0.4 * np.sin(2.0 * t)),
+                    1.0 + 0.75 * np.cos(t), -0.75 * np.sin(t), -0.75 * np.cos(t))
+        num, _, _, den, _, _ = parts()
+        r = num / den
+        num, dnum, _, den, dden, _ = parts()
+        dr = (dnum * den - num * dden) / den**2
+        num, dnum, ddnum, den, dden, ddden = parts()
+        dr2 = (dnum * den - num * dden) / den**2
+        return r, dr, (ddnum * den - num * ddden) / den**2 - 2.0 * dden * dr2 / den
+    if kind == "peanut":
+        q = 0.25 * np.cos(t) ** 2 + np.sin(t) ** 2
+        dq, ddq = 0.75 * np.sin(2.0 * t), 1.5 * np.cos(2.0 * t)
+        return (0.65 * np.sqrt(q), 0.65 * dq / (2.0 * np.sqrt(q)),
+                0.65 * (ddq / (2.0 * np.sqrt(q)) - dq**2 / (4.0 * q**1.5)))
+    if kind == "circle":
+        return np.full_like(t, 0.7), np.zeros_like(t), np.zeros_like(t)
+    m = np.arange(1, len(a))
+    cos_mt, sin_mt = np.cos(np.multiply.outer(t, m)), np.sin(np.multiply.outer(t, m))
+    return (a[0] + cos_mt @ a[1:] + sin_mt @ b,
+            -sin_mt @ (m * a[1:]) + cos_mt @ (m * b),
+            -cos_mt @ (m**2 * a[1:]) - sin_mt @ (m**2 * b))
+
+
+class TestDerivativesInOnePass:
+    A, B = np.array([0.5, 0.05, -0.03, 0.02]), np.array([0.04, 0.01, -0.02])
+
+    @pytest.mark.parametrize("curve", [
+        make_apple(), make_peanut(), make_circle((0.2, 0.1), 0.7),
+        make_fourier((0.1, 0.0), A, B),
+    ], ids=["apple", "peanut", "circle", "fourier"])
+    def test_bitwise_equal_to_separate_formulas(self, curve):
+        t = np.linspace(-1.0, 8.0, 301)
+        expected = separate_derivatives(curve.radial.kind, t, self.A, self.B)
+        got = curve.radial.derivatives(t)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        single = (curve.radial.radius(t), curve.radial.dradius(t),
+                  curve.radial.ddradius(t))
+        assert all(np.array_equal(g, e) for g, e in zip(single, expected))
+        jets = jet(curve, t)
+        assert np.array_equal(jets.G, np.sqrt(expected[1] ** 2 + expected[0] ** 2))
+
+
 class TestGridAndTranslate:
     def test_node_grid(self):
         g = NodeGrid(4)

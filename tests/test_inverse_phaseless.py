@@ -178,10 +178,10 @@ class TestColumns:
         h = 1e-5
         up = BoundaryUpdate(np.array([h, 0.0]), np.zeros(2), np.zeros(1))
         from aescatter.inverse_phased import apply_update
-        pp = _predicted_modulus(apply_update(curve, up), BALL.curve(), params,
-                                wave, OBS, grid)
-        pm = _predicted_modulus(apply_update(curve, up.scaled(-1.0)), BALL.curve(),
-                                params, wave, OBS, grid)
+        pp, _ = _predicted_modulus(apply_update(curve, up), BALL.curve(), params,
+                                   wave, OBS, grid)
+        pm, _ = _predicted_modulus(apply_update(curve, up.scaled(-1.0)), BALL.curve(),
+                                   params, wave, OBS, grid)
         secant = (pp - pm) / (2 * h)
         assert np.abs(J[:, 0] - secant).max() / np.abs(secant).max() < 1e-4
 
@@ -207,7 +207,7 @@ class TestExactJacobian:
             bump = BoundaryUpdate(xi[:2], xi[2:3 + M], xi[3 + M:])
             plus, minus = (
                 _predicted_modulus(apply_update(curve, b), BALL.curve(), params,
-                                   wave, OBS, grid)
+                                   wave, OBS, grid)[0]
                 for b in (bump, bump.scaled(-1.0))
             )
             fd[:, i] = (plus - minus) / (2.0 * h)
@@ -232,6 +232,47 @@ class TestExactJacobian:
 
 
 class TestRunPhaseless:
+    def test_jacobian_reuses_the_line_search_factorization(
+        self, params, wave, peanut_scene, monkeypatch
+    ):
+        """One two-body assembly per predicted modulus and none inside the
+        Jacobian, which takes the accepted candidate's factorization."""
+        *_, data, _ = peanut_scene
+        counts = {"assemble_two_body": 0, "predictions": 0, "jacobians": 0,
+                  "in_jacobian": 0}
+        inside = []
+        assemble = multibody.assemble_two_body
+        predict = inverse_phaseless._predicted_modulus
+        jacobian = inverse_phaseless._jacobian_at
+
+        def counting_assemble(*args, **kwargs):
+            counts["assemble_two_body"] += 1
+            counts["in_jacobian"] += len(inside)
+            return assemble(*args, **kwargs)
+
+        def counting_predict(*args, **kwargs):
+            counts["predictions"] += 1
+            return predict(*args, **kwargs)
+
+        def marked_jacobian(*args, **kwargs):
+            counts["jacobians"] += 1
+            inside.append(True)
+            try:
+                return jacobian(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for module in (inverse_phaseless, multibody):
+            monkeypatch.setattr(module, "assemble_two_body", counting_assemble)
+        monkeypatch.setattr(inverse_phaseless, "_predicted_modulus", counting_predict)
+        monkeypatch.setattr(inverse_phaseless, "_jacobian_at", marked_jacobian)
+        cfg = InverseConfig(initial_center=(0.0, 0.1), initial_radius=0.5,
+                            epsilon=1e-6, M=2, max_iter=2, n_forward=16)
+        records = run_phaseless(data, BALL, params, wave, cfg)
+        assert counts["jacobians"] == len(records) - 1 >= 1
+        assert counts["assemble_two_body"] == counts["predictions"] > counts["jacobians"]
+        assert counts["in_jacobian"] == 0
+
     def test_fixed_point_exit(self, params, wave):
         cfg = InverseConfig(initial_center=(0.0, 0.1), initial_radius=0.5,
                             epsilon=0.05, n_forward=32)

@@ -9,6 +9,7 @@ from aescatter.kernels import (
     grad_phi,
     hess_phi,
     kernel_tables,
+    pair_geometry,
     phi,
     split_h,
     split_k,
@@ -134,7 +135,7 @@ class TestTables:
         kappa = 0.7 * np.pi
         grid = NodeGrid(16)
         jets = jet(curve, grid.nodes)
-        tab = kernel_tables(jets, grid, kappa)
+        tab = kernel_tables(pair_geometry(jets, grid.nodes), kappa)
         rng = np.random.default_rng(1)
         for _ in range(20):
             i, j = rng.integers(0, grid.size, 2)
@@ -149,3 +150,27 @@ class TestTables:
             assert abs(tab.h1[i, j] - h.h1) < 1e-12
             assert abs(tab.h2[i, j] - h.h2) < 1e-12
             assert abs(tab.h3[i, j] - h.h3) < 1e-11
+
+
+class TestAssemblyHankelCalls:
+    def test_one_hankel_pair_per_wavenumber_on_the_upper_triangle(
+        self, params, monkeypatch
+    ):
+        """One assemble_system evaluates H0 and H1 once per wavenumber,
+        each on the N(N-1)/2 distinct distances of the 2n nodes."""
+        from aescatter import forward, kernels
+
+        sizes = {"hankel1_0": [], "hankel1_1": []}
+        for name in sizes:
+            original = getattr(kernels, name)
+
+            def counting(x, _name=name, _original=original):
+                sizes[_name].append(np.size(x))
+                return _original(x)
+
+            monkeypatch.setattr(kernels, name, counting)
+        grid = NodeGrid(16)
+        forward.assemble_system(make_apple(), params, grid)
+        N = grid.size
+        assert sizes == {"hankel1_0": [N * (N - 1) // 2] * 3,
+                         "hankel1_1": [N * (N - 1) // 2] * 3}
