@@ -6,7 +6,7 @@ three wavenumbers of one assembly, each with the pair geometry they need),
 n in {32, 64, 100, 128}, with ``time.perf_counter`` and repeats, and writes
 the median and interquartile range of each to a JSON file:
 
-    python3 bench/layers.py [--src SRC] [--repeats 15] [--out BENCH_5.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_5.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -15,6 +15,7 @@ checkout's), so two commits can be compared on the same machine.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -26,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (32, 64, 100, 128)
 N_ANGLES = 128
+REPEATS = 15
 
 
 def git_sha(src: Path) -> str:
@@ -38,19 +40,32 @@ def git_sha(src: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def timings(fn, repeats: int) -> dict:
-    """Median and interquartile range in ms of ``repeats`` calls after one
+def blas_threads(numpy) -> int | str:
+    """The thread count of the OpenBLAS that numpy has loaded, asked from the
+    library itself (loading the same file again returns the loaded copy)."""
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return int(getattr(lib, name)())
+    return "unknown (no OpenBLAS thread query found)"
+
+
+def timings(fn) -> dict:
+    """Median and interquartile range in ms of ``REPEATS`` calls after one
     warm-up call."""
     import numpy as np
 
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(1e3 * (time.perf_counter() - start))
     q1, med, q3 = np.percentile(times, [25, 50, 75])
-    return {"median_ms": med, "iqr_ms": q3 - q1, "repeats": repeats}
+    return {"median_ms": med, "iqr_ms": q3 - q1, "repeats": REPEATS}
 
 
 def layer_calls(n: int) -> dict:
@@ -87,7 +102,6 @@ def layer_calls(n: int) -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_5.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
@@ -96,7 +110,7 @@ def main(argv=None) -> None:
     layers: dict = {}
     for n in SIZES:
         for name, fn in layer_calls(n).items():
-            layers.setdefault(name, {})[str(n)] = timings(fn, args.repeats)
+            layers.setdefault(name, {})[str(n)] = timings(fn)
             print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms")
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
@@ -104,8 +118,7 @@ def main(argv=None) -> None:
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__,
                     "blas": blas["name"] + " " + blas.get("version", ""),
-                    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")
-                    or f"{os.cpu_count()} (OpenBLAS default: one per CPU)"},
+                    "blas_threads": blas_threads(numpy)},
         "curve": "apple", "far_field_angles": N_ANGLES,
         "layers": layers,
     }

@@ -165,8 +165,12 @@ def _ops(geom, grid: NodeGrid, kappa: float):
     the dense matrix acting on node samples of the (scaled) density. K and
     H carry the 1/G(t) factor of the parametrized operators.
     """
-    R, T, pin = log_weight_table(grid.n), cauchy_weight_table(grid.n), np.pi / grid.n
-    tab, G = kernel_tables(geom, kappa), geom.jets.G[:, None]
+    n = grid.n
+    R = log_weight_table(n)
+    T = cauchy_weight_table(n)
+    tab = kernel_tables(geom, kappa)
+    pin = np.pi / n
+    G = geom.jets.G[:, None]
     S = R * tab.m1 + pin * tab.m2
     K = (R * tab.k1 + pin * tab.k2) / G
     H = (T * tab.h1 + R * tab.h2 + pin * tab.h3) / G
@@ -444,8 +448,9 @@ def jump_check(
             [Smat @ (weight_rows * vec[:, l] * theta) for l in (0, 1)], axis=-1
         )
 
-    report = {name: {"h": list(h_sequence), "plus": [], "minus": []}
-              for name in ("grad", "curl", "traction_grad", "traction_curl")}
+    report: dict[str, dict] = {}
+    for name in ("grad", "curl", "traction_grad", "traction_curl"):
+        report[name] = {"h": list(h_sequence), "plus": [], "minus": []}
 
     for h in h_sequence:
         errs = {name: {"plus": [], "minus": []} for name in report}
@@ -480,7 +485,9 @@ def jump_check(
                 lim1 = hess_lim - sign * 0.5 * dgtau[i]
                 lim2 = hess_curl_lim - sign * 0.5 * dgnu[i]
                 errs["traction_grad"][key].append(np.linalg.norm(hess_num - lim1))
-                errs["traction_curl"][key].append(np.linalg.norm(hess_curl_num - lim2))
+                errs["traction_curl"][key].append(
+                    np.linalg.norm(hess_curl_num - lim2)
+                )
         for name in report:
             report[name]["plus"].append(max(errs[name]["plus"]))
             report[name]["minus"].append(max(errs[name]["minus"]))
@@ -517,4 +524,12 @@ def boundary_residual(
     )
     A = assemble_system(curve, params, shifted)
     b = np.concatenate(rhs_plane_wave(curve, params, wave, shifted))
-    return np.abs(A @ x - b).reshape(3, shifted.size).max(axis=1)
+    res = A @ x - b
+    N = shifted.size
+    return np.array(
+        [
+            np.abs(res[:N]).max(),
+            np.abs(res[N : 2 * N]).max(),
+            np.abs(res[2 * N :]).max(),
+        ]
+    )

@@ -128,7 +128,8 @@ class FourierProfile(RadialProfile):
         cos_mt, sin_mt = np.cos(mt), np.sin(mt)
         r = self.a[0] + cos_mt @ self.a[1:] + sin_mt @ self.b
         dr = -sin_mt @ (m * self.a[1:]) + cos_mt @ (m * self.b)
-        return r, dr, -cos_mt @ (m**2 * self.a[1:]) - sin_mt @ (m**2 * self.b)
+        ddr = -cos_mt @ (m**2 * self.a[1:]) - sin_mt @ (m**2 * self.b)
+        return r, dr, ddr
 
     def params(self):
         return {"a": self.a.tolist(), "b": self.b.tolist()}

@@ -251,8 +251,9 @@ def run_phaseless(
     already made at the current iterate) and lambda_k equal to the
     residual norm, then scales the step down (rho, rho/2, ...) until the
     residual actually decreases; candidates that pinch the curve, collide
-    with the ball, or break the forward solve are skipped. Stops at E_k <= epsilon, at the iteration cap, or when no
-    admissible step decreases the residual (stagnation).
+    with the ball, or break the forward solve are skipped. Stops at
+    E_k <= epsilon, at the iteration cap, or when no admissible step
+    decreases the residual (stagnation).
     """
     curve = initial_curve(config)
     ball_curve = ball.curve()

@@ -174,8 +174,9 @@ def pair_geometry(jets: CurveJet, t) -> PairGeometry:
     )
 
 
-def _split_tables(geom: PairGeometry, kappa: float) -> KernelTables:
-    """Every split part at all pairs of ``geom`` for one wavenumber.
+def kernel_tables(geom: PairGeometry, kappa: float) -> KernelTables:
+    """Every split part at all pairs of ``geom`` (from :func:`pair_geometry`)
+    for one wavenumber; the only code that evaluates the kernel splits.
 
     H0 and H1 are evaluated once each, on the strict upper triangle, and
     J0, J1 are their real parts. The ``lim`` pairs get the closed-form
@@ -206,17 +207,10 @@ def _split_tables(geom: PairGeometry, kappa: float) -> KernelTables:
     return KernelTables(m1=m1, m2=m2, k1=k1, k2=k2, h1=geom.h1, h2=h2, h3=h3)
 
 
-def kernel_tables(geom: PairGeometry, kappa: float) -> KernelTables:
-    """Evaluate every split part at all node pairs of the grid geometry
-    ``geom`` (from :func:`pair_geometry` on the grid nodes) for one
-    wavenumber; the diagonal entries are the closed-form limits."""
-    return _split_tables(geom, kappa)
-
-
 def _pair_tables(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelTables:
     """Split tables of the two-point set (t, ς); entry [0, 1] is the pair (t, ς)."""
     ts = np.array([t, s], dtype=float)
-    return _split_tables(pair_geometry(jet(curve, ts), ts), kappa)
+    return kernel_tables(pair_geometry(jet(curve, ts), ts), kappa)
 
 
 def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitM:
