@@ -44,13 +44,9 @@ def blas_threads(numpy) -> int | str:
     """The thread count of the OpenBLAS that numpy has loaded, asked from the
     library itself (loading the same file again returns the loaded copy)."""
     libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                return int(getattr(lib, name)())
-    return "unknown (no OpenBLAS thread query found)"
+    for path in sorted(libs.glob("*scipy_openblas64_*")):
+        return int(ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_())
+    return "unknown (numpy's OpenBLAS not found)"
 
 
 def timings(fn) -> dict:
