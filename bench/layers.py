@@ -1,12 +1,15 @@
-"""Per-layer timings of the single-body Nystrom pipeline.
+"""Per-layer timings of the Nystrom pipeline.
 
 Times ``kernel_tables`` (the split tables of one wavenumber, and of the
 three wavenumbers of one assembly, each with the pair geometry they need),
 ``assemble_system``, ``factor_system`` and ``far_field`` on the apple at
-n in {32, 64, 100, 128}, with ``time.perf_counter`` and repeats, and writes
-the median and interquartile range of each to a JSON file:
+n in {32, 64, 100, 128}, and the two-body layers of the criterion-9 case at
+n = 64: ``cross_blocks`` of the peanut and the reference ball, and one
+phaseless Jacobian (``_jacobian_at``, M = 6) at the initial guess. Each is
+timed with ``time.perf_counter`` and repeats, and the median and
+interquartile range of each go to a JSON file:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_5.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_6.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -27,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (32, 64, 100, 128)
 N_ANGLES = 128
+PHASELESS_N = 64
 REPEATS = 15
 
 
@@ -95,10 +99,32 @@ def layer_calls(n: int) -> dict:
     }
 
 
+def phaseless_calls() -> dict:
+    """The timed two-body calls of the criterion-9 case at n = PHASELESS_N."""
+    import numpy as np
+
+    from aescatter import forward as fw
+    from aescatter import geometry, inverse_phaseless, multibody
+    from aescatter.inverse_phased import InverseConfig, initial_curve
+
+    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(PHASELESS_N)
+    ball = inverse_phaseless.ReferenceBallSpec((6.6, 0.0), 0.71).curve()
+    peanut, wave = geometry.make_peanut(), fw.IncidentWave(np.pi / 6)
+    start = initial_curve(InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
+                                        epsilon=0.1, M=6, n_forward=PHASELESS_N))
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    _, scene = inverse_phaseless._predicted_modulus(start, ball, params, wave, angles, grid)
+    return {
+        "cross_blocks": lambda: multibody.cross_blocks(peanut, ball, params, grid, grid),
+        "jacobian_at": lambda: inverse_phaseless._jacobian_at(
+            start, ball, params, wave, angles, 6, grid, scene),
+    }
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_5.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
@@ -108,6 +134,10 @@ def main(argv=None) -> None:
         for name, fn in layer_calls(n).items():
             layers.setdefault(name, {})[str(n)] = timings(fn)
             print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms")
+    for name, fn in phaseless_calls().items():
+        layers[name] = {str(PHASELESS_N): timings(fn)}
+        print(f"{name:18s} n={PHASELESS_N:4d} "
+              f"{layers[name][str(PHASELESS_N)]['median_ms']:9.2f} ms")
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "git_sha": git_sha(args.src),
@@ -116,6 +146,8 @@ def main(argv=None) -> None:
                     "blas": blas["name"] + " " + blas.get("version", ""),
                     "blas_threads": blas_threads(numpy)},
         "curve": "apple", "far_field_angles": N_ANGLES,
+        "two_body": "peanut or the criterion-9 initial circle, with the ball "
+                    "((6.6, 0), 0.71); Jacobian M = 6, 64 angles",
         "layers": layers,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

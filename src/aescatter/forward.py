@@ -157,23 +157,33 @@ def rhs_plane_wave(
     return w1, w2, w3
 
 
-def _ops(geom, grid: NodeGrid, kappa: float):
-    """Quadrature matrices (S, K, H) for one wavenumber on one grid.
+def _layer_ops(geom, grid: NodeGrid, tab):
+    """Quadrature matrices (S, K) of the split tables ``tab`` of one
+    wavenumber on one grid.
 
     ``geom`` is the ``pair_geometry`` of the grid nodes, shared by every
     wavenumber. The elementwise product with a weight matrix Q[i, j] gives
-    the dense matrix acting on node samples of the (scaled) density. K and
-    H carry the 1/G(t) factor of the parametrized operators.
+    the dense matrix acting on node samples of the (scaled) density. K
+    carries the 1/G(t) factor of the parametrized operator.
     """
-    n = grid.n
-    R = log_weight_table(n)
-    T = cauchy_weight_table(n)
-    tab = kernel_tables(geom, kappa)
-    pin = np.pi / n
-    G = geom.jets.G[:, None]
+    R = log_weight_table(grid.n)
+    pin = np.pi / grid.n
     S = R * tab.m1 + pin * tab.m2
-    K = (R * tab.k1 + pin * tab.k2) / G
-    H = (T * tab.h1 + R * tab.h2 + pin * tab.h3) / G
+    K = (R * tab.k1 + pin * tab.k2) / geom.jets.G[:, None]
+    return S, K
+
+
+def _ops(geom, grid: NodeGrid, kappa: float):
+    """Quadrature matrices (S, K, H) for one wavenumber on one grid; H is
+    the tangential operator, with the 1/G(t) factor like K."""
+    n = grid.n
+    # The cached weight tables are built before the split tables: built after
+    # them, they sit above the freed temporaries in glibc's heap and kept
+    # about 10 MB resident after an n=128 assembly.
+    R, T = log_weight_table(n), cauchy_weight_table(n)
+    tab = kernel_tables(geom, kappa)
+    S, K = _layer_ops(geom, grid, tab)
+    H = (T * tab.h1 + R * tab.h2 + (np.pi / n) * tab.h3) / geom.jets.G[:, None]
     return S, K, H
 
 
@@ -245,7 +255,7 @@ def assemble_system(
     A32[...] = Hs * G2
     del Ss, Ks, Hs, W
 
-    Sa, Ka, _ = _ops(geom, grid, ka)
+    Sa, Ka = _layer_ops(geom, grid, kernel_tables(geom, ka))  # no H: no block uses it
     A13[...] = Sa * G2
     A33[...] = Ka * (-G2 / w2r)
 

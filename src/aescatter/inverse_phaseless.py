@@ -24,7 +24,7 @@ from .forward import (
     far_field_matrix,
     rhs_plane_wave,
 )
-from .geometry import NodeGrid, StarlikeCurve, make_circle
+from .geometry import CurveJet, NodeGrid, StarlikeCurve, jet, make_circle
 from .inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
@@ -38,9 +38,10 @@ from .inverse_phased import (
     trapezoid_norm,
 )
 from .multibody import (
+    BoundaryMotion,
     TwoBodyDensities,
     assemble_two_body,
-    cross_blocks,
+    cross_block_sensitivity,
     far_field_sum,
     separation,
     solve_two_body_forward,
@@ -177,15 +178,19 @@ def exact_phaseless_jacobian(
     """Jacobian of the predicted |u_inf|^2, 2n x (2M+3), by implicit
     differentiation of the two-body Nystrom system A x = b.
 
-    A is assembled and factored once. For each parameter only the
-    obstacle-dependent pieces (A_dd x_d, A_db x_b, A_bd x_d, b_d and the
-    obstacle's far-field quadrature applied to x_d) are central-differenced
-    with ``step``; the density response dx = -A^{-1}(dA x - db) then comes
-    from the one factorization, every column behind the same residual gate
-    as a forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. The
-    ball's self-block and right-hand side are built once. ``curve_d`` must
-    carry a trigonometric radial profile (every iterate of the
-    reconstruction does), since the perturbations go through
+    A is assembled and factored once. The density response to each
+    parameter is dx = -A^{-1}(dA x - db), from the one factorization with
+    every column behind the same residual gate as a forward solve, and
+    du_inf = dF_D x_d + F_D dx_d + F_B dx_b. The derivatives of the pieces
+    that move with the obstacle are analytic (shape derivatives from the
+    per-node motion of each parameter): both cross-block products A_db x_b
+    and A_bd x_d, the right-hand side b_d and the obstacle's far-field
+    quadrature dF_D x_d. Only the obstacle's self block A_dd x_d is
+    central-differenced with ``step``, and only in the 2M+1 radial
+    parameters: the self block does not change under translation, so its
+    two center columns are zero. The ball's blocks do not move. ``curve_d``
+    must carry a trigonometric radial profile (every iterate of the
+    reconstruction does), since the radial perturbations go through
     ``apply_update``. Unlike ``phaseless_columns`` the density response to
     the shape change is included. The squared modulus is quadratic in the
     fields and the density response is not a small correction there: the
@@ -196,40 +201,77 @@ def exact_phaseless_jacobian(
     return _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene, step)
 
 
+def _boundary_motion(jets: CurveJet, t: np.ndarray, M: int) -> BoundaryMotion:
+    """Motion of the nodes under the parameters (dc1, dc2, a_0..a_M,
+    b_1..b_M) of ``apply_update``.
+
+    The center parameters move every node by e_k and change neither p' nor
+    the frame; a radial mode phi in {1, cos mt, sin mt} moves p by
+    phi e_r and p' by phi' e_r + phi e_t. From dp', dG = tau . dp' and the
+    frame turns by dtheta = nu . dp' / G.
+    """
+    m = np.arange(1, M + 1)
+    mt = np.multiply.outer(t, m)
+    one, zero = np.ones((len(t), 1)), np.zeros((len(t), 1))
+    modes = np.hstack([one, np.cos(mt), np.sin(mt)])
+    dmodes = np.hstack([zero, -m * np.sin(mt), m * np.cos(mt)])
+    e_r = np.stack([np.cos(t), np.sin(t)], axis=-1)[:, :, None]
+    e_t = np.stack([-np.sin(t), np.cos(t)], axis=-1)[:, :, None]
+    dp = np.zeros((len(t), 2, 2 * M + 3))
+    dp[:, 0, 0] = dp[:, 1, 1] = 1.0
+    dp[:, :, 2:] = e_r * modes[:, None, :]
+    ddp = np.zeros_like(dp)
+    ddp[:, :, 2:] = e_r * dmodes[:, None, :] + e_t * modes[:, None, :]
+    dG = np.einsum("ik,ikp->ip", jets.tau, ddp)
+    dtheta = np.einsum("ik,ikp->ip", jets.nu, ddp) / jets.G[:, None]
+    return BoundaryMotion(dp, dtheta, dG)
+
+
+def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
+                     motion: BoundaryMotion) -> np.ndarray:
+    """Derivative of the right-hand side (w1, w2, w3) of ``rhs_plane_wave``
+    under ``motion``, 3N x P: u_inc changes by i kappa_a (d . dp) u_inc and
+    nu by -dtheta tau."""
+    ka, d = params.kappa_a, wave.direction
+    uinc = np.exp(1j * ka * (jets.p @ d))[:, None]
+    d_dp = np.einsum("k,ikp->ip", d, motion.dp)
+    dw1 = -2j * ka * d_dp * uinc
+    dw3 = (2j * ka / (params.omega**2 * params.rho_a)) * uinc * (
+        1j * ka * (jets.nu @ d)[:, None] * d_dp - (jets.tau @ d)[:, None] * motion.dtheta)
+    return np.concatenate([dw1, np.zeros_like(dw1), dw3])
+
+
 def _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene, step=1e-6):
     """``exact_phaseless_jacobian`` from the (solver, densities) pair of the
     two-body system at ``curve_d``, which the caller already has."""
     solve, x = scene
     N = grid.size
     x_d, x_b = x[: 3 * N], x[3 * N :]
+    jets = jet(curve_d, grid.nodes)
+    motion = _boundary_motion(jets, grid.nodes, M)
 
-    def moving_terms(curve):
-        # the rows of A x - b and the far field that change with the obstacle
-        A_db, A_bd = cross_blocks(curve, ball_curve, params, grid, grid)
-        rows_d = (
-            assemble_system(curve, params, grid) @ x_d
-            + A_db @ x_b
-            - np.concatenate(rhs_plane_wave(curve, params, wave, grid))
-        )
-        ff = far_field_matrix(curve, params, angles, grid) @ x_d[2 * N :]
-        return np.concatenate([rows_d, A_bd @ x_d]), ff
-
+    d_db, d_bd = cross_block_sensitivity(
+        curve_d, ball_curve, params, grid, grid, x_d, x_b, motion)
+    dR = np.concatenate([d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     n_par = 2 * M + 3
-    dR = np.empty((len(x), n_par), dtype=complex)
-    dF = np.empty((len(angles), n_par), dtype=complex)
-    for i in range(n_par):
+    for i in range(2, n_par):  # the center columns of d(A_dd x_d) are zero
         xi = np.zeros(n_par)
         xi[i] = step
         bump = BoundaryUpdate(xi[:2], xi[2 : 3 + M], xi[3 + M :])
-        r_plus, f_plus = moving_terms(apply_update(curve_d, bump))
-        r_minus, f_minus = moving_terms(apply_update(curve_d, bump.scaled(-1.0)))
-        dR[:, i] = (r_plus - r_minus) / (2.0 * step)
-        dF[:, i] = (f_plus - f_minus) / (2.0 * step)
+        plus, minus = (assemble_system(apply_update(curve_d, b), params, grid) @ x_d
+                       for b in (bump, bump.scaled(-1.0)))
+        dR[: 3 * N, i] += (plus - minus) / (2.0 * step)
     dx = solve(-dR)
 
     F_d = far_field_matrix(curve_d, params, angles, grid)
     F_b = far_field_matrix(ball_curve, params, angles, grid)
     u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * N :]
+    # moving the nodes changes F_D x_d by F_D[:, i] x_i (-i kappa_a
+    # (x_hat . dp_i) + 2 dG_i / G_i), from the phase and the weight G^2
+    Fx = F_d * x_d[2 * N :]
+    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    dF = Fx @ (2.0 * motion.dG / jets.G[:, None]) - 1j * params.kappa_a * (
+        xhat[:, :1] * (Fx @ motion.dp[:, 0]) + xhat[:, 1:] * (Fx @ motion.dp[:, 1]))
     du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[5 * N :]
     return 2.0 * (np.conj(u)[:, None] * du).real
 

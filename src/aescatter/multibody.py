@@ -5,12 +5,14 @@ for the self-interaction blocks; the cross-interaction kernels are smooth
 (the bodies are disjoint) and are discretized by the plain trapezoid rule.
 Each cross kernel is a radial function of |x - y| times powers of the
 normal and tangential components of the unit vector (x - y)/|x - y|, so
-one pair of Hankel evaluations per wavenumber serves both cross blocks.
+one pair of Hankel evaluations per wavenumber serves both cross blocks,
+and their derivatives when the obstacle moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +32,11 @@ from .specfun import hankel1_0, hankel1_1
 
 __all__ = [
     "TwoBodyDensities",
+    "BoundaryMotion",
     "separation",
     "cross_blocks",
+    "cross_block_sensitivity",
     "assemble_two_body",
-    "solve_two_body",
     "solve_two_body_forward",
     "far_field_sum",
 ]
@@ -56,6 +59,17 @@ def separation(curve_a: StarlikeCurve, curve_b: StarlikeCurve, samples: int = 25
     return float(np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1)))
 
 
+class BoundaryMotion(NamedTuple):
+    """First-order motion of a body's nodes under P shape parameters, the
+    parameter index last: the node velocities dp (N, 2, P), the rotation
+    dtheta (N, P) of the frame (d nu = -dtheta tau, d tau = dtheta nu) and
+    the change dG (N, P) of the Jacobian G = |p'|."""
+
+    dp: np.ndarray
+    dtheta: np.ndarray
+    dG: np.ndarray
+
+
 def _radial_parts(r: np.ndarray, kappa: float):
     """Radial factors (f, g, h_rad, h_tan) of phi and its derivatives at
     distances r: phi = f, grad phi = g r_hat and Hess phi =
@@ -68,31 +82,108 @@ def _radial_parts(r: np.ndarray, kappa: float):
     return 0.25j * h0, c * h1, c * kappa * (h0 - h1 / z), c * h1 / r
 
 
-def _target_block(nu_r, tau_r, parts, w, params: MaterialParams) -> np.ndarray:
-    """Cross block with the three equations at the target nodes (rows) and
-    the three source densities (columns).
+def _radial_slopes(parts, r: np.ndarray, kappa: float):
+    """The r-derivatives of the radial factors (f, g, h_rad, h_tan):
+    f' = g, g' = h_rad, h_tan' = (h_rad - h_tan)/r and, from the radial
+    Helmholtz equation phi'' + phi'/r + kappa^2 phi = 0,
+    h_rad' = -(h_rad - h_tan)/r - kappa^2 g. No further Hankel values."""
+    _, g, rad, tan = parts
+    q = (rad - tan) / r
+    return g, rad, -q - kappa**2 * g, q
 
-    ``nu_r``, ``tau_r`` are nu . r_hat and tau . r_hat at the target, with
-    r_hat pointing from source to target; ``parts`` holds the radial factors
-    per wavenumber in the same [target, source] layout; ``w`` the source
-    quadrature weights. With |nu| = 1 and tau . nu = 0, nu^T H nu =
-    h_tan + (h_rad - h_tan)(nu . r_hat)^2 and tau^T H nu =
-    (h_rad - h_tan)(tau . r_hat)(nu . r_hat).
+
+def _monomials(nu: np.ndarray, tau: np.ndarray, r_hat: np.ndarray):
+    """The angular factors (1, a^2, a b, a, b) of the cross kernels, with
+    a = nu . r_hat and b = tau . r_hat at the target, [target, source]."""
+    a = np.einsum("ik,ijk->ij", nu, r_hat)
+    b = np.einsum("ik,ijk->ij", tau, r_hat)
+    return 1.0, a**2, b * a, a, b
+
+
+def _turned(mono):
+    """The derivatives of the angular factors in the angle phi of r_hat,
+    counted from nu towards tau (a = cos phi, b = sin phi)."""
+    _, _, ab, a, b = mono
+    return 0.0, -2.0 * ab, a * a - b * b, -b, a
+
+
+def _kernels(mono, parts, params: MaterialParams) -> list[list[np.ndarray]]:
+    """The cross kernels K[e][c] (equation e at the target, density c at the
+    source) without the weight 2 w_j, [target, source].
+
+    ``parts`` holds the radial factors per wavenumber, ``mono`` the angular
+    factors of ``_monomials``. With |nu| = 1 and tau . nu = 0,
+    nu^T H nu = h_tan + (h_rad - h_tan) a^2 and tau^T H nu =
+    (h_rad - h_tan) a b. Every kernel is linear in the radial factors and
+    in the angular factors, so the same formulas give its r-derivative
+    (from ``_radial_slopes``) and its phi-derivative (from ``_turned``).
     """
+    one, nn, tn, nu_r, tau_r = mono
     (f_p, g_p, rad_p, tan_p), (_, g_s, rad_s, tan_s), (f_a, g_a, _, _) = parts
     kp, lam, mu = params.kappa_p, params.lam, params.mu
     w2r = params.omega**2 * params.rho_a
-    nn, tn = nu_r**2, tau_r * nu_r
-    A11 = 2.0 * (mu * (tan_p + (rad_p - tan_p) * nn) - (lam + mu) * kp**2 * f_p) * w
-    A12 = 2.0 * mu * (rad_s - tan_s) * tn * w
-    A13 = 2.0 * f_a * w
-    A21 = 2.0 * (rad_p - tan_p) * tn * w
-    A22 = -2.0 * (tan_s + (rad_s - tan_s) * nn) * w
-    A23 = np.zeros_like(A13)
-    A31 = 2.0 * g_p * nu_r * w
-    A32 = 2.0 * g_s * tau_r * w
-    A33 = -2.0 * g_a * nu_r * w / w2r
-    return np.block([[A11, A12, A13], [A21, A22, A23], [A31, A32, A33]])
+    return [
+        [mu * (tan_p * one + (rad_p - tan_p) * nn) - (lam + mu) * kp**2 * f_p * one,
+         mu * (rad_s - tan_s) * tn,
+         f_a * one],
+        [(rad_p - tan_p) * tn,
+         -(tan_s * one + (rad_s - tan_s) * nn),
+         np.zeros_like(f_a)],
+        [g_p * nu_r, g_s * tau_r, -g_a * nu_r / w2r],
+    ]
+
+
+def _weighted(kernels, v) -> list[np.ndarray]:
+    """Per equation e, sum_c K[e][c] v[c], entrywise: the [target, source]
+    terms of the block applied to the weighted source densities v[c]."""
+    return [sum(k * vc for k, vc in zip(row, v)) for row in kernels]
+
+
+def _target_gradients(mono, parts, slopes, r, r_hat, v, params):
+    """Per equation e, the [target, source] terms (x, y, theta) of the
+    derivatives of (A v)_e in the target's position and in the angle of its
+    frame, for the weighted source densities v.
+
+    In polar coordinates about the source, grad K = K_r r_hat +
+    (K_phi / r) e_phi with e_phi = r_hat turned by +90 degrees (tau is nu
+    turned by +90 degrees). The frame change d nu = -dtheta tau,
+    d tau = dtheta nu changes a by -b dtheta and b by a dtheta, as phi
+    does by dtheta, so dK/dtheta = K_phi.
+    """
+    K_r = _weighted(_kernels(mono, slopes, params), v)
+    K_phi = _weighted(_kernels(_turned(mono), parts, params), v)
+    rx, ry = r_hat[..., 0], r_hat[..., 1]
+    return [(kr * rx - kf * ry / r, kr * ry + kf * rx / r, kf)
+            for kr, kf in zip(K_r, K_phi)]
+
+
+def _target_block(mono, parts, w, params: MaterialParams) -> np.ndarray:
+    """Cross block with the three equations at the target nodes (rows) and
+    the three source densities (columns); ``w`` the source quadrature
+    weights."""
+    kernels = _kernels(mono, parts, params)
+    for row in kernels:
+        for k in row:
+            k *= 2.0 * w  # in place: a weighted copy of every kernel would add to the peak
+    return np.block(kernels)
+
+
+def _pair_data(curve_d, curve_b, params, grid_d, grid_b):
+    """What both cross blocks share: the jets and trapezoid weights of each
+    body, the D x B distances r, the unit vectors r_hat from B to D, and
+    the radial factors per wavenumber (H0 and H1 once each)."""
+    jets_d, jets_b = jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes)
+    diff = jets_d.p[:, None, :] - jets_b.p[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
+    r_hat = diff / r[..., None]
+    parts = [_radial_parts(r, k) for k in (params.kappa_p, params.kappa_s, params.kappa_a)]
+    w_d = (np.pi / grid_d.n) * jets_d.G**2
+    w_b = (np.pi / grid_b.n) * jets_b.G**2
+    return jets_d, jets_b, w_d, w_b, r, r_hat, parts
+
+
+def _transposed(parts):
+    return [[p.T for p in part] for part in parts]
 
 
 def cross_blocks(
@@ -113,24 +204,64 @@ def cross_blocks(
     reversing the direction flips r_hat, which flips the sign of the
     gradient terms only.
     """
-    jets_d, jets_b = jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes)
-    diff = jets_d.p[:, None, :] - jets_b.p[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    r_hat = diff / r[..., None]
-    parts = [_radial_parts(r, k) for k in (params.kappa_p, params.kappa_s, params.kappa_a)]
-    w_d = (np.pi / grid_d.n) * jets_d.G**2
-    w_b = (np.pi / grid_b.n) * jets_b.G**2
-    A_db = _target_block(
-        np.einsum("ik,ijk->ij", jets_d.nu, r_hat),
-        np.einsum("ik,ijk->ij", jets_d.tau, r_hat),
-        parts, w_b, params,
-    )
-    A_bd = _target_block(
-        -np.einsum("jk,ijk->ji", jets_b.nu, r_hat),
-        -np.einsum("jk,ijk->ji", jets_b.tau, r_hat),
-        [[p.T for p in part] for part in parts], w_d, params,
-    )
+    jets_d, jets_b, w_d, w_b, _, r_hat, parts = _pair_data(
+        curve_d, curve_b, params, grid_d, grid_b)
+    A_db = _target_block(_monomials(jets_d.nu, jets_d.tau, r_hat), parts, w_b, params)
+    # r_hat from D to B through the sign of the ball's frame, not a copy of r_hat
+    A_bd = _target_block(_monomials(-jets_b.nu, -jets_b.tau, r_hat.transpose(1, 0, 2)),
+                         _transposed(parts), w_d, params)
     return A_db, A_bd
+
+
+def cross_block_sensitivity(
+    curve_d: StarlikeCurve,
+    curve_b: StarlikeCurve,
+    params: MaterialParams,
+    grid_d: NodeGrid,
+    grid_b: NodeGrid,
+    x_d: np.ndarray,
+    x_b: np.ndarray,
+    motion: BoundaryMotion,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives (d(A_db x_b), d(A_bd x_d)), 3N_d x P and 3N_b x P, of the
+    cross-block products when D moves by ``motion`` and the densities
+    x_d, x_b stay fixed.
+
+    H0 and H1 are evaluated once per wavenumber, as in ``cross_blocks``;
+    every higher r-derivative of phi follows from them. In A_db x_b, D
+    holds the targets: each row moves with its node and turns with its
+    frame, so the gradient of each row in position and frame angle is
+    contracted with x_b once (O(N_d N_b)) and then combined with the
+    motion. In A_bd x_d, D holds the sources: a kernel moves against its
+    source node and the weight pi/n G^2 changes by the factor 2 dG/G, and
+    both go in as one matrix product with the motion.
+    """
+    jets_d, jets_b, w_d, w_b, r, r_hat, parts = _pair_data(
+        curve_d, curve_b, params, grid_d, grid_b)
+    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
+    slopes = [_radial_slopes(p, r, k) for p, k in zip(parts, kappas)]
+    dp, dtheta, dG = motion
+
+    v_b = 2.0 * w_b * x_b.reshape(3, -1)
+    d_db = np.concatenate([
+        gx.sum(axis=1)[:, None] * dp[:, 0] + gy.sum(axis=1)[:, None] * dp[:, 1]
+        + gt.sum(axis=1)[:, None] * dtheta
+        for gx, gy, gt in _target_gradients(
+            _monomials(jets_d.nu, jets_d.tau, r_hat), parts, slopes, r, r_hat, v_b, params)
+    ])
+
+    v_d = 2.0 * w_d * x_d.reshape(3, -1)
+    r_hat_b, parts_b = -r_hat.transpose(1, 0, 2), _transposed(parts)
+    mono_b = _monomials(jets_b.nu, jets_b.tau, r_hat_b)
+    values = _weighted(_kernels(mono_b, parts_b, params), v_d)
+    gradients = _target_gradients(
+        mono_b, parts_b, _transposed(slopes), r.T, r_hat_b, v_d, params)
+    source_motion = np.concatenate([dp[:, 0], dp[:, 1], 2.0 * dG / jets_d.G[:, None]])
+    d_bd = np.concatenate([
+        np.hstack([-gx, -gy, k]) @ source_motion
+        for (gx, gy, _), k in zip(gradients, values)
+    ])
+    return d_db, d_bd
 
 
 def assemble_two_body(
@@ -159,21 +290,6 @@ def assemble_two_body(
     return np.block([[A_dd, A_db], [A_bd, A_bb]])
 
 
-def solve_two_body(system: np.ndarray, rhs_d, rhs_b) -> TwoBodyDensities:
-    """Direct solve; splits the solution back into per-body densities."""
-    b_d = np.concatenate([np.asarray(r, dtype=complex) for r in rhs_d])
-    b_b = np.concatenate([np.asarray(r, dtype=complex) for r in rhs_b])
-    if system.shape != (len(b_d) + len(b_b),) * 2:
-        raise ValueError("system and right-hand side sizes do not match")
-    x = factor_system(system)(np.concatenate([b_d, b_b]))
-    Nd, Nb = len(b_d) // 3, len(b_b) // 3
-    xd, xb = x[: 3 * Nd], x[3 * Nd :]
-    return TwoBodyDensities(
-        body_d=DensitySet(xd[:Nd], xd[Nd : 2 * Nd], xd[2 * Nd :]),
-        body_b=DensitySet(xb[:Nb], xb[Nb : 2 * Nb], xb[2 * Nb :]),
-    )
-
-
 def solve_two_body_forward(
     curve_d: StarlikeCurve,
     curve_b: StarlikeCurve,
@@ -186,9 +302,17 @@ def solve_two_body_forward(
     if grid_b is None:
         grid_b = NodeGrid(grid_d.n)
     A = assemble_two_body(curve_d, curve_b, params, grid_d, grid_b)
-    rhs_d = rhs_plane_wave(curve_d, params, wave, grid_d)
-    rhs_b = rhs_plane_wave(curve_b, params, wave, grid_b)
-    return solve_two_body(A, rhs_d, rhs_b)
+    b_d = np.concatenate(rhs_plane_wave(curve_d, params, wave, grid_d))
+    b_b = np.concatenate(rhs_plane_wave(curve_b, params, wave, grid_b))
+    if A.shape != (len(b_d) + len(b_b),) * 2:
+        raise ValueError("system and right-hand side sizes do not match")
+    x = factor_system(A)(np.concatenate([b_d, b_b]))
+    Nd, Nb = grid_d.size, grid_b.size
+    xd, xb = x[: 3 * Nd], x[3 * Nd :]
+    return TwoBodyDensities(
+        body_d=DensitySet(xd[:Nd], xd[Nd : 2 * Nd], xd[2 * Nd :]),
+        body_b=DensitySet(xb[:Nb], xb[Nb : 2 * Nb], xb[2 * Nb :]),
+    )
 
 
 def far_field_sum(

@@ -218,6 +218,20 @@ class TestTranslationCovariance:
         assert np.abs(ff_h.values - factor * ff.values).max() < 1e-10
         assert np.abs(np.abs(ff_h.values) - np.abs(ff.values)).max() < 1e-10
 
+    @pytest.mark.parametrize("make", [
+        make_apple,
+        make_peanut,
+        lambda: make_fourier((0.1, -0.2), [0.55, 0.05, -0.08, 0.03], [0.04, -0.02, 0.01]),
+    ], ids=["apple", "peanut", "fourier"])
+    @pytest.mark.parametrize("h", [(1e-6, 0.0), (0.5, -0.3)])
+    def test_system_matrix_invariant(self, params, make, h):
+        """The system matrix does not change when the curve is translated,
+        so the self block contributes nothing to a center derivative."""
+        curve, grid = make(), NodeGrid(32)
+        A = assemble_system(curve, params, grid)
+        A_h = assemble_system(translate(curve, h), params, grid)
+        assert np.abs(A_h - A).max() <= 1e-13 * np.abs(A).max()
+
 
 class TestJumpRelations:
     def test_errors_decrease(self, params):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from aescatter import inverse_phaseless, multibody
-from aescatter.forward import IncidentWave, gamma_far
+from aescatter.forward import (
+    IncidentWave,
+    assemble_system,
+    far_field_matrix,
+    gamma_far,
+    rhs_plane_wave,
+)
 from aescatter.geometry import NodeGrid, jet, make_fourier, make_peanut, translate
 from aescatter.inverse_phased import (
     BoundaryUpdate,
@@ -291,3 +297,88 @@ class TestRunPhaseless:
                             epsilon=0.05, n_forward=32)
         with pytest.raises(ValueError, match="reference ball"):
             run_phaseless(data, BALL, params, wave, cfg)
+
+
+def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, step=1e-6):
+    """The implicit-differentiation Jacobian with every obstacle-dependent
+    piece (A_dd x_d, both cross-block products, b_d and the obstacle's
+    far-field quadrature) central-differenced on perturbed curves."""
+    solve, x = _predicted_modulus(curve_d, ball_curve, params, wave, angles, grid)[1]
+    N = grid.size
+    x_d, x_b = x[: 3 * N], x[3 * N :]
+
+    def moving_terms(curve):
+        A_db, A_bd = multibody.cross_blocks(curve, ball_curve, params, grid, grid)
+        rows_d = (
+            assemble_system(curve, params, grid) @ x_d
+            + A_db @ x_b
+            - np.concatenate(rhs_plane_wave(curve, params, wave, grid))
+        )
+        ff = far_field_matrix(curve, params, angles, grid) @ x_d[2 * N :]
+        return np.concatenate([rows_d, A_bd @ x_d]), ff
+
+    n_par = 2 * M + 3
+    dR = np.empty((len(x), n_par), dtype=complex)
+    dF = np.empty((len(angles), n_par), dtype=complex)
+    for i in range(n_par):
+        xi = np.zeros(n_par)
+        xi[i] = step
+        bump = BoundaryUpdate(xi[:2], xi[2 : 3 + M], xi[3 + M :])
+        r_plus, f_plus = moving_terms(apply_update(curve_d, bump))
+        r_minus, f_minus = moving_terms(apply_update(curve_d, bump.scaled(-1.0)))
+        dR[:, i] = (r_plus - r_minus) / (2.0 * step)
+        dF[:, i] = (f_plus - f_minus) / (2.0 * step)
+    dx = solve(-dR)
+
+    F_d = far_field_matrix(curve_d, params, angles, grid)
+    F_b = far_field_matrix(ball_curve, params, angles, grid)
+    u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * N :]
+    du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[5 * N :]
+    return 2.0 * (np.conj(u)[:, None] * du).real
+
+
+def _random_fourier(seed):
+    rng = np.random.default_rng(seed)
+    return make_fourier(0.2 * rng.standard_normal(2), [0.5, *0.04 * rng.standard_normal(3)],
+                        0.04 * rng.standard_normal(3))
+
+
+JACOBIAN_CURVES = {
+    "criterion-9-start": lambda: make_fourier((-0.7, 0.2), [0.3], []),
+    "three-term": TestExactJacobian._curve,
+    "random": lambda: _random_fourier(11),
+}
+
+
+class TestAnalyticJacobian:
+    @pytest.mark.parametrize("degree", [2, 6])
+    @pytest.mark.parametrize("name", list(JACOBIAN_CURVES))
+    def test_matches_differenced_moving_terms(self, params, wave, name, degree):
+        """Analytic cross blocks, right-hand side and far field (and zero
+        center columns of the self block) against differencing them all."""
+        grid, curve, ball = NodeGrid(32), JACOBIAN_CURVES[name](), BALL.curve()
+        J = exact_phaseless_jacobian(curve, ball, params, wave, OBS, degree, grid)
+        ref = _differenced_jacobian(curve, ball, params, wave, OBS, degree, grid)
+        assert np.abs(J - ref).max() / np.abs(ref).max() <= 1e-6
+
+    def test_assemblies_only_for_the_radial_self_block(self, params, wave, monkeypatch):
+        """One Jacobian assembles the self block twice per radial parameter
+        and builds no cross blocks."""
+        grid, curve = NodeGrid(16), TestExactJacobian._curve()
+        scene = _predicted_modulus(curve, BALL.curve(), params, wave, OBS, grid)[1]
+        calls = {"assemble_system": 0, "cross_blocks": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            for module in (inverse_phaseless, multibody):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        degree = 3
+        inverse_phaseless._jacobian_at(curve, BALL.curve(), params, wave, OBS, degree,
+                                       grid, scene)
+        assert calls == {"assemble_system": 2 * (2 * degree + 1), "cross_blocks": 0}

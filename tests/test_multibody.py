@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 
 from aescatter.forward import IncidentWave, far_field, solve_forward
-from aescatter.geometry import NodeGrid, jet, make_apple, make_circle, make_peanut
+from aescatter.geometry import (
+    NodeGrid,
+    jet,
+    make_apple,
+    make_circle,
+    make_fourier,
+    make_peanut,
+)
+from aescatter.inverse_phased import BoundaryUpdate, apply_update
+from aescatter.inverse_phaseless import _boundary_motion
 from aescatter.kernels import grad_phi, hess_phi, phi
 from aescatter.multibody import (
     assemble_two_body,
+    cross_block_sensitivity,
     cross_blocks,
     far_field_sum,
     separation,
@@ -142,3 +152,32 @@ class TestCrossBlocks:
         ):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-13
+
+
+class TestCrossBlockSensitivity:
+    @pytest.mark.parametrize("degree", [2, 6])
+    def test_matches_differenced_cross_blocks(self, params, degree):
+        """Both directions, every parameter, against central differences of
+        ``cross_blocks`` on perturbed curves, with random densities."""
+        curve = make_fourier((0.0, 0.1), [0.49, 0.02, -0.15], [0.03, 0.01])
+        ball, grid_d, grid_b = make_circle((6.6, 0.0), 0.71), NodeGrid(32), NodeGrid(48)
+        rng = np.random.default_rng(degree)
+        x_d, x_b = (rng.standard_normal(3 * g.size) + 1j * rng.standard_normal(3 * g.size)
+                    for g in (grid_d, grid_b))
+        motion = _boundary_motion(jet(curve, grid_d.nodes), grid_d.nodes, degree)
+        d_db, d_bd = cross_block_sensitivity(curve, ball, params, grid_d, grid_b,
+                                             x_d, x_b, motion)
+        n_par, h = 2 * degree + 3, 1e-6
+        fd_db, fd_bd = np.empty_like(d_db), np.empty_like(d_bd)
+        for i in range(n_par):
+            xi = np.zeros(n_par)
+            xi[i] = h
+            bump = BoundaryUpdate(xi[:2], xi[2:3 + degree], xi[3 + degree:])
+            (db_p, bd_p), (db_m, bd_m) = (
+                cross_blocks(apply_update(curve, b), ball, params, grid_d, grid_b)
+                for b in (bump, bump.scaled(-1.0))
+            )
+            fd_db[:, i] = (db_p - db_m) @ x_b / (2.0 * h)
+            fd_bd[:, i] = (bd_p - bd_m) @ x_d / (2.0 * h)
+        for got, ref in ((d_db, fd_db), (d_bd, fd_bd)):
+            assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-6
