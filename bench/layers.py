@@ -4,12 +4,13 @@ Times ``kernel_tables`` (the split tables of one wavenumber, and of the
 three wavenumbers of one assembly, each with the pair geometry they need),
 ``assemble_system``, ``factor_system`` and ``far_field`` on the apple at
 n in {32, 64, 100, 128}, and the two-body layers of the criterion-9 case at
-n = 64: ``cross_blocks`` of the peanut and the reference ball, and one
-phaseless Jacobian (``_jacobian_at``, M = 6) at the initial guess. Each is
-timed with ``time.perf_counter`` and repeats, and the median and
-interquartile range of each go to a JSON file:
+n = 64: ``cross_blocks`` of the peanut and the reference ball, and at the
+initial guess with M = 6 one phaseless Jacobian (``_jacobian_at``) and the
+self-block shape derivative inside it (``system_sensitivity``, on checkouts
+that have it). Each is timed with ``time.perf_counter`` and repeats, and the
+median and interquartile range of each go to a JSON file:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_6.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_7.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -114,17 +115,24 @@ def phaseless_calls() -> dict:
                                         epsilon=0.1, M=6, n_forward=PHASELESS_N))
     angles = 2.0 * np.pi * np.arange(64) / 64
     _, scene = inverse_phaseless._predicted_modulus(start, ball, params, wave, angles, grid)
-    return {
+    calls = {
         "cross_blocks": lambda: multibody.cross_blocks(peanut, ball, params, grid, grid),
         "jacobian_at": lambda: inverse_phaseless._jacobian_at(
             start, ball, params, wave, angles, 6, grid, scene),
     }
+    if hasattr(fw, "system_sensitivity"):  # before it, the self block was differenced
+        motion = inverse_phaseless._boundary_motion(
+            geometry.jet(start, grid.nodes), grid.nodes, 6)
+        x_d = scene[1][: 3 * grid.size]
+        calls["system_sensitivity"] = lambda: fw.system_sensitivity(
+            start, params, grid, x_d, motion)
+    return calls
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
@@ -147,7 +155,7 @@ def main(argv=None) -> None:
                     "blas_threads": blas_threads(numpy)},
         "curve": "apple", "far_field_angles": N_ANGLES,
         "two_body": "peanut or the criterion-9 initial circle, with the ball "
-                    "((6.6, 0), 0.71); Jacobian M = 6, 64 angles",
+                    "((6.6, 0), 0.71); Jacobian and self-block derivative M = 6, 64 angles",
         "layers": layers,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

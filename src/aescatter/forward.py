@@ -19,8 +19,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .geometry import CurveJet, NodeGrid, StarlikeCurve, jet
-from .kernels import grad_phi, hess_phi, kernel_tables, pair_geometry, phi
+from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
+from .kernels import (
+    grad_phi,
+    hess_phi,
+    kernel_tables,
+    pair_geometry,
+    phi,
+    single_layer_slopes,
+)
 from .quadrature import (
     cauchy_weight_table,
     diff_matrix,
@@ -36,6 +43,7 @@ __all__ = [
     "gamma_far",
     "rhs_plane_wave",
     "assemble_system",
+    "system_sensitivity",
     "factor_system",
     "solve_densities",
     "solve_forward",
@@ -269,6 +277,153 @@ def assemble_system(
     if not np.all(np.isfinite(A)):
         raise FloatingPointError("non-finite entries during system assembly")
     return A
+
+
+def _feature_weights(ops, x, y, params: MaterialParams):
+    """Per equation e, the weights B_f of the frame features f = (C, Sg, Dr,
+    Di, G2, C^2, Sg C) in A x: row e of A x is the row sum of the sum of
+    f o B_f, given the operators ``ops``, (S, K, H) per wavenumber
+    (kappa_p, kappa_s, kappa_a), with the diagonal terms and identities of
+    ``assemble_system`` as the jump +-1/G in K's diagonal.
+
+    C = nu_i . n_j, Sg = tau_i . n_j, Dr = nu_i . p''_j, Di = tau_i . p''_j
+    and G2 = G_j^2, so nu_n = tau_np = C, tau_n = -nu_np = Sg,
+    nu_npd = -tau_nd = Dr and nu_nd = tau_npd = Di. A x is linear in the
+    operators and in the features, so the derivatives of the operators give
+    the weights of their derivatives. x holds the three densities and y the
+    first two times D; ``None`` marks a feature with no weight.
+    """
+    (Sp, Kp, Hp), (Ss, Ks, Hs), (Sa, Ka, _) = ops
+    (x1, x2, x3), (y1, y2) = x, y
+    lam, mu = params.lam, params.mu
+    kp2, ks2 = params.kappa_p**2, params.kappa_s**2
+    w2r = params.omega**2 * params.rho_a
+    X1, X2 = Kp * x1 + Hs * x2, Ks * x2 - Hp * x1
+    Y1, Y2 = Kp * y1 + Hs * y2, Ks * y2 - Hp * y1
+    Sx1, Sx2 = Sp * x1, Ss * x2
+    return (
+        (mu * Y2, -mu * Y1, mu * X1, mu * X2, Sa * x3 - kp2 * (lam + mu) * Sx1,
+         -kp2 * mu * Sx1, -mu * ks2 * Sx2),
+        (Y1, Y2, -X2, X1, None, ks2 * Sx2, -kp2 * Sx1),
+        (None, None, None, None, X1 - Ka * x3 / w2r, None, None),
+    )
+
+
+def _combine(features, weights) -> np.ndarray:
+    """The sum of f o B_f over the features that have both a value and a
+    weight (``None`` marks either missing)."""
+    return sum(f * w for f, w in zip(features, weights)
+               if f is not None and w is not None)
+
+
+def system_sensitivity(
+    curve: StarlikeCurve,
+    params: MaterialParams,
+    grid: NodeGrid,
+    x: np.ndarray,
+    motion: BoundaryMotion,
+) -> np.ndarray:
+    """Derivative d(A x), 6n x P, of the ``assemble_system`` matrix applied to
+    fixed densities x, when the nodes move by ``motion`` (P parameters).
+
+    A depends on the shape only through the node jet (p, p', p''): through
+    r = |p_j - p_i| and the angle phi of p_j - p_i in the target's frame, the
+    frame products, G_j^2, and the diagonal limits of m2 (log G) and of k2
+    (n . p''/G^2); the weight tables, the log factor and D do not move.
+    With a = nu_i . (p_j - p_i)/r and b = tau_i . (p_j - p_i)/r, the
+    operators of one wavenumber are S, K = -a S_r and H = b (Q - S_r) off
+    the diagonal, where S_r is the r-derivative of S and Q the Cauchy part
+    (T o sin(ς_j - t_i) - pi/n)/(pi r); so one H0 and one H1 evaluation give
+    every operator and its derivatives in r and phi
+    (:func:`kernels.single_layer_slopes`).
+
+    Each (W o a) @ D x is taken as (W o a) @ (D x), and each derivative is
+    split into a target part, moving with node i (row sums, then times the
+    motion of node i), and a source part, moving with node j (one product
+    with the motion per equation). A depends on the positions only through
+    p_j - p_i, so the mean node velocity is dropped: a translation gives
+    exactly zero.
+    """
+    jets = jet(curve, grid.nodes)
+    geom = pair_geometry(jets, grid.nodes)
+    N, n, lim, i = grid.size, grid.n, geom.lim, np.arange(grid.size)
+    R, T, pin = log_weight_table(n), cauchy_weight_table(n), np.pi / n
+    x = np.reshape(x, (3, N))
+    D = diff_matrix(n)
+    y = (D @ x[0], D @ x[1])
+    G, t, nu, tau = jets.G, grid.nodes, jets.nu, jets.tau
+
+    a, b = geom.n_dot / G[:, None], geom.np_dot / G[:, None]
+    rx = a * nu[:, 0, None] + b * tau[:, 0, None]   # (p_j - p_i)/r
+    ry = a * nu[:, 1, None] + b * tau[:, 1, None]
+    r = np.hypot(*(jets.p[None, :, k] - jets.p[:, None, k] for k in (0, 1)))
+    r[lim] = 1.0
+    cauchy = (T * np.sin(t[None, :] - t[:, None]) - pin) / (np.pi * r)
+    cauchy[lim] = 0.0
+    cauchy_r = cauchy / r
+    # Kress's rule on f = f1 ln(4 sin^2) + f2 is R o f1 + pin f2 = pin f + f1 o RL
+    RL = R - pin * geom.logsin
+
+    C, Sg = nu @ jets.n.T, tau @ jets.n.T
+    Dr, Di = nu @ jets.ddp.T, tau @ jets.ddp.T
+    lim_K = 1.0 / (2 * n * G**2)          # K's diagonal limit is Dr_ii lim_K
+    ops, ops_r, ops_phi, ops_G = [], [], [], []
+    # per wavenumber: the jump of K, and whether any equation has its H
+    for kappa, jump, tangential in ((params.kappa_p, 1.0, True),
+                                    (params.kappa_s, 1.0, True),
+                                    (params.kappa_a, -1.0, False)):
+        S, S_r, S_rr = (pin * f + f1 * RL for f, f1 in single_layer_slopes(geom, kappa))
+        K = -a * S_r                               # 0 at the lim pairs, as S_r
+        K[i, i] = Dr[i, i] * lim_K + jump / G
+        H = H_r = H_phi = 0.0
+        if tangential:
+            H_phi = cauchy - S_r
+            H, H_phi = b * H_phi, a * H_phi
+            H_r = -b * (cauchy_r + S_rr)
+        ops.append((S, K, H))
+        ops_r.append((S_r, -a * S_rr, H_r))
+        ops_phi.append((0.0, b * S_r, H_phi))
+        # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
+        ops_G.append((-1.0 / n, -2.0 * Dr[i, i] * lim_K - jump / G, 0.0))
+
+    f = (C, Sg, Dr, Di, G**2, C * C, Sg * C)
+    f_ii = tuple(v if v.ndim == 1 else v[i, i] for v in f)
+    B, B_r, B_phi = (_feature_weights(o, x, y, params) for o in (ops, ops_r, ops_phi))
+
+    def diagonal(diag_ops):   # target part of the diagonal entries' derivatives
+        return [_combine(f_ii, w) for w in _feature_weights(diag_ops, x, y, params)]
+
+    # The derivatives of the features: in the relative rotation of the two
+    # frames (dtheta_i - dtheta_j), in the target frame's rotation against
+    # p''_j (dtheta_i), in log G_j and in p''_j.
+    rotation = (-Sg, C, None, None, None, -2.0 * C * Sg, C * C - Sg * Sg)
+    target_turn = (None, None, -Di, Dr, None, None, None)
+    stretch = (C, Sg, None, None, 2.0 * G**2, 2.0 * C * C, 2.0 * Sg * C)
+    bend = [(None, None, nu[:, k, None], tau[:, k, None], None, None, None) for k in (0, 1)]
+    diag_G = diagonal(ops_G)
+    diag_theta = diagonal([(0.0, -Di[i, i] * lim_K, 0.0)] * 3)
+    diag_bend = [diagonal([(0.0, nu[:, k] * lim_K, 0.0)] * 3) for k in (0, 1)]
+
+    dp = motion.dp - motion.dp.mean(axis=0)
+    comps = (dp[:, 0], dp[:, 1], motion.dG / G[:, None], motion.dtheta,
+             motion.dp_second[:, 0], motion.dp_second[:, 1])
+    stacked = np.concatenate(comps)
+    rows = []
+    for e in range(3):
+        U, V = _combine(f, B_r[e]), _combine(f, B_phi[e])
+        W_rot = _combine(rotation, B[e])
+        Gx = U * rx - V * ry / r
+        Gy = U * ry + V * rx / r
+        source = (Gx, Gy, _combine(stretch, B[e]), -W_rot,
+                  _combine(bend[0], B[e]), _combine(bend[1], B[e]))
+        target = (-Gx.sum(axis=1), -Gy.sum(axis=1), diag_G[e],
+                  (V + W_rot + _combine(target_turn, B[e])).sum(axis=1) + diag_theta[e],
+                  diag_bend[0][e], diag_bend[1][e])
+        # the third equation has no p'' terms: those weights are the scalar 0
+        source = [m for m in source if np.ndim(m)]
+        rows.append(np.hstack(source) @ stacked[: len(source) * N]
+                    + sum(tc[:, None] * c for tc, c in zip(target, comps)))
+    return np.concatenate(rows)
 
 
 def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

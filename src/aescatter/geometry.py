@@ -9,6 +9,7 @@ produced analytically by :func:`jet`; no finite differencing anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "FourierProfile",
     "StarlikeCurve",
     "CurveJet",
+    "BoundaryMotion",
     "NodeGrid",
     "make_apple",
     "make_peanut",
@@ -230,6 +232,20 @@ def jet(curve: StarlikeCurve, t) -> CurveJet:
         p=p, dp=dp, ddp=ddp, G=G, n=n, n_perp=n_perp,
         nu=nu, tau=tau, n_prime=n_prime, n_perp_prime=n_perp_prime,
     )
+
+
+class BoundaryMotion(NamedTuple):
+    """First-order motion of a body's nodes under P shape parameters, the
+    parameter index last: the node velocities dp (N, 2, P) and their
+    t-derivatives dp_prime and dp_second (the changes of p' and p''), the
+    rotation dtheta (N, P) of the frame (d nu = -dtheta tau,
+    d tau = dtheta nu) and the change dG (N, P) of the Jacobian G = |p'|."""
+
+    dp: np.ndarray
+    dp_prime: np.ndarray
+    dp_second: np.ndarray
+    dtheta: np.ndarray
+    dG: np.ndarray
 
 
 @dataclass(frozen=True)

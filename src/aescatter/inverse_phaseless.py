@@ -19,14 +19,13 @@ import numpy as np
 from .forward import (
     IncidentWave,
     MaterialParams,
-    assemble_system,
     factor_system,
     far_field_matrix,
     rhs_plane_wave,
+    system_sensitivity,
 )
-from .geometry import CurveJet, NodeGrid, StarlikeCurve, jet, make_circle
+from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet, make_circle
 from .inverse_phased import (
-    BoundaryUpdate,
     InverseConfig,
     IterationRecord,
     apply_update,
@@ -38,7 +37,6 @@ from .inverse_phased import (
     trapezoid_norm,
 )
 from .multibody import (
-    BoundaryMotion,
     TwoBodyDensities,
     assemble_two_body,
     cross_block_sensitivity,
@@ -173,32 +171,30 @@ def exact_phaseless_jacobian(
     angles: np.ndarray,
     M: int,
     grid: NodeGrid,
-    step: float = 1e-6,
 ) -> np.ndarray:
     """Jacobian of the predicted |u_inf|^2, 2n x (2M+3), by implicit
     differentiation of the two-body Nystrom system A x = b.
 
-    A is assembled and factored once. The density response to each
-    parameter is dx = -A^{-1}(dA x - db), from the one factorization with
-    every column behind the same residual gate as a forward solve, and
-    du_inf = dF_D x_d + F_D dx_d + F_B dx_b. The derivatives of the pieces
-    that move with the obstacle are analytic (shape derivatives from the
-    per-node motion of each parameter): both cross-block products A_db x_b
-    and A_bd x_d, the right-hand side b_d and the obstacle's far-field
-    quadrature dF_D x_d. Only the obstacle's self block A_dd x_d is
-    central-differenced with ``step``, and only in the 2M+1 radial
-    parameters: the self block does not change under translation, so its
-    two center columns are zero. The ball's blocks do not move. ``curve_d``
-    must carry a trigonometric radial profile (every iterate of the
-    reconstruction does), since the radial perturbations go through
-    ``apply_update``. Unlike ``phaseless_columns`` the density response to
-    the shape change is included. The squared modulus is quadratic in the
-    fields and the density response is not a small correction there: the
-    frozen-density matrix can point uphill, while this one is the true
-    derivative.
+    The parameters are those of ``apply_update``: the center shift and the
+    coefficients a_0..a_M, b_1..b_M of a radial update r + dr. The
+    derivative is taken at any starlike ``curve_d``, whatever its radial
+    profile, as no perturbed curve is built. A is assembled and factored
+    once. The density
+    response to each parameter is dx = -A^{-1}(dA x - db), from the one
+    factorization with every column behind the same residual gate as a
+    forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. Every piece
+    that moves with the obstacle is differentiated analytically from the
+    per-node motion of each parameter: the self block A_dd x_d
+    (``system_sensitivity``), both cross-block products A_db x_b and
+    A_bd x_d, the right-hand side b_d and the obstacle's far-field
+    quadrature dF_D x_d. The ball's blocks do not move. Unlike
+    ``phaseless_columns`` the density response to the shape change is
+    included. The squared modulus is quadratic in the fields and the
+    density response is not a small correction there: the frozen-density
+    matrix can point uphill, while this one is the true derivative.
     """
     _, scene = _predicted_modulus(curve_d, ball_curve, params, wave, angles, grid)
-    return _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene, step)
+    return _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene)
 
 
 def _boundary_motion(jets: CurveJet, t: np.ndarray, M: int) -> BoundaryMotion:
@@ -206,9 +202,9 @@ def _boundary_motion(jets: CurveJet, t: np.ndarray, M: int) -> BoundaryMotion:
     b_1..b_M) of ``apply_update``.
 
     The center parameters move every node by e_k and change neither p' nor
-    the frame; a radial mode phi in {1, cos mt, sin mt} moves p by
-    phi e_r and p' by phi' e_r + phi e_t. From dp', dG = tau . dp' and the
-    frame turns by dtheta = nu . dp' / G.
+    p''; a radial mode phi in {1, cos mt, sin mt} moves p by phi e_r, p' by
+    phi' e_r + phi e_t and p'' by (phi'' - phi) e_r + 2 phi' e_t. From dp',
+    dG = tau . dp' and the frame turns by dtheta = nu . dp' / G.
     """
     m = np.arange(1, M + 1)
     mt = np.multiply.outer(t, m)
@@ -219,12 +215,14 @@ def _boundary_motion(jets: CurveJet, t: np.ndarray, M: int) -> BoundaryMotion:
     e_t = np.stack([-np.sin(t), np.cos(t)], axis=-1)[:, :, None]
     dp = np.zeros((len(t), 2, 2 * M + 3))
     dp[:, 0, 0] = dp[:, 1, 1] = 1.0
+    dp_prime, dp_second = np.zeros_like(dp), np.zeros_like(dp)
     dp[:, :, 2:] = e_r * modes[:, None, :]
-    ddp = np.zeros_like(dp)
-    ddp[:, :, 2:] = e_r * dmodes[:, None, :] + e_t * modes[:, None, :]
-    dG = np.einsum("ik,ikp->ip", jets.tau, ddp)
-    dtheta = np.einsum("ik,ikp->ip", jets.nu, ddp) / jets.G[:, None]
-    return BoundaryMotion(dp, dtheta, dG)
+    dp_prime[:, :, 2:] = e_r * dmodes[:, None, :] + e_t * modes[:, None, :]
+    ddmodes = -np.hstack([zero, m**2 * np.cos(mt), m**2 * np.sin(mt)])
+    dp_second[:, :, 2:] = e_r * (ddmodes - modes)[:, None, :] + 2.0 * e_t * dmodes[:, None, :]
+    dG = np.einsum("ik,ikp->ip", jets.tau, dp_prime)
+    dtheta = np.einsum("ik,ikp->ip", jets.nu, dp_prime) / jets.G[:, None]
+    return BoundaryMotion(dp, dp_prime, dp_second, dtheta, dG)
 
 
 def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
@@ -241,7 +239,7 @@ def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
     return np.concatenate([dw1, np.zeros_like(dw1), dw3])
 
 
-def _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene, step=1e-6):
+def _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene):
     """``exact_phaseless_jacobian`` from the (solver, densities) pair of the
     two-body system at ``curve_d``, which the caller already has."""
     solve, x = scene
@@ -252,15 +250,8 @@ def _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene, step
 
     d_db, d_bd = cross_block_sensitivity(
         curve_d, ball_curve, params, grid, grid, x_d, x_b, motion)
-    dR = np.concatenate([d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
-    n_par = 2 * M + 3
-    for i in range(2, n_par):  # the center columns of d(A_dd x_d) are zero
-        xi = np.zeros(n_par)
-        xi[i] = step
-        bump = BoundaryUpdate(xi[:2], xi[2 : 3 + M], xi[3 + M :])
-        plus, minus = (assemble_system(apply_update(curve_d, b), params, grid) @ x_d
-                       for b in (bump, bump.scaled(-1.0)))
-        dR[: 3 * N, i] += (plus - minus) / (2.0 * step)
+    d_dd = system_sensitivity(curve_d, params, grid, x_d, motion)
+    dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     dx = solve(-dR)
 
     F_d = far_field_matrix(curve_d, params, angles, grid)

@@ -12,7 +12,6 @@ and their derivatives when the obstacle moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,12 +26,11 @@ from .forward import (
     gamma_far,
     rhs_plane_wave,
 )
-from .geometry import NodeGrid, StarlikeCurve, jet
+from .geometry import BoundaryMotion, NodeGrid, StarlikeCurve, jet
 from .specfun import hankel1_0, hankel1_1
 
 __all__ = [
     "TwoBodyDensities",
-    "BoundaryMotion",
     "separation",
     "cross_blocks",
     "cross_block_sensitivity",
@@ -57,17 +55,6 @@ def separation(curve_a: StarlikeCurve, curve_b: StarlikeCurve, samples: int = 25
     t = 2.0 * np.pi * np.arange(samples) / samples
     pa, pb = curve_a.point(t), curve_b.point(t)
     return float(np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1)))
-
-
-class BoundaryMotion(NamedTuple):
-    """First-order motion of a body's nodes under P shape parameters, the
-    parameter index last: the node velocities dp (N, 2, P), the rotation
-    dtheta (N, P) of the frame (d nu = -dtheta tau, d tau = dtheta nu) and
-    the change dG (N, P) of the Jacobian G = |p'|."""
-
-    dp: np.ndarray
-    dtheta: np.ndarray
-    dG: np.ndarray
 
 
 def _radial_parts(r: np.ndarray, kappa: float):
@@ -240,7 +227,7 @@ def cross_block_sensitivity(
         curve_d, curve_b, params, grid_d, grid_b)
     kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
     slopes = [_radial_slopes(p, r, k) for p, k in zip(parts, kappas)]
-    dp, dtheta, dG = motion
+    dp, dtheta, dG = motion.dp, motion.dtheta, motion.dG
 
     v_b = 2.0 * w_b * x_b.reshape(3, -1)
     d_db = np.concatenate([

@@ -1,9 +1,12 @@
 """Forward solver oracles: separation-of-variables series on a circle,
 manufactured point-source solutions on non-trivial curves, boundary
-residuals on a shifted grid, and translation covariance."""
+residuals on a shifted grid, translation covariance, far-field
+reciprocity, and the shape derivative of the system matrix."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from aescatter.forward import (
@@ -11,15 +14,19 @@ from aescatter.forward import (
     MaterialParams,
     assemble_system,
     boundary_residual,
+    factor_system,
     far_field,
+    far_field_matrix,
     jump_check,
     near_field,
     rhs_plane_wave,
     solve_densities,
     solve_forward,
+    system_sensitivity,
 )
 from aescatter.geometry import (
     NodeGrid,
+    StarlikeCurve,
     jet,
     make_apple,
     make_circle,
@@ -27,6 +34,7 @@ from aescatter.geometry import (
     make_peanut,
     translate,
 )
+from aescatter.inverse_phaseless import _boundary_motion
 from aescatter.kernels import grad_phi, hess_phi
 from aescatter.kernels import phi as Phi
 from aescatter.quadrature import cauchy_weight_table, diff_matrix, log_weight_table
@@ -331,3 +339,73 @@ class TestSharedGeometryAssembly:
         A = assemble_system(curve, params, grid)
         ref = per_wavenumber_assembly(curve, params, grid)
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def reciprocity_gap(curve: StarlikeCurve, params, n: int, thetas) -> float:
+    """max |u_inf(x; d) - u_inf(-d; -x)| over x, d in the directions
+    ``thetas``, relative to the largest |u_inf|."""
+    grid, thetas = NodeGrid(n), np.asarray(thetas, dtype=float)
+    solve = factor_system(assemble_system(curve, params, grid))
+
+    def patterns(angles):  # u_inf(angles[b]; angles[a]) at [b, a]
+        b = np.column_stack([np.concatenate(rhs_plane_wave(curve, params, IncidentWave(t), grid))
+                             for t in angles])
+        return far_field_matrix(curve, params, angles, grid) @ solve(b)[2 * grid.size :]
+
+    forward, reverse = patterns(thetas), patterns(thetas + np.pi)
+    return np.abs(forward - reverse.T).max() / np.abs(forward).max()
+
+
+class TestReciprocity:
+    """u_inf(x; d) = u_inf(-d; -x) (Colton & Kress), which the solver does not
+    build in: each side is a separate solve and far-field quadrature."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        center=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        a0=st.floats(0.4, 0.8),
+        modes=st.lists(st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+                       min_size=1, max_size=3),
+        thetas=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=2, max_size=3),
+    )
+    def test_smooth_fourier_curves(self, params, center, a0, modes, thetas):
+        # coefficients decaying like 1/m^2 keep the curve resolved at n = 32
+        m = np.arange(1, len(modes) + 1)
+        a, b = (np.array(c) / m**2 for c in zip(*modes))
+        curve = make_fourier(center, [a0, *a], b)
+        assert reciprocity_gap(curve, params, 32, thetas) <= 1e-9
+
+    def test_peanut(self, params):
+        assert reciprocity_gap(make_peanut(), params, 64, [0.3, 1.7, 4.0]) <= 1e-10
+
+
+SENSITIVITY_CURVES = {
+    "apple": make_apple,
+    "peanut": make_peanut,
+    "random": lambda: make_fourier((0.1, -0.2), *np.split(
+        np.r_[0.55, 0.06 * np.random.default_rng(5).standard_normal(6)], [4])),
+}
+
+
+class TestSystemSensitivity:
+    @pytest.mark.parametrize("grid", [NodeGrid(16), NodeGrid(32),
+                                      NodeGrid(16, offset=0.5 * np.pi / 16)],
+                             ids=["n16", "n32", "n16-shifted"])
+    @pytest.mark.parametrize("degree", [2, 6])
+    @pytest.mark.parametrize("name", list(SENSITIVITY_CURVES))
+    def test_matches_differenced_assembly(self, params, bumped, name, degree, grid):
+        """d(A x) for every parameter against central differences of
+        assemble_system on the bumped curves; translations give exactly 0."""
+        curve, h = SENSITIVITY_CURVES[name](), 1e-6
+        rng = np.random.default_rng(degree + grid.n)
+        x = rng.standard_normal(3 * grid.size) + 1j * rng.standard_normal(3 * grid.size)
+        motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, degree)
+        dAx = system_sensitivity(curve, params, grid, x, motion)
+        assert dAx.shape == (3 * grid.size, 2 * degree + 3)
+        assert np.all(dAx[:, :2] == 0.0)
+        fd = np.column_stack([
+            (assemble_system(bumped(curve, degree, k, h), params, grid) @ x
+             - assemble_system(bumped(curve, degree, k, -h), params, grid) @ x) / (2.0 * h)
+            for k in range(2, 2 * degree + 3)
+        ])
+        assert np.abs(dAx[:, 2:] - fd).max() <= 1e-6 * np.abs(fd).max()
