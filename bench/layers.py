@@ -3,14 +3,16 @@
 Times ``kernel_tables`` (the split tables of one wavenumber, and of the
 three wavenumbers of one assembly, each with the pair geometry they need),
 ``assemble_system``, ``factor_system`` and ``far_field`` on the apple at
-n in {32, 64, 100, 128}, and the two-body layers of the criterion-9 case at
-n = 64: ``cross_blocks`` of the peanut and the reference ball, and at the
-initial guess with M = 6 one phaseless Jacobian (``_jacobian_at``) and the
-self-block shape derivative inside it (``system_sensitivity``, on checkouts
-that have it). Each is timed with ``time.perf_counter`` and repeats, and the
-median and interquartile range of each go to a JSON file:
+n in {32, 64, 100, 128}; the phased Frechet matrix (``frechet_columns``) at
+the criterion-8 initial guess with M = 6, n = 64 and 128 angles; and the
+two-body layers of the criterion-9 case at n = 64: ``cross_blocks`` of the
+peanut and the reference ball, and at the initial guess with M = 6 one
+phaseless Jacobian (``_jacobian_at``) and the self-block shape derivative
+inside it (``system_sensitivity``, on checkouts that have it). Each is timed
+with ``time.perf_counter`` and repeats, and the median and interquartile
+range of each go to a JSON file:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_7.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_8.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -31,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (32, 64, 100, 128)
 N_ANGLES = 128
-PHASELESS_N = 64
+INVERSE_N = 64
 REPEATS = 15
 
 
@@ -100,19 +102,35 @@ def layer_calls(n: int) -> dict:
     }
 
 
+def phased_calls() -> dict:
+    """The Frechet matrix at the criterion-8 initial guess, n = INVERSE_N."""
+    import numpy as np
+
+    from aescatter import forward as fw
+    from aescatter import geometry
+    from aescatter.inverse_phased import InverseConfig, frechet_columns, initial_curve
+
+    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(INVERSE_N)
+    start = initial_curve(InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4,
+                                        epsilon=0.2, M=6, n_forward=INVERSE_N))
+    dens = fw.solve_forward(start, params, fw.IncidentWave(np.pi / 8), grid)
+    angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
+    return {"frechet_columns": lambda: frechet_columns(start, dens, params, angles, 6, grid)}
+
+
 def phaseless_calls() -> dict:
-    """The timed two-body calls of the criterion-9 case at n = PHASELESS_N."""
+    """The timed two-body calls of the criterion-9 case at n = INVERSE_N."""
     import numpy as np
 
     from aescatter import forward as fw
     from aescatter import geometry, inverse_phaseless, multibody
     from aescatter.inverse_phased import InverseConfig, initial_curve
 
-    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(PHASELESS_N)
+    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(INVERSE_N)
     ball = inverse_phaseless.ReferenceBallSpec((6.6, 0.0), 0.71).curve()
     peanut, wave = geometry.make_peanut(), fw.IncidentWave(np.pi / 6)
     start = initial_curve(InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
-                                        epsilon=0.1, M=6, n_forward=PHASELESS_N))
+                                        epsilon=0.1, M=6, n_forward=INVERSE_N))
     angles = 2.0 * np.pi * np.arange(64) / 64
     _, scene = inverse_phaseless._predicted_modulus(start, ball, params, wave, angles, grid)
     calls = {
@@ -132,7 +150,7 @@ def phaseless_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
@@ -142,10 +160,10 @@ def main(argv=None) -> None:
         for name, fn in layer_calls(n).items():
             layers.setdefault(name, {})[str(n)] = timings(fn)
             print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms")
-    for name, fn in phaseless_calls().items():
-        layers[name] = {str(PHASELESS_N): timings(fn)}
-        print(f"{name:18s} n={PHASELESS_N:4d} "
-              f"{layers[name][str(PHASELESS_N)]['median_ms']:9.2f} ms")
+    for name, fn in {**phased_calls(), **phaseless_calls()}.items():
+        layers[name] = {str(INVERSE_N): timings(fn)}
+        print(f"{name:18s} n={INVERSE_N:4d} "
+              f"{layers[name][str(INVERSE_N)]['median_ms']:9.2f} ms")
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "git_sha": git_sha(args.src),
@@ -154,6 +172,8 @@ def main(argv=None) -> None:
                     "blas": blas["name"] + " " + blas.get("version", ""),
                     "blas_threads": blas_threads(numpy)},
         "curve": "apple", "far_field_angles": N_ANGLES,
+        "phased": "the criterion-8 initial circle, incident angle pi/8; Frechet "
+                  "matrix M = 6, 128 angles",
         "two_body": "peanut or the criterion-9 initial circle, with the ball "
                     "((6.6, 0), 0.71); Jacobian and self-block derivative M = 6, 64 angles",
         "layers": layers,

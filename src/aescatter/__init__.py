@@ -46,7 +46,6 @@ from .inverse_phaseless import (
     add_noise_phaseless,
     exact_phaseless_jacobian,
     phaseless_columns,
-    phaseless_residual,
     run_phaseless,
 )
 from .multibody import (
@@ -88,7 +87,6 @@ __all__ = [
     "make_peanut",
     "near_field",
     "phaseless_columns",
-    "phaseless_residual",
     "run_phased",
     "run_phaseless",
     "separation",

@@ -36,14 +36,15 @@ from .forward import (
     IncidentWave,
     MaterialParams,
     far_field,
-    gamma_far,
+    far_field_matrix,
     solve_forward,
 )
-from .geometry import NodeGrid, StarlikeCurve, jet, make_apple, translate
+from .geometry import NodeGrid, StarlikeCurve, jet, make_apple, make_fourier, translate
 from .inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
     add_noise_phased,
+    apply_update,
     frechet_columns,
     run_phased,
 )
@@ -54,7 +55,7 @@ from .inverse_phaseless import (
     run_phaseless,
 )
 from .multibody import far_field_sum, solve_two_body_forward
-from .quadrature import cauchy_weights, diff_weights, log_weights
+from .quadrature import cauchy_weights, diff_matrix, log_weights
 from .specfun import bessel_j0, bessel_j1, bessel_y0, bessel_y1
 
 __all__ = ["load_config", "dump_config", "cmd_forward", "cmd_invert", "cmd_verify", "main"]
@@ -190,14 +191,10 @@ def _write_history(path: Path, records, M: int, ball: ReferenceBallSpec | None) 
         header = (f"reference ball: center=({ball.center[0]}, {ball.center[1]}) "
                   f"radius={ball.radius}\n") + header
     rows = []
-    for rec in records:
+    for rec in records:  # every iterate carries exactly a_0..a_M, b_1..b_M
         radial = rec.curve.radial
-        a = np.zeros(M + 1)
-        b = np.zeros(M)
-        a[: len(radial.a)] = radial.a
-        b[: len(radial.b)] = radial.b
         row = [rec.k, rec.E_k] + ([rec.Err_k] if have_err else [])
-        row += list(rec.curve.center) + list(a) + list(b)
+        row += list(rec.curve.center) + list(radial.a) + list(radial.b)
         rows.append(row)
     np.savetxt(path, np.array(rows), header=header)
 
@@ -268,11 +265,8 @@ def cmd_verify(quick: bool = False) -> tuple[bool, str]:
     T = cauchy_weights(t, n)
     ok &= _check("cauchy weights identity",
                  abs(T @ np.sin(nodes - t) - 2 * np.pi), 1e-12, lines)
-    d = diff_weights(n)
-    idx = (np.arange(2 * n)[:, None] - np.arange(2 * n)[None, :]) + 2 * n - 1
-    D = d[idx]
     ok &= _check("differentiation weights",
-                 np.abs(D @ np.cos(3 * nodes) + 3 * np.sin(3 * nodes)).max(),
+                 np.abs(diff_matrix(n) @ np.cos(3 * nodes) + 3 * np.sin(3 * nodes)).max(),
                  1e-12, lines)
 
     # Special-function identity (Wronskian).
@@ -296,33 +290,24 @@ def cmd_verify(quick: bool = False) -> tuple[bool, str]:
     ok &= _check("translation covariance (modulus)",
                  np.abs(np.abs(ff_h.values) - np.abs(ff.values)).max(), 1e-6, lines)
 
-    # Frechet columns vs central differences (frozen densities).
-    densities = solve_forward(curve, params, wave, grid)
-    B = frechet_columns(curve, densities, params, angles, 6, grid)
+    # Frechet columns vs central differences of the far-field quadrature on
+    # updated Fourier curves, with the density times G^2 held fixed.
+    M, eps = 6, 1e-5
+    fourier = make_fourier((0.1, -0.2), [0.55, 0.06, -0.04, 0.03], [0.05, -0.02, 0.01])
+    dens_f = solve_forward(fourier, params, wave, grid)
+    vartheta = dens_f.phi3_tilde * jet(fourier, grid.nodes).G ** 2
+    B = frechet_columns(fourier, dens_f, params, angles, M, grid)
     rng = np.random.default_rng(5)
-    eps = 1e-5
     worst_fd = 0.0
     for _ in range(2 if quick else 5):
-        xi = rng.standard_normal(15)
-        xi /= np.linalg.norm(xi)
-        upd = BoundaryUpdate(eps * xi[:2], eps * xi[2:9], eps * xi[9:])
-
-        def perturbed(sign):
-            shift = sign * upd.delta_c
-            t_nodes = grid.nodes
-            dr = sign * upd.delta_r(t_nodes)
-            jets_p = curve.point(t_nodes) + shift
-            xh = np.column_stack([np.cos(t_nodes), np.sin(t_nodes)])
-            p = jets_p + dr[:, None] * xh
-            ka = params.kappa_a
-            vartheta = densities.phi3_tilde * jet(curve, t_nodes).G ** 2
-            phase = np.exp(-1j * ka * (np.cos(angles)[:, None] * p[:, 0]
-                                       + np.sin(angles)[:, None] * p[:, 1]))
-            return gamma_far(ka) * (np.pi / grid.n) * phase @ vartheta
-
-        fd = (perturbed(1.0) - perturbed(-1.0)) / (2.0 * eps)
-        pred = B @ xi
-        worst_fd = max(worst_fd, np.abs(fd - pred).max() / np.abs(fd).max())
+        upd = BoundaryUpdate(rng.standard_normal(2), rng.standard_normal(M + 1),
+                             rng.standard_normal(M))
+        upd = upd.scaled(1.0 / np.linalg.norm(upd.xi))
+        plus, minus = (
+            far_field_matrix(c, params, angles, grid) @ (vartheta / jet(c, grid.nodes).G ** 2)
+            for c in (apply_update(fourier, upd.scaled(s)) for s in (eps, -eps)))
+        fd = (plus - minus) / (2.0 * eps)
+        worst_fd = max(worst_fd, np.abs(fd - B @ upd.xi).max() / np.abs(fd).max())
     ok &= _check("Frechet finite-difference", worst_fd, 1e-4, lines)
 
     # Seeded noise reproducibility.

@@ -20,10 +20,18 @@ from .forward import (
     IncidentWave,
     MaterialParams,
     far_field,
-    gamma_far,
+    far_field_matrix,
     solve_forward,
 )
-from .geometry import FourierProfile, NodeGrid, StarlikeCurve, jet, make_fourier
+from .geometry import (
+    BoundaryMotion,
+    CurveJet,
+    FourierProfile,
+    NodeGrid,
+    StarlikeCurve,
+    jet,
+    make_fourier,
+)
 
 __all__ = [
     "InverseConfig",
@@ -101,6 +109,34 @@ class BoundaryUpdate:
         )
 
 
+def _boundary_motion(jets: CurveJet, t: np.ndarray, M: int) -> BoundaryMotion:
+    """Motion of the nodes under the parameters (dc1, dc2, a_0..a_M,
+    b_1..b_M) of ``apply_update``.
+
+    The center parameters move every node by e_k and change neither p' nor
+    p''; a radial mode phi in {1, cos mt, sin mt} moves p by phi e_r, p' by
+    phi' e_r + phi e_t and p'' by (phi'' - phi) e_r + 2 phi' e_t. From dp',
+    dG = tau . dp' and the frame turns by dtheta = nu . dp' / G.
+    """
+    m = np.arange(1, M + 1)
+    mt = np.multiply.outer(t, m)
+    one, zero = np.ones((len(t), 1)), np.zeros((len(t), 1))
+    modes = np.hstack([one, np.cos(mt), np.sin(mt)])
+    dmodes = np.hstack([zero, -m * np.sin(mt), m * np.cos(mt)])
+    e_r = np.stack([np.cos(t), np.sin(t)], axis=-1)[:, :, None]
+    e_t = np.stack([-np.sin(t), np.cos(t)], axis=-1)[:, :, None]
+    dp = np.zeros((len(t), 2, 2 * M + 3))
+    dp[:, 0, 0] = dp[:, 1, 1] = 1.0
+    dp_prime, dp_second = np.zeros_like(dp), np.zeros_like(dp)
+    dp[:, :, 2:] = e_r * modes[:, None, :]
+    dp_prime[:, :, 2:] = e_r * dmodes[:, None, :] + e_t * modes[:, None, :]
+    ddmodes = -np.hstack([zero, m**2 * np.cos(mt), m**2 * np.sin(mt)])
+    dp_second[:, :, 2:] = e_r * (ddmodes - modes)[:, None, :] + 2.0 * e_t * dmodes[:, None, :]
+    dG = np.einsum("ik,ikp->ip", jets.tau, dp_prime)
+    dtheta = np.einsum("ik,ikp->ip", jets.nu, dp_prime) / jets.G[:, None]
+    return BoundaryMotion(dp, dp_prime, dp_second, dtheta, dG)
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """Snapshot of one reconstruction step."""
@@ -170,34 +206,19 @@ def frechet_columns(
 ) -> np.ndarray:
     """Frechet-derivative matrix of the far-field operator, 2n~ x (2M+3).
 
-    Columns follow the update ordering (dc1, dc2, a_0..a_M, b_1..b_M); the
-    acoustic density (times the Jacobian) is held fixed while the boundary
-    is perturbed.
+    Columns follow the update ordering (dc1, dc2, a_0..a_M, b_1..b_M) of
+    ``_boundary_motion``; the acoustic density (times the Jacobian) is held
+    fixed while the nodes move, so only the phase e^{-i kappa_a x^ . p}
+    changes: each column is -i kappa_a x^ . dp summed against the far-field
+    quadrature.
     """
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
     if grid is None:
         grid = NodeGrid(len(densities.phi3_tilde) // 2)
-    jets = jet(curve, grid.nodes)
-    ka = params.kappa_a
-    vartheta = densities.phi3_tilde * jets.G**2
-    t = obs_angles[:, None]
-    s = grid.nodes[None, :]
-    c1, c2 = curve.center
-    r = curve.radial.radius(grid.nodes)[None, :]
-    arg = -ka * (c1 * np.cos(t) + c2 * np.sin(t) + r * np.cos(t - s))
-    phase = np.cos(arg) + 1j * np.sin(arg)
-    common = (-1j * ka * gamma_far(ka) * np.pi / grid.n) * phase * vartheta[None, :]
-
-    B = np.empty((len(obs_angles), 2 * M + 3), dtype=complex)
-    base = common.sum(axis=1)
-    B[:, 0] = base * np.cos(obs_angles)
-    B[:, 1] = base * np.sin(obs_angles)
-    cts = np.cos(t - s)
-    B[:, 2] = (common * cts).sum(axis=1)
-    for m in range(1, M + 1):
-        B[:, 2 + m] = (common * cts * np.cos(m * s)).sum(axis=1)
-        B[:, 2 + M + m] = (common * cts * np.sin(m * s)).sum(axis=1)
-    return B
+    motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, M)
+    Fx = far_field_matrix(curve, params, obs_angles, grid) * densities.phi3_tilde
+    return -1j * params.kappa_a * (np.cos(obs_angles)[:, None] * (Fx @ motion.dp[:, 0])
+                                   + np.sin(obs_angles)[:, None] * (Fx @ motion.dp[:, 1]))
 
 
 def _penalty_diag(M: int) -> np.ndarray:

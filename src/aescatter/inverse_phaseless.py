@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import (
+    DensitySet,
     IncidentWave,
     MaterialParams,
     factor_system,
@@ -28,6 +29,7 @@ from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet, ma
 from .inverse_phased import (
     InverseConfig,
     IterationRecord,
+    _boundary_motion,
     apply_update,
     boundary_error,
     frechet_columns,
@@ -40,7 +42,6 @@ from .multibody import (
     TwoBodyDensities,
     assemble_two_body,
     cross_block_sensitivity,
-    far_field_sum,
     separation,
     solve_two_body_forward,
 )
@@ -49,7 +50,6 @@ __all__ = [
     "PhaselessData",
     "ReferenceBallSpec",
     "add_noise_phaseless",
-    "phaseless_residual",
     "phaseless_columns",
     "exact_phaseless_jacobian",
     "run_phaseless",
@@ -107,24 +107,6 @@ def add_noise_phaseless(
     return PhaselessData(angles=data.angles, values=data.values * (1.0 + delta * eta))
 
 
-def phaseless_residual(
-    curve_d: StarlikeCurve,
-    ball: ReferenceBallSpec,
-    densities: TwoBodyDensities,
-    params: MaterialParams,
-    data: PhaselessData,
-    grid: NodeGrid | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Data misfit w and the predicted total far field it was formed from.
-
-    w = |u_inf|^2_observed - |S_inf,D + S_inf,B|^2 at the current guess.
-    """
-    total = far_field_sum(
-        densities, curve_d, ball.curve(), params, data.angles, grid, grid
-    )
-    return data.values - np.abs(total.values) ** 2, total.values
-
-
 def phaseless_columns(
     curve_d: StarlikeCurve,
     densities: TwoBodyDensities,
@@ -175,14 +157,14 @@ def exact_phaseless_jacobian(
     """Jacobian of the predicted |u_inf|^2, 2n x (2M+3), by implicit
     differentiation of the two-body Nystrom system A x = b.
 
-    The parameters are those of ``apply_update``: the center shift and the
-    coefficients a_0..a_M, b_1..b_M of a radial update r + dr. The
+    The parameters are those of ``apply_update``, the center shift and the
+    coefficients a_0..a_M, b_1..b_M of a radial update r + dr, and
+    ``inverse_phased._boundary_motion`` gives how they move the nodes. The
     derivative is taken at any starlike ``curve_d``, whatever its radial
     profile, as no perturbed curve is built. A is assembled and factored
-    once. The density
-    response to each parameter is dx = -A^{-1}(dA x - db), from the one
-    factorization with every column behind the same residual gate as a
-    forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. Every piece
+    once. The density response to each parameter is dx = -A^{-1}(dA x - db),
+    from the one factorization with every column behind the same residual
+    gate as a forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. Every piece
     that moves with the obstacle is differentiated analytically from the
     per-node motion of each parameter: the self block A_dd x_d
     (``system_sensitivity``), both cross-block products A_db x_b and
@@ -195,34 +177,6 @@ def exact_phaseless_jacobian(
     """
     _, scene = _predicted_modulus(curve_d, ball_curve, params, wave, angles, grid)
     return _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene)
-
-
-def _boundary_motion(jets: CurveJet, t: np.ndarray, M: int) -> BoundaryMotion:
-    """Motion of the nodes under the parameters (dc1, dc2, a_0..a_M,
-    b_1..b_M) of ``apply_update``.
-
-    The center parameters move every node by e_k and change neither p' nor
-    p''; a radial mode phi in {1, cos mt, sin mt} moves p by phi e_r, p' by
-    phi' e_r + phi e_t and p'' by (phi'' - phi) e_r + 2 phi' e_t. From dp',
-    dG = tau . dp' and the frame turns by dtheta = nu . dp' / G.
-    """
-    m = np.arange(1, M + 1)
-    mt = np.multiply.outer(t, m)
-    one, zero = np.ones((len(t), 1)), np.zeros((len(t), 1))
-    modes = np.hstack([one, np.cos(mt), np.sin(mt)])
-    dmodes = np.hstack([zero, -m * np.sin(mt), m * np.cos(mt)])
-    e_r = np.stack([np.cos(t), np.sin(t)], axis=-1)[:, :, None]
-    e_t = np.stack([-np.sin(t), np.cos(t)], axis=-1)[:, :, None]
-    dp = np.zeros((len(t), 2, 2 * M + 3))
-    dp[:, 0, 0] = dp[:, 1, 1] = 1.0
-    dp_prime, dp_second = np.zeros_like(dp), np.zeros_like(dp)
-    dp[:, :, 2:] = e_r * modes[:, None, :]
-    dp_prime[:, :, 2:] = e_r * dmodes[:, None, :] + e_t * modes[:, None, :]
-    ddmodes = -np.hstack([zero, m**2 * np.cos(mt), m**2 * np.sin(mt)])
-    dp_second[:, :, 2:] = e_r * (ddmodes - modes)[:, None, :] + 2.0 * e_t * dmodes[:, None, :]
-    dG = np.einsum("ik,ikp->ip", jets.tau, dp_prime)
-    dtheta = np.einsum("ik,ikp->ip", jets.nu, dp_prime) / jets.G[:, None]
-    return BoundaryMotion(dp, dp_prime, dp_second, dtheta, dG)
 
 
 def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
@@ -257,12 +211,10 @@ def _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene):
     F_d = far_field_matrix(curve_d, params, angles, grid)
     F_b = far_field_matrix(ball_curve, params, angles, grid)
     u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * N :]
-    # moving the nodes changes F_D x_d by F_D[:, i] x_i (-i kappa_a
-    # (x_hat . dp_i) + 2 dG_i / G_i), from the phase and the weight G^2
-    Fx = F_d * x_d[2 * N :]
-    xhat = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    dF = Fx @ (2.0 * motion.dG / jets.G[:, None]) - 1j * params.kappa_a * (
-        xhat[:, :1] * (Fx @ motion.dp[:, 0]) + xhat[:, 1:] * (Fx @ motion.dp[:, 1]))
+    # moving the nodes changes F_D x_d through the phase (the frozen-density
+    # Frechet columns) and through the weight G^2, by 2 dG_i / G_i per node
+    dF = (frechet_columns(curve_d, DensitySet(*np.split(x_d, 3)), params, angles, M, grid)
+          + (F_d * x_d[2 * N :]) @ (2.0 * motion.dG / jets.G[:, None]))
     du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[5 * N :]
     return 2.0 * (np.conj(u)[:, None] * du).real
 

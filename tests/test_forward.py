@@ -34,7 +34,7 @@ from aescatter.geometry import (
     make_peanut,
     translate,
 )
-from aescatter.inverse_phaseless import _boundary_motion
+from aescatter.inverse_phased import _boundary_motion
 from aescatter.kernels import grad_phi, hess_phi
 from aescatter.kernels import phi as Phi
 from aescatter.quadrature import cauchy_weight_table, diff_matrix, log_weight_table

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aescatter.forward import IncidentWave, far_field, gamma_far, solve_forward
-from aescatter.geometry import NodeGrid, jet, make_apple, make_fourier
+from aescatter.geometry import NodeGrid, jet, make_apple, make_fourier, make_peanut
 from aescatter.inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
+    _boundary_motion,
     add_noise_phased,
     apply_update,
     boundary_error,
@@ -82,6 +83,48 @@ class TestNoise:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             noise_samples(rng, 10, "gaussian")
+
+
+MOTION_CURVES = {
+    "apple": make_apple,
+    "peanut": make_peanut,
+    "random": lambda: make_fourier((0.1, -0.2), *np.split(
+        np.r_[0.55, 0.06 * np.random.default_rng(11).standard_normal(6)], [4])),
+}
+
+
+class TestBoundaryMotion:
+    @pytest.mark.parametrize("degree", [2, 6])
+    @pytest.mark.parametrize("name", list(MOTION_CURVES))
+    def test_matches_differenced_jet(self, bumped, name, degree):
+        """Every field of the motion against central differences of jet on
+        the bumped curves, relative to the field's largest entry."""
+        curve, grid, h = MOTION_CURVES[name](), NodeGrid(32), 1e-6
+        jets = jet(curve, grid.nodes)
+        motion = _boundary_motion(jets, grid.nodes, degree)
+        fd = {field: [] for field in motion._fields}
+        for k in range(2 * degree + 3):
+            plus, minus = (jet(bumped(curve, degree, k, s), grid.nodes) for s in (h, -h))
+            fd["dp"].append((plus.p - minus.p) / (2.0 * h))
+            fd["dp_prime"].append((plus.dp - minus.dp) / (2.0 * h))
+            fd["dp_second"].append((plus.ddp - minus.ddp) / (2.0 * h))
+            # the frame turns by dtheta: d tau = dtheta nu
+            fd["dtheta"].append(np.sum((plus.tau - minus.tau) * jets.nu, axis=-1) / (2.0 * h))
+            fd["dG"].append((plus.G - minus.G) / (2.0 * h))
+        for field, columns in fd.items():
+            ref = np.stack(columns, axis=-1)
+            got = getattr(motion, field)
+            assert got.shape == ref.shape, field
+            assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max(), field
+
+    @pytest.mark.parametrize("name", list(MOTION_CURVES))
+    def test_center_columns_exact(self, name):
+        """The center shifts move every node by e_k and nothing else."""
+        grid = NodeGrid(32)
+        motion = _boundary_motion(jet(MOTION_CURVES[name](), grid.nodes), grid.nodes, 6)
+        assert np.all(motion.dp[:, :, :2] == np.eye(2))
+        for field in ("dp_prime", "dp_second", "dtheta", "dG"):
+            assert np.all(getattr(motion, field)[..., :2] == 0.0), field
 
 
 class TestFrechetColumns:
