@@ -146,6 +146,23 @@ class TestFrechetColumns:
         expected1 = -1j * params.kappa_a * np.sin(OBS) * ff.values
         np.testing.assert_allclose(B[:, 1], expected1, atol=1e-12)
 
+    def test_matches_per_mode_sums(self, params, apple_far_field):
+        """Every column against its sum over the nodes written out mode by
+        mode: -i kappa_a (x^ . dp) times the far-field quadrature terms."""
+        curve, dens, _, grid = apple_far_field
+        B = frechet_columns(curve, dens, params, OBS, M, grid)
+        ka, t, s = params.kappa_a, OBS[:, None], grid.nodes[None, :]
+        p = curve.point(grid.nodes)
+        terms = (-1j * ka * gamma_far(ka) * np.pi / grid.n) * np.exp(
+            -1j * ka * (np.cos(t) * p[:, 0] + np.sin(t) * p[:, 1])) \
+            * dens.phi3_tilde * jet(curve, grid.nodes).G ** 2
+        modes = [np.ones_like(s)] + [np.cos(m * s) for m in range(1, M + 1)] \
+            + [np.sin(m * s) for m in range(1, M + 1)]
+        expected = np.column_stack(
+            [terms.sum(axis=1) * np.cos(OBS), terms.sum(axis=1) * np.sin(OBS)]
+            + [(terms * np.cos(t - s) * mode).sum(axis=1) for mode in modes])
+        assert np.abs(B - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def _frozen_far_field(self, curve, dens, params, grid, update, sign):
         """Far-field quadrature with frozen density on the perturbed curve."""
         t = grid.nodes
