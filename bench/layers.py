@@ -8,11 +8,13 @@ the criterion-8 initial guess with M = 6, n = 64 and 128 angles; and the
 two-body layers of the criterion-9 case at n = 64: ``cross_blocks`` of the
 peanut and the reference ball, and at the initial guess with M = 6 one
 phaseless Jacobian (``_jacobian_at``) and the self-block shape derivative
-inside it (``system_sensitivity``, on checkouts that have it). Each is timed
-with ``time.perf_counter`` and repeats, and the median and interquartile
-range of each go to a JSON file:
+inside it (``system_sensitivity``, on checkouts that have it); and the two
+whole reconstructions, ``run_phased`` on the criterion-8 case and
+``run_phaseless`` on the criterion-9 case, from data made at n = 100. Each
+is timed with ``time.perf_counter`` and repeats, and the median and
+interquartile range of each go to a JSON file:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_8.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_9.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -147,10 +149,39 @@ def phaseless_calls() -> dict:
     return calls
 
 
+def reconstruction_calls() -> dict:
+    """The criterion-8 and criterion-9 reconstructions, as the acceptance
+    tests run them (their n = 100 data is made once, untimed)."""
+    import numpy as np
+
+    import aescatter as ae
+
+    params, grid = ae.MaterialParams.default(), ae.NodeGrid(100)
+    apple, wave8 = ae.make_apple(), ae.IncidentWave(np.pi / 8)
+    obs8 = np.pi * np.arange(128) / 64
+    phased = ae.add_noise_phased(
+        ae.far_field(ae.solve_forward(apple, params, wave8, grid), apple, params, obs8, grid),
+        0.01, seed=3)
+    cfg8 = ae.InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4, epsilon=0.2)
+
+    peanut, wave9 = ae.make_peanut(), ae.IncidentWave(np.pi / 6)
+    ball = ae.ReferenceBallSpec((6.6, 0.0), 0.71)
+    obs9 = 2.0 * np.pi * np.arange(64) / 64
+    dens = ae.solve_two_body_forward(peanut, ball.curve(), params, wave9, grid)
+    total = ae.far_field_sum(dens, peanut, ball.curve(), params, obs9, grid, grid)
+    phaseless = ae.add_noise_phaseless(
+        ae.PhaselessData(obs9, np.abs(total.values) ** 2), 0.01, seed=7)
+    cfg9 = ae.InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3, epsilon=0.1)
+    return {
+        "run_phased": lambda: ae.run_phased(phased, params, wave8, cfg8),
+        "run_phaseless": lambda: ae.run_phaseless(phaseless, ball, params, wave9, cfg9),
+    }
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_8.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
@@ -160,7 +191,8 @@ def main(argv=None) -> None:
         for name, fn in layer_calls(n).items():
             layers.setdefault(name, {})[str(n)] = timings(fn)
             print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms")
-    for name, fn in {**phased_calls(), **phaseless_calls()}.items():
+    for name, fn in {**phased_calls(), **phaseless_calls(),
+                     **reconstruction_calls()}.items():
         layers[name] = {str(INVERSE_N): timings(fn)}
         print(f"{name:18s} n={INVERSE_N:4d} "
               f"{layers[name][str(INVERSE_N)]['median_ms']:9.2f} ms")
@@ -176,6 +208,9 @@ def main(argv=None) -> None:
                   "matrix M = 6, 128 angles",
         "two_body": "peanut or the criterion-9 initial circle, with the ball "
                     "((6.6, 0), 0.71); Jacobian and self-block derivative M = 6, 64 angles",
+        "reconstructions": "run_phased on criterion 8 (apple, pi/8, 128 angles, 1% noise "
+                           "seed 3) and run_phaseless on criterion 9 (peanut and the ball, "
+                           "pi/6, 64 angles, 1% noise seed 7), M = 6, n_forward = 64",
         "layers": layers,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

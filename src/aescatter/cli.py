@@ -7,8 +7,9 @@ Commands
     ball if one is given) and write far-field data files.
 ``aescatter invert <config> <data> [--phaseless]``
     Run the phased or phaseless reconstruction against a data file; write
-    the iteration history and plot-ready boundary samples. Exit code 0
-    when the stopping tolerance was reached, 2 otherwise.
+    the iteration history and plot-ready boundary samples, also when the
+    run stops short (iteration cap, or every step pinches or fails). Exit
+    code 0 when the stopping tolerance was reached, 2 otherwise.
 ``aescatter verify [--quick]``
     Run the analytic self-checks (quadrature identities, special-function
     identity, translation covariance, jump relations, derivative checks)
@@ -130,7 +131,6 @@ def _inverse_config(cfg: dict) -> InverseConfig:
         rho=inv["rho"],
         max_iter=inv["max_iter"],
         n_forward=cfg["grids"]["n_forward"],
-        noise_model=cfg["noise"]["model"],
     )
 
 

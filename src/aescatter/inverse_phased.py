@@ -1,11 +1,16 @@
-"""Shape reconstruction from phased far-field data.
+"""Shape reconstruction from phased far-field data, and the Newton-Tikhonov
+loop it shares with the phaseless one.
 
-Newton-type iteration on the linearized far-field data equation: at each
-step the forward problem is solved on the current curve, the data misfit
-is linearized through the Frechet derivative of the far-field operator
-(with the densities held fixed), and a Tikhonov-regularized least-squares
-problem with an H^2 penalty yields an update of the center and of the
-trigonometric radial coefficients.
+Each step linearizes the data misfit about the current curve (for phased
+data by the Frechet derivative of the far-field operator with the densities
+held fixed) and solves a Tikhonov problem with an H^2 penalty and lambda_k
+equal to the residual norm for an update of the center and of the radial
+trig coefficients. The step is scaled by rho, then halved up to four times
+(``_STEP_SCALES``); the first candidate that lowers the residual is taken,
+skipping those that pinch, are too thin for the grid (``_strip_width``),
+collide with a fixed body or break the forward solve. The loop stops at
+E_k <= epsilon, at the iteration cap or when no candidate is taken, and
+returns every visited iterate's record in each case.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ class InverseConfig:
     rho: float = 0.9
     max_iter: int = 50
     n_forward: int = 64
-    noise_model: str = "uniform"
 
     def __post_init__(self):
         if self.M < 1:
@@ -71,8 +75,6 @@ class InverseConfig:
             raise ValueError("stopping tolerance epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.noise_model not in ("uniform", "truncated-normal"):
-            raise ValueError(f"unknown noise model {self.noise_model!r}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,67 @@ def apply_update(curve: StarlikeCurve, update: BoundaryUpdate) -> StarlikeCurve:
     return make_fourier(curve.center + update.delta_c, a, b)
 
 
+_STEP_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)
+# Least 2n * sigma (``_strip_width``) of an accepted iterate on a 2n-node
+# grid: far fields then agree with a fine grid's to about 1e-6.
+_RESOLVED = 20.0
+
+
+def _strip_width(curve: StarlikeCurve) -> float:
+    """Half-width sigma of the strip |Im t| < sigma free of zeros of the
+    speed |p'(t)|^2 = r^2 + r'^2 of a trig-polynomial curve.
+
+    The Nystrom far field on 2n equispaced nodes converges like
+    exp(-2n sigma); sigma -> 0 as the curve is about to pinch.
+    """
+    a, b = curve.radial.a, curve.radial.b
+    m = np.arange(1 - len(a), len(a))
+    c = np.concatenate([(a[:0:-1] + 1j * b[::-1]) / 2, a[:1], (a[1:] - 1j * b) / 2])
+    speed = np.convolve(c, c) - np.convolve(m * c, m * c)  # in z = e^{it}, times z^{2M}
+    roots = np.roots(speed[::-1])
+    return float(np.min(np.abs(np.log(np.abs(roots[roots != 0]))), initial=np.inf))
+
+
+def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
+    """The loop of both drivers, from the initial circle of ``config``.
+
+    ``predict(curve)`` gives the predicted data and a state, and raises
+    ValueError on a collision or FloatingPointError on a failed solve;
+    ``jacobian(curve, predicted, state)`` gives the data's derivative B. One
+    state is alive at a time, so no two-body factorization is held twice.
+    """
+    curve = initial_curve(config)
+    obs_norm = trapezoid_norm(values)
+    predicted, state = predict(curve)
+    residual = trapezoid_norm(values - predicted)
+    records: list[IterationRecord] = []
+    for k in range(config.max_iter + 1):
+        E_k = residual / obs_norm
+        err = boundary_error(curve, ground_truth) if ground_truth is not None else None
+        records.append(IterationRecord(k=k, E_k=E_k, Err_k=err, curve=curve))
+        if E_k <= config.epsilon or k == config.max_iter:
+            break
+        B = jacobian(curve, predicted, state)
+        state = None  # only an accepted candidate's state is needed next
+        update = tikhonov_step(B, values - predicted, residual, config.M, config.rho)
+        for scale in _STEP_SCALES:
+            try:
+                candidate = apply_update(curve, update.scaled(scale))
+                if 2 * config.n_forward * _strip_width(candidate) < _RESOLVED:
+                    continue  # nearly pinched: the grid cannot resolve it
+                cand_pred, state = predict(candidate)
+            except (ValueError, FloatingPointError):
+                continue  # pinched, collided or the solve failed
+            cand_res = trapezoid_norm(values - cand_pred)
+            if cand_res < residual:
+                curve, predicted, residual = candidate, cand_pred, cand_res
+                break
+            state = None  # free it before the next candidate's solve
+        else:
+            break  # no admissible step decreases the residual
+    return records
+
+
 def run_phased(
     observed: FarField,
     params: MaterialParams,
@@ -270,44 +333,19 @@ def run_phased(
     config: InverseConfig,
     ground_truth: StarlikeCurve | None = None,
 ) -> list[IterationRecord]:
-    """Full reconstruction loop from phased far-field data.
-
-    Records E_k (and Err_k when the exact boundary is supplied) for every
-    visited iterate, including the final one; the loop stops as soon as
-    E_k <= epsilon or the iteration cap is reached.
-    """
-    curve = initial_curve(config)
+    """Full reconstruction loop from phased far-field data: the records of
+    every visited iterate, with Err_k when the exact boundary is supplied."""
     grid = NodeGrid(config.n_forward)
-    obs_norm = trapezoid_norm(observed.values)
-    records: list[IterationRecord] = []
-    for k in range(config.max_iter + 1):
-        try:
-            densities = solve_forward(curve, params, wave, grid)
-        except FloatingPointError as exc:
-            raise FloatingPointError(
-                f"forward solve failed at iteration {k}: {exc}"
-            ) from exc
-        predicted = far_field(densities, curve, params, observed.angles, grid)
-        w = observed.values - predicted.values
-        residual = trapezoid_norm(w)
-        E_k = residual / obs_norm
-        err = boundary_error(curve, ground_truth) if ground_truth is not None else None
-        records.append(IterationRecord(k=k, E_k=E_k, Err_k=err, curve=curve))
-        if E_k <= config.epsilon or k == config.max_iter:
-            break
+
+    def predict(curve):
+        densities = solve_forward(curve, params, wave, grid)
+        return far_field(densities, curve, params, observed.angles, grid).values, densities
+
+    def jacobian(curve, predicted, densities):
         B = frechet_columns(curve, densities, params, observed.angles, config.M, grid)
-        # A rigid translation by h changes the far field exactly by the
-        # factor exp(i kappa_a (d - x^) . h); the frozen-density columns
-        # reproduce only the -i kappa_a x^ . h part, so the incident-phase
-        # part i kappa_a d_l u_inf is restored in closed form.  Without it
-        # the center update can point away from the data for modulus-
-        # anisotropic far fields and the iteration drifts off and pinches.
-        ka = params.kappa_a
-        B[:, 0] += 1j * ka * wave.direction[0] * predicted.values
-        B[:, 1] += 1j * ka * wave.direction[1] * predicted.values
-        update = tikhonov_step(B, w, residual, config.M, config.rho)
-        try:
-            curve = apply_update(curve, update)
-        except ValueError as exc:
-            raise ValueError(f"update at iteration {k} pinched the curve: {exc}") from exc
-    return records
+        # a shift h multiplies u_inf by exp(i kappa_a (d - x^) . h); the
+        # frozen densities give only the x^ part, so add i kappa_a d_l u_inf
+        B[:, :2] += 1j * params.kappa_a * wave.direction * predicted[:, None]
+        return B
+
+    return _newton_tikhonov(observed.values, predict, jacobian, config, ground_truth)

@@ -30,13 +30,10 @@ from .inverse_phased import (
     InverseConfig,
     IterationRecord,
     _boundary_motion,
-    apply_update,
-    boundary_error,
+    _newton_tikhonov,
     frechet_columns,
     initial_curve,
     noise_samples,
-    tikhonov_step,
-    trapezoid_norm,
 )
 from .multibody import (
     TwoBodyDensities,
@@ -56,7 +53,6 @@ __all__ = [
 ]
 
 _MIN_BALL_SEPARATION = 0.1
-_STEP_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 @dataclass(frozen=True)
@@ -229,62 +225,23 @@ def run_phaseless(
 ) -> list[IterationRecord]:
     """Full reconstruction loop from phaseless total-field data.
 
-    Only the obstacle is updated; the reference ball is trusted as given,
-    and every iterate is checked to stay clear of it. Each step solves the
-    Tikhonov system with the exact Jacobian of |u_inf|^2 (implicit
-    differentiation on the two-body factorization that the line search
-    already made at the current iterate) and lambda_k equal to the
-    residual norm, then scales the step down (rho, rho/2, ...) until the
-    residual actually decreases; candidates that pinch the curve, collide
-    with the ball, or break the forward solve are skipped. Stops at
-    E_k <= epsilon, at the iteration cap, or when no admissible step
-    decreases the residual (stagnation).
+    Only the obstacle moves; the ball is trusted as given. Each step of
+    ``inverse_phased._newton_tikhonov`` uses the exact Jacobian of |u_inf|^2
+    on the factorization the line search made at the iterate. A candidate
+    within 0.1 of the ball fails in ``assemble_two_body`` and is skipped.
     """
-    curve = initial_curve(config)
     ball_curve = ball.curve()
     grid = NodeGrid(config.n_forward)
-    sep = separation(curve, ball_curve)
+    sep = separation(initial_curve(config), ball_curve)
     if sep < _MIN_BALL_SEPARATION:
         raise ValueError(
             f"initial guess approaches the reference ball "
             f"(separation {sep:.3f} < {_MIN_BALL_SEPARATION})"
         )
-    obs_norm = trapezoid_norm(data.values)
-    predicted, scene = _predicted_modulus(
-        curve, ball_curve, params, wave, data.angles, grid
-    )
-    residual = trapezoid_norm(data.values - predicted)
-    records: list[IterationRecord] = []
-    for k in range(config.max_iter + 1):
-        E_k = residual / obs_norm
-        err = boundary_error(curve, ground_truth) if ground_truth is not None else None
-        records.append(IterationRecord(k=k, E_k=E_k, Err_k=err, curve=curve))
-        if E_k <= config.epsilon or k == config.max_iter:
-            break
-        A = _jacobian_at(
-            curve, ball_curve, params, wave, data.angles, config.M, grid, scene
-        )
-        scene = None  # only an accepted candidate's factorization is needed next
-        w = data.values - predicted
-        update = tikhonov_step(A, w, residual, config.M, config.rho)
-        for scale in _STEP_SCALES:
-            try:
-                candidate = apply_update(curve, update.scaled(scale))
-            except ValueError:
-                continue
-            if separation(candidate, ball_curve) < _MIN_BALL_SEPARATION:
-                continue
-            try:
-                cand_pred, scene = _predicted_modulus(
-                    candidate, ball_curve, params, wave, data.angles, grid
-                )
-            except FloatingPointError:
-                continue
-            cand_res = trapezoid_norm(data.values - cand_pred)
-            if cand_res < residual:
-                curve, predicted, residual = candidate, cand_pred, cand_res
-                break
-            scene = None  # free it before the next candidate's factorization
-        else:
-            break  # no admissible step decreases the residual
-    return records
+    # the module attributes are read at each call, so that they can be patched
+    return _newton_tikhonov(
+        data.values,
+        lambda curve: _predicted_modulus(curve, ball_curve, params, wave, data.angles, grid),
+        lambda curve, _, scene: _jacobian_at(
+            curve, ball_curve, params, wave, data.angles, config.M, grid, scene),
+        config, ground_truth)

@@ -66,8 +66,8 @@ def hess_phi(x, y, kappa: float):
 
     H = -(i kappa/4) [kappa H1'(kappa r) rr^T + H1(kappa r)(I - rr^T)/r]
     with H1'(z) = H0(z) - H1(z)/z and the unit vector r = (x-y)/|x-y|.
-    Used for the cross-body traction operators, where the two bodies are
-    well separated and the closed form is stable.
+    Pointwise reference for ``forward.jump_check`` only; assembly and the
+    cross-body blocks (``multibody._radial_parts``) do not call it.
     """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     r = np.linalg.norm(d, axis=-1)

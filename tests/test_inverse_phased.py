@@ -11,6 +11,7 @@ from aescatter.inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
     _boundary_motion,
+    _strip_width,
     add_noise_phased,
     apply_update,
     boundary_error,
@@ -281,6 +282,17 @@ class TestUpdates:
                                    a1 * np.cos(t) + b1 * np.sin(t), atol=1e-12)
 
 
+class TestStripWidth:
+    @pytest.mark.parametrize("e", [0.5, 0.9, 0.99])
+    def test_shifted_cosine(self, e):
+        # r = 1 + e cos t: |p'|^2 = |1 + e z|^2 on |z| = 1, zero at z = -1/e
+        curve = make_fourier((0.3, -0.2), [1.0, e], [0.0])
+        assert _strip_width(curve) == pytest.approx(np.log(1.0 / e), rel=1e-8)
+
+    def test_circle_has_no_finite_strip(self):
+        assert _strip_width(make_fourier((0.0, 0.0), [0.4, 0.0, 0.0], [0.0, 0.0])) == np.inf
+
+
 class TestConfig:
     def test_validation(self):
         kw = dict(initial_center=(0, 0), initial_radius=0.5, epsilon=0.1)
@@ -288,8 +300,6 @@ class TestConfig:
             InverseConfig(**kw, M=0)
         with pytest.raises(ValueError):
             InverseConfig(**kw, rho=0.0)
-        with pytest.raises(ValueError):
-            InverseConfig(**kw, noise_model="bogus")
         with pytest.raises(ValueError):
             InverseConfig(initial_center=(0, 0), initial_radius=0.5, epsilon=-1.0)
 
@@ -330,12 +340,10 @@ class TestRunPhased:
         # must not blow up and E must not increase from its small start
         assert records[-1].E_k <= records[0].E_k + 1e-12
 
-    def test_peanut_high_noise_breakdown_documented(self, params):
-        """At 5% noise from a poor guess the fixed-step iteration is known
-        to oscillate until the forward solve breaks down or the curve
-        pinches; this pins the observed failure mode (see project notes)."""
-        from aescatter.geometry import make_peanut
-
+    def test_peanut_high_noise_stagnation_returns_history(self, params):
+        """At 5% noise from a poor guess no admissible step lowers the
+        residual after a few iterations: the loop stops there and returns
+        every record instead of raising."""
         truth = make_peanut()
         wave13 = IncidentWave(13 * np.pi / 8)
         grid = NodeGrid(100)
@@ -344,8 +352,39 @@ class TestRunPhased:
         noisy = add_noise_phased(ff, 0.05, seed=3)
         cfg = InverseConfig(initial_center=(-0.67, -0.12), initial_radius=0.4,
                             epsilon=0.25)
-        with pytest.raises((ValueError, FloatingPointError)):
-            run_phased(noisy, params, wave13, cfg, ground_truth=truth)
+        records = run_phased(noisy, params, wave13, cfg, ground_truth=truth)
+        assert [r.k for r in records] == list(range(len(records)))
+        assert records[-1].E_k > cfg.epsilon
+        assert records[-1].k < cfg.max_iter
+
+    def test_residual_strictly_decreases(self, params, wave):
+        """Criterion-8 data, where the first full step goes uphill
+        (E 1.1147 -> 1.1211): the backtracking takes a shorter one."""
+        truth = make_apple()
+        grid = NodeGrid(100)
+        ff = far_field(solve_forward(truth, params, wave, grid), truth, params, OBS, grid)
+        noisy = add_noise_phased(ff, 0.01, seed=3)
+        cfg = InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4, epsilon=0.2)
+        E = [r.E_k for r in run_phased(noisy, params, wave, cfg)]
+        assert len(E) >= 3
+        assert all(b < a for a, b in zip(E, E[1:]))
+
+    def test_stagnated_iterate_is_resolved(self, params):
+        """From 3pi/8 the steps head for a pinch. Candidates too thin for
+        the n = 64 grid are skipped, so the last iterate's E_k agrees with
+        a solve on the data grid; accepting them left it 2.7e-3 off."""
+        truth = make_apple()
+        wave = IncidentWave(3 * np.pi / 8)
+        grid = NodeGrid(100)
+        ff = far_field(solve_forward(truth, params, wave, grid), truth, params, OBS, grid)
+        noisy = add_noise_phased(ff, 0.01, seed=3)
+        cfg = InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4, epsilon=0.2)
+        last = run_phased(noisy, params, wave, cfg)[-1]
+        assert cfg.epsilon < last.E_k and last.k < cfg.max_iter
+        pred = far_field(solve_forward(last.curve, params, wave, grid), last.curve,
+                         params, OBS, grid)
+        E_fine = trapezoid_norm(noisy.values - pred.values) / trapezoid_norm(noisy.values)
+        assert abs(E_fine - last.E_k) < 1e-5
 
     def test_err_column_none_without_truth(self, params, wave):
         cfg = InverseConfig(initial_center=(0.0, 0.0), initial_radius=0.5,

@@ -275,6 +275,14 @@ class TestRunPhaseless:
         assert counts["assemble_two_body"] == counts["predictions"] > counts["jacobians"]
         assert counts["in_jacobian"] == 0
 
+    def test_residual_strictly_decreases(self, params, wave, peanut_scene):
+        *_, data, _ = peanut_scene
+        cfg = InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
+                            epsilon=1e-3, n_forward=32, max_iter=4)
+        E = [r.E_k for r in run_phaseless(data, BALL, params, wave, cfg)]
+        assert len(E) == 5
+        assert all(b < a for a, b in zip(E, E[1:]))
+
     def test_fixed_point_exit(self, params, wave):
         cfg = InverseConfig(initial_center=(0.0, 0.1), initial_radius=0.5,
                             epsilon=0.05, n_forward=32)

@@ -12,8 +12,7 @@ from aescatter.geometry import (
     make_fourier,
     make_peanut,
 )
-from aescatter.inverse_phased import BoundaryUpdate, apply_update
-from aescatter.inverse_phaseless import _boundary_motion
+from aescatter.inverse_phased import BoundaryUpdate, _boundary_motion, apply_update
 from aescatter.kernels import grad_phi, hess_phi, phi
 from aescatter.multibody import (
     assemble_two_body,
