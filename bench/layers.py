@@ -6,15 +6,18 @@ three wavenumbers of one assembly, each with the pair geometry they need),
 n in {32, 64, 100, 128}; the phased Frechet matrix (``frechet_columns``) at
 the criterion-8 initial guess with M = 6, n = 64 and 128 angles; and the
 two-body layers of the criterion-9 case at n = 64: ``cross_blocks`` of the
-peanut and the reference ball, and at the initial guess with M = 6 one
-phaseless Jacobian (``_jacobian_at``) and the self-block shape derivative
-inside it (``system_sensitivity``, on checkouts that have it); and the two
-whole reconstructions, ``run_phased`` on the criterion-8 case and
-``run_phaseless`` on the criterion-9 case, from data made at n = 100. Each
-is timed with ``time.perf_counter`` and repeats, and the median and
-interquartile range of each go to a JSON file:
+peanut and the reference ball (with the Hankel values they share), and at
+the initial guess with M = 6 one prediction of |u_inf|^2 as the line search
+makes it (``_predicted_modulus``: two-body assembly, 768 x 768 LU, far
+field; with the ball's blocks built beforehand on checkouts that build them
+once per reconstruction), one phaseless Jacobian (``_jacobian_at``) and the
+self-block shape derivative inside it (``system_sensitivity``, on checkouts
+that have it); and the two whole reconstructions, ``run_phased`` on the
+criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
+made at n = 100. Each is timed with ``time.perf_counter`` and repeats, and
+the median and interquartile range of each go to a JSON file:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_9.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_10.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -134,11 +137,25 @@ def phaseless_calls() -> dict:
     start = initial_curve(InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
                                         epsilon=0.1, M=6, n_forward=INVERSE_N))
     angles = 2.0 * np.pi * np.arange(64) / 64
-    _, scene = inverse_phaseless._predicted_modulus(start, ball, params, wave, angles, grid)
+    if hasattr(multibody, "cross_pair"):
+        def cross():
+            return multibody.cross_blocks(multibody.cross_pair(peanut, ball, params, grid, grid))
+    else:  # before the pair data was shared with the Jacobian
+        def cross():
+            return multibody.cross_blocks(peanut, ball, params, grid, grid)
+    # the ball's part of the system, built once per reconstruction where it is
+    fixed = (inverse_phaseless._fixed_ball(ball, params, wave, angles, grid)
+             if hasattr(inverse_phaseless, "_fixed_ball") else ball)
+
+    def predict():
+        return inverse_phaseless._predicted_modulus(start, fixed, params, wave, angles, grid)
+
+    _, scene = predict()
     calls = {
-        "cross_blocks": lambda: multibody.cross_blocks(peanut, ball, params, grid, grid),
+        "cross_blocks": cross,
+        "predicted_modulus": predict,
         "jacobian_at": lambda: inverse_phaseless._jacobian_at(
-            start, ball, params, wave, angles, 6, grid, scene),
+            start, fixed, params, wave, angles, 6, grid, scene),
     }
     if hasattr(fw, "system_sensitivity"):  # before it, the self block was differenced
         motion = inverse_phaseless._boundary_motion(
@@ -181,7 +198,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_9.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
@@ -207,7 +224,8 @@ def main(argv=None) -> None:
         "phased": "the criterion-8 initial circle, incident angle pi/8; Frechet "
                   "matrix M = 6, 128 angles",
         "two_body": "peanut or the criterion-9 initial circle, with the ball "
-                    "((6.6, 0), 0.71); Jacobian and self-block derivative M = 6, 64 angles",
+                    "((6.6, 0), 0.71); prediction, Jacobian and self-block derivative "
+                    "M = 6, 64 angles",
         "reconstructions": "run_phased on criterion 8 (apple, pi/8, 128 angles, 1% noise "
                            "seed 3) and run_phaseless on criterion 9 (peanut and the ball, "
                            "pi/6, 64 angles, 1% noise seed 7), M = 6, n_forward = 64",

@@ -433,7 +433,8 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     interior eigenvalue or a Jones-adjacent frequency can do this). The
     returned ``solve(b)`` takes one right-hand side or a matrix of them as
     columns, and raises FloatingPointError when the relative residual
-    ||A x - b|| / ||b|| of any column exceeds 1e-10.
+    ||A x - b|| / ||b|| of any column exceeds 1e-10 or is not a number
+    (a zero pivot gives NaN densities).
     """
     lu, piv = lu_factor(system)
     gecon = get_lapack_funcs("gecon", (system,))
@@ -450,7 +451,7 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         resid = np.linalg.norm(system @ x - b, axis=0)
         bnorm = np.linalg.norm(b, axis=0)
         rel = np.max(resid / np.where(bnorm > 0, bnorm, 1.0))
-        if rel > _RESIDUAL_GATE:
+        if not rel <= _RESIDUAL_GATE:  # a NaN residual fails the gate too
             raise FloatingPointError(f"linear solve residual too large: {rel:.2e}")
         return x
 

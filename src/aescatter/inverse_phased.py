@@ -219,8 +219,14 @@ def frechet_columns(
         grid = NodeGrid(len(densities.phi3_tilde) // 2)
     motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, M)
     Fx = far_field_matrix(curve, params, obs_angles, grid) * densities.phi3_tilde
-    return -1j * params.kappa_a * (np.cos(obs_angles)[:, None] * (Fx @ motion.dp[:, 0])
-                                   + np.sin(obs_angles)[:, None] * (Fx @ motion.dp[:, 1]))
+    return _phase_columns(Fx, obs_angles, motion, params.kappa_a)
+
+
+def _phase_columns(Fx, obs_angles, motion: BoundaryMotion, kappa_a: float) -> np.ndarray:
+    """The columns of ``frechet_columns`` from Fx, the far-field quadrature
+    matrix times the fixed acoustic density, and the node motion."""
+    return -1j * kappa_a * (np.cos(obs_angles)[:, None] * (Fx @ motion.dp[:, 0])
+                            + np.sin(obs_angles)[:, None] * (Fx @ motion.dp[:, 1]))
 
 
 def _penalty_diag(M: int) -> np.ndarray:

@@ -13,29 +13,32 @@ same center-plus-trig-polynomial parameter space as the phased algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .forward import (
-    DensitySet,
     IncidentWave,
     MaterialParams,
+    assemble_system,
     factor_system,
     far_field_matrix,
     rhs_plane_wave,
     system_sensitivity,
 )
-from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet, make_circle
+from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, make_circle
 from .inverse_phased import (
     InverseConfig,
     IterationRecord,
     _boundary_motion,
     _newton_tikhonov,
+    _phase_columns,
     frechet_columns,
     initial_curve,
     noise_samples,
 )
 from .multibody import (
+    CrossPair,
     TwoBodyDensities,
     assemble_two_body,
     cross_block_sensitivity,
@@ -122,23 +125,52 @@ def phaseless_columns(
     return 2.0 * (np.conj(total_values)[:, None] * B).real
 
 
+class _FixedBall(NamedTuple):
+    """The part of the two-body problem that no obstacle update changes: the
+    ball's curve, self block A_bb, right-hand side b_b and far-field matrix
+    F_b at the observation angles."""
+
+    curve: StarlikeCurve
+    A: np.ndarray
+    b: np.ndarray
+    F: np.ndarray
+
+
+def _fixed_ball(ball_curve: StarlikeCurve, params: MaterialParams, wave: IncidentWave,
+                angles: np.ndarray, grid: NodeGrid) -> _FixedBall:
+    return _FixedBall(ball_curve, assemble_system(ball_curve, params, grid),
+                      np.concatenate(rhs_plane_wave(ball_curve, params, wave, grid)),
+                      far_field_matrix(ball_curve, params, angles, grid))
+
+
+class _Scene(NamedTuple):
+    """What a Jacobian at a predicted curve reuses from its prediction: the
+    checked solver of the two-body system, the densities [x_d, x_b], the
+    cross-pair data and the obstacle's far-field matrix F_d."""
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    x: np.ndarray
+    pair: CrossPair
+    F_d: np.ndarray
+
+
 def _predicted_modulus(
     curve_d: StarlikeCurve,
-    ball_curve: StarlikeCurve,
+    ball: _FixedBall,
     params: MaterialParams,
     wave: IncidentWave,
     angles: np.ndarray,
     grid: NodeGrid,
-):
-    """Predicted |u_inf|^2 at ``angles``, with the (checked solver, density
-    vector) pair of the two-body system it came from, for a Jacobian there."""
-    solve = factor_system(assemble_two_body(curve_d, ball_curve, params, grid))
-    x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid),
-                              *rhs_plane_wave(ball_curve, params, wave, grid)]))
+) -> tuple[np.ndarray, _Scene]:
+    """Predicted |u_inf|^2 at ``angles``, with the ``_Scene`` of the two-body
+    system it came from, for a Jacobian there."""
+    A, pair = assemble_two_body(curve_d, ball.curve, params, grid, grid, ball.A)
+    solve = factor_system(A)
+    x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid), ball.b]))
     N = grid.size
-    total = (far_field_matrix(curve_d, params, angles, grid) @ x[2 * N : 3 * N]
-             + far_field_matrix(ball_curve, params, angles, grid) @ x[5 * N :])
-    return np.abs(total) ** 2, (solve, x)
+    F_d = far_field_matrix(curve_d, params, angles, grid)
+    total = F_d @ x[2 * N : 3 * N] + ball.F @ x[5 * N :]
+    return np.abs(total) ** 2, _Scene(solve, x, pair, F_d)
 
 
 def exact_phaseless_jacobian(
@@ -157,22 +189,26 @@ def exact_phaseless_jacobian(
     coefficients a_0..a_M, b_1..b_M of a radial update r + dr, and
     ``inverse_phased._boundary_motion`` gives how they move the nodes. The
     derivative is taken at any starlike ``curve_d``, whatever its radial
-    profile, as no perturbed curve is built. A is assembled and factored
-    once. The density response to each parameter is dx = -A^{-1}(dA x - db),
-    from the one factorization with every column behind the same residual
-    gate as a forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. Every piece
+    profile, as no perturbed curve is built. The ball's self block,
+    right-hand side and far-field matrix are built once, then A is assembled
+    and factored once, as one prediction of ``run_phaseless`` does. The
+    density response to each parameter is dx = -A^{-1}(dA x - db), from the
+    one factorization with every column behind the same residual gate as a
+    forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. Every piece
     that moves with the obstacle is differentiated analytically from the
     per-node motion of each parameter: the self block A_dd x_d
-    (``system_sensitivity``), both cross-block products A_db x_b and
-    A_bd x_d, the right-hand side b_d and the obstacle's far-field
-    quadrature dF_D x_d. The ball's blocks do not move. Unlike
+    (``system_sensitivity``), both cross-block products A_db x_b and A_bd x_d
+    (from the Hankel values the cross blocks of A were built from), the
+    right-hand side b_d and the obstacle's far-field quadrature dF_D x_d
+    (from the F_D of the prediction). The ball's blocks do not move. Unlike
     ``phaseless_columns`` the density response to the shape change is
     included. The squared modulus is quadratic in the fields and the
     density response is not a small correction there: the frozen-density
     matrix can point uphill, while this one is the true derivative.
     """
-    _, scene = _predicted_modulus(curve_d, ball_curve, params, wave, angles, grid)
-    return _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene)
+    ball = _fixed_ball(ball_curve, params, wave, angles, grid)
+    _, scene = _predicted_modulus(curve_d, ball, params, wave, angles, grid)
+    return _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene)
 
 
 def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
@@ -189,29 +225,29 @@ def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
     return np.concatenate([dw1, np.zeros_like(dw1), dw3])
 
 
-def _jacobian_at(curve_d, ball_curve, params, wave, angles, M, grid, scene):
-    """``exact_phaseless_jacobian`` from the (solver, densities) pair of the
-    two-body system at ``curve_d``, which the caller already has."""
-    solve, x = scene
+def _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene):
+    """``exact_phaseless_jacobian`` from the ``_FixedBall`` and the
+    ``_Scene`` of the two-body system at ``curve_d``, which the caller
+    already has: no Hankel function of the cross blocks is evaluated again,
+    and neither the jets nor F_D are rebuilt."""
+    solve, x, pair, F_d = scene
     N = grid.size
     x_d, x_b = x[: 3 * N], x[3 * N :]
-    jets = jet(curve_d, grid.nodes)
+    jets = pair.jets_d
     motion = _boundary_motion(jets, grid.nodes, M)
 
-    d_db, d_bd = cross_block_sensitivity(
-        curve_d, ball_curve, params, grid, grid, x_d, x_b, motion)
+    d_db, d_bd = cross_block_sensitivity(pair, x_d, x_b, motion)
     d_dd = system_sensitivity(curve_d, params, grid, x_d, motion)
     dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     dx = solve(-dR)
 
-    F_d = far_field_matrix(curve_d, params, angles, grid)
-    F_b = far_field_matrix(ball_curve, params, angles, grid)
-    u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * N :]
+    u = F_d @ x_d[2 * N :] + ball.F @ x_b[2 * N :]
     # moving the nodes changes F_D x_d through the phase (the frozen-density
     # Frechet columns) and through the weight G^2, by 2 dG_i / G_i per node
-    dF = (frechet_columns(curve_d, DensitySet(*np.split(x_d, 3)), params, angles, M, grid)
-          + (F_d * x_d[2 * N :]) @ (2.0 * motion.dG / jets.G[:, None]))
-    du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[5 * N :]
+    Fx = F_d * x_d[2 * N :]
+    dF = (_phase_columns(Fx, angles, motion, params.kappa_a)
+          + Fx @ (2.0 * motion.dG / jets.G[:, None]))
+    du = dF + F_d @ dx[2 * N : 3 * N] + ball.F @ dx[5 * N :]
     return 2.0 * (np.conj(u)[:, None] * du).real
 
 
@@ -225,10 +261,13 @@ def run_phaseless(
 ) -> list[IterationRecord]:
     """Full reconstruction loop from phaseless total-field data.
 
-    Only the obstacle moves; the ball is trusted as given. Each step of
-    ``inverse_phased._newton_tikhonov`` uses the exact Jacobian of |u_inf|^2
-    on the factorization the line search made at the iterate. A candidate
-    within 0.1 of the ball fails in ``assemble_two_body`` and is skipped.
+    Only the obstacle moves; the ball is trusted as given, and its self
+    block, right-hand side and far-field matrix are built once per run.
+    Each step of ``inverse_phased._newton_tikhonov`` uses the exact
+    Jacobian of |u_inf|^2 on the factorization, the cross-block Hankel
+    values and the far-field matrix that the line search made at the
+    iterate. A candidate within 0.1 of the ball fails in
+    ``assemble_two_body`` and is skipped.
     """
     ball_curve = ball.curve()
     grid = NodeGrid(config.n_forward)
@@ -238,10 +277,11 @@ def run_phaseless(
             f"initial guess approaches the reference ball "
             f"(separation {sep:.3f} < {_MIN_BALL_SEPARATION})"
         )
+    fixed = _fixed_ball(ball_curve, params, wave, data.angles, grid)
     # the module attributes are read at each call, so that they can be patched
     return _newton_tikhonov(
         data.values,
-        lambda curve: _predicted_modulus(curve, ball_curve, params, wave, data.angles, grid),
+        lambda curve: _predicted_modulus(curve, fixed, params, wave, data.angles, grid),
         lambda curve, _, scene: _jacobian_at(
-            curve, ball_curve, params, wave, data.angles, config.M, grid, scene),
+            curve, fixed, params, wave, data.angles, config.M, grid, scene),
         config, ground_truth)

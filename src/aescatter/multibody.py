@@ -5,8 +5,8 @@ for the self-interaction blocks; the cross-interaction kernels are smooth
 (the bodies are disjoint) and are discretized by the plain trapezoid rule.
 Each cross kernel is a radial function of |x - y| times powers of the
 normal and tangential components of the unit vector (x - y)/|x - y|, so
-one pair of Hankel evaluations per wavenumber serves both cross blocks,
-and their derivatives when the obstacle moves.
+one pair of Hankel evaluations per wavenumber (a ``CrossPair``) serves both
+cross blocks, and their derivatives when the obstacle moves.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ from .forward import (
     gamma_far,
     rhs_plane_wave,
 )
-from .geometry import BoundaryMotion, NodeGrid, StarlikeCurve, jet
+from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
 from .specfun import hankel1_0, hankel1_1
 
 __all__ = [
     "TwoBodyDensities",
     "separation",
+    "CrossPair",
+    "cross_pair",
     "cross_blocks",
     "cross_block_sensitivity",
     "assemble_two_body",
@@ -155,10 +157,32 @@ def _target_block(mono, parts, w, params: MaterialParams) -> np.ndarray:
     return np.block(kernels)
 
 
-def _pair_data(curve_d, curve_b, params, grid_d, grid_b):
-    """What both cross blocks share: the jets and trapezoid weights of each
-    body, the D x B distances r, the unit vectors r_hat from B to D, and
-    the radial factors per wavenumber (H0 and H1 once each)."""
+@dataclass(frozen=True)
+class CrossPair:
+    """What both cross blocks of an obstacle D and a ball B share, and their
+    derivatives when D moves: the jets and trapezoid weights pi/n G^2 of each
+    body, the D x B distances r, the unit vectors r_hat from B to D, and the
+    radial factors of ``_radial_parts`` per wavenumber of ``params``."""
+
+    params: MaterialParams
+    jets_d: CurveJet
+    jets_b: CurveJet
+    w_d: np.ndarray
+    w_b: np.ndarray
+    r: np.ndarray
+    r_hat: np.ndarray
+    parts: list
+
+
+def cross_pair(
+    curve_d: StarlikeCurve,
+    curve_b: StarlikeCurve,
+    params: MaterialParams,
+    grid_d: NodeGrid,
+    grid_b: NodeGrid,
+) -> CrossPair:
+    """The ``CrossPair`` of two disjoint bodies: H0 and H1 once per
+    wavenumber on the D x B distance matrix."""
     jets_d, jets_b = jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes)
     diff = jets_d.p[:, None, :] - jets_b.p[None, :, :]
     r = np.linalg.norm(diff, axis=-1)
@@ -166,46 +190,36 @@ def _pair_data(curve_d, curve_b, params, grid_d, grid_b):
     parts = [_radial_parts(r, k) for k in (params.kappa_p, params.kappa_s, params.kappa_a)]
     w_d = (np.pi / grid_d.n) * jets_d.G**2
     w_b = (np.pi / grid_b.n) * jets_b.G**2
-    return jets_d, jets_b, w_d, w_b, r, r_hat, parts
+    return CrossPair(params, jets_d, jets_b, w_d, w_b, r, r_hat, parts)
 
 
 def _transposed(parts):
     return [[p.T for p in part] for part in parts]
 
 
-def cross_blocks(
-    curve_d: StarlikeCurve,
-    curve_b: StarlikeCurve,
-    params: MaterialParams,
-    grid_d: NodeGrid,
-    grid_b: NodeGrid,
-) -> tuple[np.ndarray, np.ndarray]:
+def cross_blocks(pair: CrossPair) -> tuple[np.ndarray, np.ndarray]:
     """Both cross-interaction blocks of two disjoint bodies, (A_db, A_bd).
 
     A_db has the equations at D's nodes as rows and B's densities as
     columns; A_bd the reverse. The kernels are evaluated pointwise and
     weighted by the trapezoid rule with the source Jacobian squared (the
     densities are scaled by 1/G). Every kernel is a radial factor times
-    powers of nu . r_hat and tau . r_hat, so H0 and H1 are evaluated once
-    per wavenumber on the D x B distance matrix and shared by both blocks;
-    reversing the direction flips r_hat, which flips the sign of the
-    gradient terms only.
+    powers of nu . r_hat and tau . r_hat, so both blocks come from the one
+    set of Hankel values in ``pair``; reversing the direction flips r_hat,
+    which flips the sign of the gradient terms only. ``pair`` is not
+    changed.
     """
-    jets_d, jets_b, w_d, w_b, _, r_hat, parts = _pair_data(
-        curve_d, curve_b, params, grid_d, grid_b)
-    A_db = _target_block(_monomials(jets_d.nu, jets_d.tau, r_hat), parts, w_b, params)
+    jets_d, jets_b, params = pair.jets_d, pair.jets_b, pair.params
+    A_db = _target_block(_monomials(jets_d.nu, jets_d.tau, pair.r_hat), pair.parts,
+                         pair.w_b, params)
     # r_hat from D to B through the sign of the ball's frame, not a copy of r_hat
-    A_bd = _target_block(_monomials(-jets_b.nu, -jets_b.tau, r_hat.transpose(1, 0, 2)),
-                         _transposed(parts), w_d, params)
+    A_bd = _target_block(_monomials(-jets_b.nu, -jets_b.tau, pair.r_hat.transpose(1, 0, 2)),
+                         _transposed(pair.parts), pair.w_d, params)
     return A_db, A_bd
 
 
 def cross_block_sensitivity(
-    curve_d: StarlikeCurve,
-    curve_b: StarlikeCurve,
-    params: MaterialParams,
-    grid_d: NodeGrid,
-    grid_b: NodeGrid,
+    pair: CrossPair,
     x_d: np.ndarray,
     x_b: np.ndarray,
     motion: BoundaryMotion,
@@ -214,22 +228,23 @@ def cross_block_sensitivity(
     cross-block products when D moves by ``motion`` and the densities
     x_d, x_b stay fixed.
 
-    H0 and H1 are evaluated once per wavenumber, as in ``cross_blocks``;
-    every higher r-derivative of phi follows from them. In A_db x_b, D
-    holds the targets: each row moves with its node and turns with its
-    frame, so the gradient of each row in position and frame angle is
-    contracted with x_b once (O(N_d N_b)) and then combined with the
-    motion. In A_bd x_d, D holds the sources: a kernel moves against its
-    source node and the weight pi/n G^2 changes by the factor 2 dG/G, and
-    both go in as one matrix product with the motion.
+    No Hankel function is evaluated: the radial factors come from ``pair``,
+    the values ``cross_blocks`` used, and every higher r-derivative of phi
+    follows from them. In A_db x_b, D holds the targets: each row moves
+    with its node and turns with its frame, so the gradient of each row in
+    position and frame angle is contracted with x_b once (O(N_d N_b)) and
+    then combined with the motion. In A_bd x_d, D holds the sources: a
+    kernel moves against its source node and the weight pi/n G^2 changes by
+    the factor 2 dG/G, and both go in as one matrix product with the
+    motion.
     """
-    jets_d, jets_b, w_d, w_b, r, r_hat, parts = _pair_data(
-        curve_d, curve_b, params, grid_d, grid_b)
+    jets_d, jets_b, params = pair.jets_d, pair.jets_b, pair.params
+    r, r_hat, parts = pair.r, pair.r_hat, pair.parts
     kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
     slopes = [_radial_slopes(p, r, k) for p, k in zip(parts, kappas)]
     dp, dtheta, dG = motion.dp, motion.dtheta, motion.dG
 
-    v_b = 2.0 * w_b * x_b.reshape(3, -1)
+    v_b = 2.0 * pair.w_b * x_b.reshape(3, -1)
     d_db = np.concatenate([
         gx.sum(axis=1)[:, None] * dp[:, 0] + gy.sum(axis=1)[:, None] * dp[:, 1]
         + gt.sum(axis=1)[:, None] * dtheta
@@ -237,7 +252,7 @@ def cross_block_sensitivity(
             _monomials(jets_d.nu, jets_d.tau, r_hat), parts, slopes, r, r_hat, v_b, params)
     ])
 
-    v_d = 2.0 * w_d * x_d.reshape(3, -1)
+    v_d = 2.0 * pair.w_d * x_d.reshape(3, -1)
     r_hat_b, parts_b = -r_hat.transpose(1, 0, 2), _transposed(parts)
     mono_b = _monomials(jets_b.nu, jets_b.tau, r_hat_b)
     values = _weighted(_kernels(mono_b, parts_b, params), v_d)
@@ -256,25 +271,33 @@ def assemble_two_body(
     curve_b: StarlikeCurve,
     params: MaterialParams,
     grid_d: NodeGrid,
-    grid_b: NodeGrid | None = None,
-) -> np.ndarray:
-    """Block system for the coupled obstacle-ball scattering problem.
+    grid_b: NodeGrid,
+    A_bb: np.ndarray,
+) -> tuple[np.ndarray, CrossPair]:
+    """Block system for the coupled obstacle-ball scattering problem, and the
+    ``CrossPair`` its cross blocks came from.
 
-    Unknown ordering is [densities on D, densities on B]; self-blocks are
-    exactly the single-body system matrices.
+    Unknown ordering is [densities on D, densities on B]; the self-blocks are
+    exactly the single-body system matrices. The ball's, A_bb =
+    ``assemble_system(curve_b, params, grid_b)``, is passed in: it does not
+    depend on the obstacle, so a reconstruction assembles it once. A_dd and
+    both cross blocks are built here, after the bodies are checked to be at
+    least 0.1 apart.
     """
-    if grid_b is None:
-        grid_b = NodeGrid(grid_d.n)
     sep = separation(curve_d, curve_b)
     if sep < _MIN_SEPARATION:
         raise ValueError(
             f"bodies too close (separation {sep:.3f} < {_MIN_SEPARATION}); "
             "the cross kernels would be nearly singular"
         )
+    # the pair first: a reconstruction keeps it past the system's temporaries,
+    # and built above them it left glibc's heap so fragmented that a later
+    # n = 100 two-body solve raised the peak resident size by 21 MB in about
+    # half the runs
+    pair = cross_pair(curve_d, curve_b, params, grid_d, grid_b)
     A_dd = assemble_system(curve_d, params, grid_d)
-    A_bb = assemble_system(curve_b, params, grid_b)
-    A_db, A_bd = cross_blocks(curve_d, curve_b, params, grid_d, grid_b)
-    return np.block([[A_dd, A_db], [A_bd, A_bb]])
+    A_db, A_bd = cross_blocks(pair)
+    return np.block([[A_dd, A_db], [A_bd, A_bb]]), pair
 
 
 def solve_two_body_forward(
@@ -288,7 +311,8 @@ def solve_two_body_forward(
     """Assemble and solve the two-body plane-wave scattering problem."""
     if grid_b is None:
         grid_b = NodeGrid(grid_d.n)
-    A = assemble_two_body(curve_d, curve_b, params, grid_d, grid_b)
+    A = assemble_two_body(curve_d, curve_b, params, grid_d, grid_b,
+                          assemble_system(curve_b, params, grid_b))[0]
     b_d = np.concatenate(rhs_plane_wave(curve_d, params, wave, grid_d))
     b_b = np.concatenate(rhs_plane_wave(curve_b, params, wave, grid_b))
     if A.shape != (len(b_d) + len(b_b),) * 2:

@@ -409,3 +409,17 @@ class TestSystemSensitivity:
             for k in range(2, 2 * degree + 3)
         ])
         assert np.abs(dAx[:, 2:] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+class TestFactorSystem:
+    @pytest.mark.filterwarnings("ignore:Diagonal number:scipy.linalg.LinAlgWarning")
+    def test_nan_residual_fails_the_gate(self):
+        """A zero pivot gives NaN densities; the NaN residual fails the gate
+        as a large one does, instead of passing every comparison."""
+        A = np.eye(6)
+        A[2, 2] = 0.0
+        with pytest.warns(RuntimeWarning, match="nearly singular"):
+            solve = factor_system(A)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError, match="linear solve residual too large"):
+            solve(np.ones(6))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aescatter import forward, inverse_phaseless, multibody
+from aescatter import forward, inverse_phased, inverse_phaseless, multibody
 from aescatter.forward import (
     IncidentWave,
     assemble_system,
@@ -22,6 +22,7 @@ from aescatter.inverse_phased import (
 from aescatter.inverse_phaseless import (
     PhaselessData,
     ReferenceBallSpec,
+    _fixed_ball,
     _predicted_modulus,
     add_noise_phaseless,
     exact_phaseless_jacobian,
@@ -33,6 +34,12 @@ from aescatter.multibody import far_field_sum, solve_two_body_forward
 OBS = 2.0 * np.pi * np.arange(64) / 64
 M = 6
 BALL = ReferenceBallSpec((6.6, 0.0), 0.71)
+
+
+def _ball(params, wave, grid):
+    """The fixed part of ``BALL``'s two-body problem, as ``run_phaseless``
+    builds it once."""
+    return _fixed_ball(BALL.curve(), params, wave, OBS, grid)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +104,7 @@ class TestNoise:
 class TestResidual:
     def test_consistency_zero(self, params, wave, peanut_scene):
         curve, _, _, data, grid = peanut_scene
-        pred, _ = _predicted_modulus(curve, BALL.curve(), params, wave, OBS, grid)
+        pred, _ = _predicted_modulus(curve, _ball(params, wave, grid), params, wave, OBS, grid)
         assert np.abs(data.values - pred).max() < 1e-9
 
     def test_global_phase_invariance(self, params, wave, peanut_scene):
@@ -105,14 +112,14 @@ class TestResidual:
         # squared-modulus data unchanged
         curve, _, total, _, grid = peanut_scene
         rotated = PhaselessData(OBS, np.abs(np.exp(0.7j) * total.values) ** 2)
-        pred, _ = _predicted_modulus(curve, BALL.curve(), params, wave, OBS, grid)
+        pred, _ = _predicted_modulus(curve, _ball(params, wave, grid), params, wave, OBS, grid)
         assert np.abs(rotated.values - pred).max() < 1e-9
 
     def test_translation_sensitivity(self, params, wave, peanut_scene):
         # moving the obstacle with the ball fixed changes the data
         curve, _, _, data, grid = peanut_scene
         moved = translate(curve, (0.5, 0.0))
-        pred, _ = _predicted_modulus(moved, BALL.curve(), params, wave, OBS, grid)
+        pred, _ = _predicted_modulus(moved, _ball(params, wave, grid), params, wave, OBS, grid)
         assert np.abs(data.values - pred).max() > 1e-3
 
 
@@ -180,10 +187,10 @@ class TestColumns:
         h = 1e-5
         up = BoundaryUpdate(np.array([h, 0.0]), np.zeros(2), np.zeros(1))
         from aescatter.inverse_phased import apply_update
-        pp, _ = _predicted_modulus(apply_update(curve, up), BALL.curve(), params,
+        pp, _ = _predicted_modulus(apply_update(curve, up), _ball(params, wave, grid), params,
                                    wave, OBS, grid)
-        pm, _ = _predicted_modulus(apply_update(curve, up.scaled(-1.0)), BALL.curve(),
-                                   params, wave, OBS, grid)
+        pm, _ = _predicted_modulus(apply_update(curve, up.scaled(-1.0)),
+                                   _ball(params, wave, grid), params, wave, OBS, grid)
         secant = (pp - pm) / (2 * h)
         assert np.abs(J[:, 0] - secant).max() / np.abs(secant).max() < 1e-4
 
@@ -201,14 +208,14 @@ class TestExactJacobian:
         grid, M, h = NodeGrid(32), self.DEGREE, 1e-6
         curve = self._curve()
         J = exact_phaseless_jacobian(curve, BALL.curve(), params, wave, OBS, M, grid)
-        n_par = 2 * M + 3
+        n_par, ball = 2 * M + 3, _ball(params, wave, grid)
         fd = np.empty((len(OBS), n_par))
         for i in range(n_par):
             xi = np.zeros(n_par)
             xi[i] = h
             bump = BoundaryUpdate(xi[:2], xi[2:3 + M], xi[3 + M:])
             plus, minus = (
-                _predicted_modulus(apply_update(curve, b), BALL.curve(), params,
+                _predicted_modulus(apply_update(curve, b), ball, params,
                                    wave, OBS, grid)[0]
                 for b in (bump, bump.scaled(-1.0))
             )
@@ -275,6 +282,26 @@ class TestRunPhaseless:
         assert counts["assemble_two_body"] == counts["predictions"] > counts["jacobians"]
         assert counts["in_jacobian"] == 0
 
+    def test_ball_self_block_assembled_once(self, params, wave, peanut_scene, monkeypatch):
+        """The ball never moves: one run assembles its self block once, and
+        the obstacle's at every prediction."""
+        *_, data, _ = peanut_scene
+        ball = BALL.curve().to_dict()
+        calls = {"ball": 0, "obstacle": 0}
+        assemble = forward.assemble_system
+
+        def counting(curve, params, grid):
+            calls["ball" if curve.to_dict() == ball else "obstacle"] += 1
+            return assemble(curve, params, grid)
+
+        for module in (forward, inverse_phaseless, multibody):
+            monkeypatch.setattr(module, "assemble_system", counting)
+        cfg = InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
+                            epsilon=1e-3, M=2, max_iter=2, n_forward=16)
+        records = run_phaseless(data, BALL, params, wave, cfg)
+        assert calls["ball"] == 1
+        assert calls["obstacle"] >= len(records) == 3
+
     def test_residual_strictly_decreases(self, params, wave, peanut_scene):
         *_, data, _ = peanut_scene
         cfg = InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
@@ -307,12 +334,14 @@ def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, st
     """The implicit-differentiation Jacobian with every obstacle-dependent
     piece (A_dd x_d, both cross-block products, b_d and the obstacle's
     far-field quadrature) central-differenced on perturbed curves."""
-    solve, x = _predicted_modulus(curve_d, ball_curve, params, wave, angles, grid)[1]
+    ball = _fixed_ball(ball_curve, params, wave, angles, grid)
+    solve, x, *_ = _predicted_modulus(curve_d, ball, params, wave, angles, grid)[1]
     N = grid.size
     x_d, x_b = x[: 3 * N], x[3 * N :]
 
     def moving_terms(curve):
-        A_db, A_bd = multibody.cross_blocks(curve, ball_curve, params, grid, grid)
+        A_db, A_bd = multibody.cross_blocks(
+            multibody.cross_pair(curve, ball_curve, params, grid, grid))
         rows_d = (
             assemble_system(curve, params, grid) @ x_d
             + A_db @ x_b
@@ -369,7 +398,8 @@ class TestAnalyticJacobian:
         """One Jacobian assembles no system and builds no cross blocks: every
         obstacle-dependent piece is differentiated on the given scene."""
         grid, curve = NodeGrid(16), TestExactJacobian._curve()
-        scene = _predicted_modulus(curve, BALL.curve(), params, wave, OBS, grid)[1]
+        ball = _ball(params, wave, grid)
+        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
         calls = {"assemble_system": 0, "cross_blocks": 0}
 
         def counting(name, fn):
@@ -383,9 +413,35 @@ class TestAnalyticJacobian:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         degree = 3
-        inverse_phaseless._jacobian_at(curve, BALL.curve(), params, wave, OBS, degree,
+        inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, degree,
                                        grid, scene)
         assert calls == {"assemble_system": 0, "cross_blocks": 0}
+
+    def test_scene_values_reused(self, params, wave, monkeypatch):
+        """The Jacobian takes the cross blocks' Hankel values and F_D from the
+        scene of its prediction: it calls neither H0 nor H1 from
+        ``multibody`` and builds no far-field matrix, and it equals the
+        public Jacobian bit for bit."""
+        grid, curve, degree = NodeGrid(16), TestExactJacobian._curve(), 3
+        ref = exact_phaseless_jacobian(curve, BALL.curve(), params, wave, OBS, degree, grid)
+        ball = _ball(params, wave, grid)
+        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        calls = {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("hankel1_0", "hankel1_1"):
+            monkeypatch.setattr(multibody, name, counting(name, getattr(multibody, name)))
+        for module in (forward, inverse_phased, inverse_phaseless):
+            monkeypatch.setattr(module, "far_field_matrix",
+                                counting("far_field_matrix", module.far_field_matrix))
+        J = inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, degree, grid, scene)
+        assert calls == {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
+        assert np.array_equal(J, ref)
 
     def test_peanut_against_differenced_solves(self, params, wave, bumped):
         """A profile that is not a trigonometric polynomial: every column
@@ -394,9 +450,10 @@ class TestAnalyticJacobian:
         grid, degree, h, ball = NodeGrid(32), 2, 1e-6, BALL.curve()
         curve = make_peanut()
         J = exact_phaseless_jacobian(curve, ball, params, wave, OBS, degree, grid)
+        fixed = _ball(params, wave, grid)
         fd = np.column_stack([
-            (_predicted_modulus(bumped(curve, degree, k, h), ball, params, wave, OBS, grid)[0]
-             - _predicted_modulus(bumped(curve, degree, k, -h), ball, params, wave, OBS,
+            (_predicted_modulus(bumped(curve, degree, k, h), fixed, params, wave, OBS, grid)[0]
+             - _predicted_modulus(bumped(curve, degree, k, -h), fixed, params, wave, OBS,
                                   grid)[0]) / (2.0 * h)
             for k in range(2 * degree + 3)
         ])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aescatter.forward import IncidentWave, far_field, solve_forward
+from aescatter.forward import IncidentWave, assemble_system, far_field, solve_forward
 from aescatter.geometry import (
     NodeGrid,
     jet,
@@ -18,6 +18,7 @@ from aescatter.multibody import (
     assemble_two_body,
     cross_block_sensitivity,
     cross_blocks,
+    cross_pair,
     far_field_sum,
     separation,
     solve_two_body_forward,
@@ -35,8 +36,9 @@ class TestSeparation:
     def test_close_bodies_rejected(self, params):
         a = make_circle((0, 0), 1.0)
         b = make_circle((2.05, 0), 1.0)
+        grid = NodeGrid(16)
         with pytest.raises(ValueError, match="too close"):
-            assemble_two_body(a, b, params, NodeGrid(16))
+            assemble_two_body(a, b, params, grid, grid, assemble_system(b, params, grid))
 
 
 class TestDecoupling:
@@ -144,7 +146,7 @@ class TestCrossBlocks:
         curve, ball = shape(), make_circle((6.6, 0.0), 0.71)
         grid_d, grid_b = NodeGrid(n_d), NodeGrid(n_b)
         jets_d, jets_b = jet(curve, grid_d.nodes), jet(ball, grid_b.nodes)
-        A_db, A_bd = cross_blocks(curve, ball, params, grid_d, grid_b)
+        A_db, A_bd = cross_blocks(cross_pair(curve, ball, params, grid_d, grid_b))
         for got, ref in (
             (A_db, _pointwise_cross_block(jets_d, jets_b, grid_b, params)),
             (A_bd, _pointwise_cross_block(jets_b, jets_d, grid_d, params)),
@@ -153,7 +155,40 @@ class TestCrossBlocks:
             assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-13
 
 
+class TestAssembleTwoBody:
+    @pytest.mark.parametrize("shape", [make_peanut, make_apple], ids=["peanut", "apple"])
+    @pytest.mark.parametrize("n_d,n_b", [(16, 16), (32, 32), (32, 48)])
+    def test_passed_ball_block_equals_fresh_blocks(self, params, shape, n_d, n_b):
+        """The system with the ball's self block passed in is, bit for bit,
+        the four blocks assembled afresh."""
+        curve, ball = shape(), make_circle((6.6, 0.0), 0.71)
+        grid_d, grid_b = NodeGrid(n_d), NodeGrid(n_b)
+        A, _ = assemble_two_body(curve, ball, params, grid_d, grid_b,
+                                 assemble_system(ball, params, grid_b))
+        A_db, A_bd = cross_blocks(cross_pair(curve, ball, params, grid_d, grid_b))
+        ref = np.block([[assemble_system(curve, params, grid_d), A_db],
+                        [A_bd, assemble_system(ball, params, grid_b)]])
+        assert np.array_equal(A, ref)
+
+
 class TestCrossBlockSensitivity:
+    def test_pair_of_the_assembly_equals_a_fresh_pair(self, params):
+        """The pair data an assembly returns, after its cross blocks were
+        built from it, gives bit for bit the derivatives of pair data built
+        for the call alone."""
+        curve = make_fourier((0.0, 0.1), [0.49, 0.02, -0.15], [0.03, 0.01])
+        ball, grid_d, grid_b = make_circle((6.6, 0.0), 0.71), NodeGrid(32), NodeGrid(48)
+        rng = np.random.default_rng(5)
+        x_d, x_b = (rng.standard_normal(3 * g.size) + 1j * rng.standard_normal(3 * g.size)
+                    for g in (grid_d, grid_b))
+        motion = _boundary_motion(jet(curve, grid_d.nodes), grid_d.nodes, 6)
+        _, shared = assemble_two_body(curve, ball, params, grid_d, grid_b,
+                                      assemble_system(ball, params, grid_b))
+        fresh = cross_pair(curve, ball, params, grid_d, grid_b)
+        for got, ref in zip(cross_block_sensitivity(shared, x_d, x_b, motion),
+                            cross_block_sensitivity(fresh, x_d, x_b, motion)):
+            assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("degree", [2, 6])
     def test_matches_differenced_cross_blocks(self, params, degree):
         """Both directions, every parameter, against central differences of
@@ -164,7 +199,7 @@ class TestCrossBlockSensitivity:
         x_d, x_b = (rng.standard_normal(3 * g.size) + 1j * rng.standard_normal(3 * g.size)
                     for g in (grid_d, grid_b))
         motion = _boundary_motion(jet(curve, grid_d.nodes), grid_d.nodes, degree)
-        d_db, d_bd = cross_block_sensitivity(curve, ball, params, grid_d, grid_b,
+        d_db, d_bd = cross_block_sensitivity(cross_pair(curve, ball, params, grid_d, grid_b),
                                              x_d, x_b, motion)
         n_par, h = 2 * degree + 3, 1e-6
         fd_db, fd_bd = np.empty_like(d_db), np.empty_like(d_bd)
@@ -173,7 +208,7 @@ class TestCrossBlockSensitivity:
             xi[i] = h
             bump = BoundaryUpdate(xi[:2], xi[2:3 + degree], xi[3 + degree:])
             (db_p, bd_p), (db_m, bd_m) = (
-                cross_blocks(apply_update(curve, b), ball, params, grid_d, grid_b)
+                cross_blocks(cross_pair(apply_update(curve, b), ball, params, grid_d, grid_b))
                 for b in (bump, bump.scaled(-1.0))
             )
             fd_db[:, i] = (db_p - db_m) @ x_b / (2.0 * h)
