@@ -17,7 +17,7 @@ criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
 made at n = 100. Each is timed with ``time.perf_counter`` and repeats, and
 the median and interquartile range of each go to a JSON file:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_10.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_11.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -198,7 +198,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_11.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy

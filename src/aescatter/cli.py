@@ -12,8 +12,8 @@ Commands
     code 0 when the stopping tolerance was reached, 2 otherwise.
 ``aescatter verify [--quick]``
     Run the analytic self-checks (quadrature identities, special-function
-    identity, translation covariance, jump relations, derivative checks)
-    and report measured errors.
+    identity, translation covariance, Frechet finite differences, seeded
+    noise reproducibility) and report measured errors.
 
 All outputs go to the directory named by the ``AESCATTER_OUTPUT_DIR``
 environment variable (default: current directory). Data files are plain
@@ -224,9 +224,7 @@ def cmd_invert(config_path, data_path, phaseless: bool = False) -> int:
         records = run_phaseless(data, ball, params, wave, inv_cfg, ground_truth=truth)
     else:
         ball = None
-        observed = FarField(angles=table[:, 0],
-                            values=table[:, 1] + 1j * table[:, 2],
-                            gamma_a=0.0)
+        observed = FarField(angles=table[:, 0], values=table[:, 1] + 1j * table[:, 2])
         records = run_phased(observed, params, wave, inv_cfg, ground_truth=truth)
 
     _write_history(out / f"{stem}_history.dat", records, inv_cfg.M, ball)

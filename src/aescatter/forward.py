@@ -138,7 +138,6 @@ class FarField:
 
     angles: np.ndarray
     values: np.ndarray
-    gamma_a: complex
 
     def __post_init__(self):
         if len(self.angles) != len(self.values):
@@ -351,13 +350,11 @@ def system_sensitivity(
     x = np.reshape(x, (3, N))
     D = diff_matrix(n)
     y = (D @ x[0], D @ x[1])
-    G, t, nu, tau = jets.G, grid.nodes, jets.nu, jets.tau
+    G, t, nu, tau, r = jets.G, grid.nodes, jets.nu, jets.tau, geom.r
 
     a, b = geom.n_dot / G[:, None], geom.np_dot / G[:, None]
     rx = a * nu[:, 0, None] + b * tau[:, 0, None]   # (p_j - p_i)/r
     ry = a * nu[:, 1, None] + b * tau[:, 1, None]
-    r = np.hypot(*(jets.p[None, :, k] - jets.p[:, None, k] for k in (0, 1)))
-    r[lim] = 1.0
     cauchy = (T * np.sin(t[None, :] - t[:, None]) - pin) / (np.pi * r)
     cauchy[lim] = 0.0
     cauchy_r = cauchy / r
@@ -507,7 +504,7 @@ def far_field(
     if grid is None:
         grid = NodeGrid(len(densities.phi3_tilde) // 2)
     vals = far_field_matrix(curve, params, obs_angles, grid) @ densities.phi3_tilde
-    return FarField(angles=obs_angles, values=vals, gamma_a=gamma_far(params.kappa_a))
+    return FarField(angles=obs_angles, values=vals)
 
 
 class NearField(NamedTuple):

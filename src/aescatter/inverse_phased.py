@@ -193,9 +193,7 @@ def add_noise_phased(
     eta = noise_samples(rng, len(data.values), model) + 1j * noise_samples(
         rng, len(data.values), model
     )
-    return FarField(
-        angles=data.angles, values=data.values * (1.0 + delta * eta), gamma_a=data.gamma_a
-    )
+    return FarField(angles=data.angles, values=data.values * (1.0 + delta * eta))
 
 
 def frechet_columns(

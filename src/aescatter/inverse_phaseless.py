@@ -34,7 +34,6 @@ from .inverse_phased import (
     _newton_tikhonov,
     _phase_columns,
     frechet_columns,
-    initial_curve,
     noise_samples,
 )
 from .multibody import (
@@ -42,7 +41,6 @@ from .multibody import (
     TwoBodyDensities,
     assemble_two_body,
     cross_block_sensitivity,
-    separation,
     solve_two_body_forward,
 )
 
@@ -54,9 +52,6 @@ __all__ = [
     "exact_phaseless_jacobian",
     "run_phaseless",
 ]
-
-_MIN_BALL_SEPARATION = 0.1
-
 
 @dataclass(frozen=True)
 class PhaselessData:
@@ -267,16 +262,11 @@ def run_phaseless(
     Jacobian of |u_inf|^2 on the factorization, the cross-block Hankel
     values and the far-field matrix that the line search made at the
     iterate. A candidate within 0.1 of the ball fails in
-    ``assemble_two_body`` and is skipped.
+    ``assemble_two_body`` and is skipped; an initial guess that close
+    raises that ``ValueError`` from the first prediction.
     """
     ball_curve = ball.curve()
     grid = NodeGrid(config.n_forward)
-    sep = separation(initial_curve(config), ball_curve)
-    if sep < _MIN_BALL_SEPARATION:
-        raise ValueError(
-            f"initial guess approaches the reference ball "
-            f"(separation {sep:.3f} < {_MIN_BALL_SEPARATION})"
-        )
     fixed = _fixed_ball(ball_curve, params, wave, data.angles, grid)
     # the module attributes are read at each call, so that they can be patched
     return _newton_tikhonov(

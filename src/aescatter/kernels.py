@@ -24,9 +24,6 @@ __all__ = [
     "phi",
     "grad_phi",
     "hess_phi",
-    "KernelSplitM",
-    "KernelSplitK",
-    "KernelSplitH",
     "split_m",
     "split_k",
     "split_h",
@@ -85,36 +82,13 @@ def hess_phi(x, y, kappa: float):
 
 
 @dataclass(frozen=True)
-class KernelSplitM:
-    """Single-layer kernel split: M = m1 * ln(4 sin^2((t-ς)/2)) + m2."""
-
-    m1: complex
-    m2: complex
-
-
-@dataclass(frozen=True)
-class KernelSplitK:
-    """Normal-derivative kernel split: K = k1 * ln(4 sin^2((t-ς)/2)) + k2."""
-
-    k1: complex
-    k2: complex
-
-
-@dataclass(frozen=True)
-class KernelSplitH:
-    """Tangential-derivative kernel split.
-
-    H = h1 / sin(ς-t) + h2 * ln(4 sin^2((t-ς)/2)) + h3.
-    """
-
-    h1: complex
-    h2: complex
-    h3: complex
-
-
-@dataclass(frozen=True)
 class KernelTables:
-    """All split-kernel matrices for a set of pairs, indexed [target, source]."""
+    """All split-kernel matrices for a set of pairs, indexed [target, source],
+    or, from :func:`split_m`, the split parts of one pair (t, ς) as scalars:
+
+    M = m1 ln(4 sin^2((t-ς)/2)) + m2, K = k1 ln(...) + k2 and
+    H = h1 / sin(ς-t) + h2 ln(...) + h3.
+    """
 
     m1: np.ndarray
     m2: np.ndarray
@@ -130,10 +104,11 @@ class PairGeometry:
     """Wavenumber-independent split data at all pairs (t_i, ς_j), [target, source].
 
     ``lim`` indexes the (symmetric) pairs with |t_i - ς_j| mod 2pi below
-    ``_DIAGONAL_SWITCH``, where every part takes its closed-form limit. r is
-    exactly symmetric (p_j - p_i = -(p_i - p_j) in floating point): ``r_upper``
-    holds it at the strict upper-triangle flat indices ``upper`` (1 at the
-    ``lim`` pairs), ``lower`` the mirrored ones. ``n_dot``, ``np_dot`` are
+    ``_DIAGONAL_SWITCH``, where every part takes its closed-form limit. The
+    distance r = |p_j - p_i| is 1 at the ``lim`` pairs and exactly symmetric
+    (p_j - p_i = -(p_i - p_j) in floating point), so the Hankel functions
+    are evaluated at the strict upper-triangle flat indices ``upper`` only
+    and copied to the mirrored ``lower`` ones. ``n_dot``, ``np_dot`` are
     n(t_i) . (p_j - p_i) / r and the same with n_perp; h1 has no wavenumber.
     """
 
@@ -141,7 +116,7 @@ class PairGeometry:
     lim: tuple[np.ndarray, np.ndarray]
     upper: np.ndarray
     lower: np.ndarray
-    r_upper: np.ndarray
+    r: np.ndarray
     logsin: np.ndarray
     n_dot: np.ndarray
     np_dot: np.ndarray
@@ -170,9 +145,28 @@ def pair_geometry(jets: CurveJet, t) -> PairGeometry:
     lim = np.nonzero(diag)
     h1[lim] = 1.0 / np.pi
     return PairGeometry(
-        jets=jets, lim=lim, upper=upper, lower=lower, r_upper=r.ravel()[upper],
+        jets=jets, lim=lim, upper=upper, lower=lower, r=r,
         logsin=logsin, n_dot=n_dot, np_dot=np_dot, h1_over_sin=h1_over_sin, h1=h1,
     )
+
+
+def _hankel_pair(geom: PairGeometry, kappa: float):
+    """H0 and H1 of kappa r at all pairs of ``geom``, each evaluated once on
+    the strict upper triangle and mirrored; 0 on the diagonal, where the
+    callers put the closed-form limits."""
+    z = kappa * geom.r.ravel()[geom.upper]
+    h0, h1 = np.zeros((2,) + geom.r.shape, dtype=complex)
+    for full, hankel in ((h0, hankel1_0), (h1, hankel1_1)):
+        flat = full.reshape(-1)
+        flat[geom.upper] = flat[geom.lower] = hankel(z)
+    return h0, h1
+
+
+def _m2_limit(geom: PairGeometry, kappa: float) -> np.ndarray:
+    """The diagonal limit of m2 at the ``lim`` pairs: it depends on the shape
+    through G(t_i) only."""
+    G = geom.jets.G[geom.lim[0]]
+    return 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * G) / np.pi
 
 
 def kernel_tables(geom: PairGeometry, kappa: float) -> KernelTables:
@@ -180,16 +174,12 @@ def kernel_tables(geom: PairGeometry, kappa: float) -> KernelTables:
     for one wavenumber; the only code that evaluates the kernel splits for
     assembly.
 
-    H0 and H1 are evaluated once each, on the strict upper triangle, and
-    J0, J1 are their real parts. The ``lim`` pairs get the closed-form
-    diagonal limits at the target t_i; 1/sin(ς-t) is never formed near its
-    zeros (the ratio h1/sin is evaluated directly, which is smooth there).
+    J0, J1 are the real parts of H0, H1 (:func:`_hankel_pair`). The ``lim``
+    pairs get the closed-form diagonal limits at the target t_i; 1/sin(ς-t)
+    is never formed near its zeros (the ratio h1/sin is evaluated directly,
+    which is smooth there).
     """
-    z = kappa * geom.r_upper
-    h0, h1b = np.zeros((2,) + geom.logsin.shape, dtype=complex)
-    for full, hankel in ((h0, hankel1_0), (h1b, hankel1_1)):
-        flat = full.reshape(-1)                        # diagonal: limits below
-        flat[geom.upper] = flat[geom.lower] = hankel(z)
+    h0, h1b = _hankel_pair(geom, kappa)
     j0, j1b = h0.real, h1b.real                        # J_m = Re H_m^(1), exactly
     logsin = geom.logsin
 
@@ -203,7 +193,7 @@ def kernel_tables(geom: PairGeometry, kappa: float) -> KernelTables:
     lim, rows, jets = geom.lim, geom.lim[0], geom.jets
     G, n_ddp = jets.G[rows], np.einsum("ik,ik->i", jets.n[rows], jets.ddp[rows])
     m1[lim] = -1.0 / (2.0 * np.pi)
-    m2[lim] = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * G) / np.pi
+    m2[lim] = _m2_limit(geom, kappa)
     k2[lim] = n_ddp / (2.0 * np.pi * G**2)
     k1[lim] = h2[lim] = h3[lim] = 0.0
     return KernelTables(m1=m1, m2=m2, k1=k1, k2=k2, h1=geom.h1, h2=h2, h3=h3)
@@ -213,53 +203,31 @@ def single_layer_slopes(geom: PairGeometry, kappa: float):
     """The single-layer kernel f = (i/2) H0(kappa r) and its first two
     derivatives in r = |p(ς_j) - p(t_i)| at fixed parameters, each with the
     factor f1 of its log singularity: three (f, f1) pairs, [target, source],
-    from one H0 and one H1 evaluation on the strict upper triangle, as in
-    :func:`kernel_tables` (H0' = -H1, H1' = H0 - H1/z).
+    from the H0 and H1 of :func:`kernel_tables` (H0' = -H1, H1' = H0 - H1/z).
 
     The log factor is -Im f / pi (Y_m carries (2/pi) J_m ln), so (f1, f -
     f1 ln(4 sin^2((t-ς)/2))) is the (m1, m2) split of :func:`kernel_tables`.
     At the ``lim`` pairs, where the log factor vanishes, f holds the limit of
     m2, which depends on the shape through G only, and the derivatives are 0.
     """
-    # The fill of kernel_tables, kept apart: a helper shared with it freed z
-    # there earlier, which moved later temporaries in glibc's heap and raised
-    # the peak resident size of a phased set-up from 85 to 91 MB.
-    z = kappa * geom.r_upper
-    h0, h1 = np.zeros((2,) + geom.logsin.shape, dtype=complex)
-    r = np.ones(geom.logsin.shape)
-    for full, values in ((h0, hankel1_0(z)), (h1, hankel1_1(z)), (r, geom.r_upper)):
-        flat = full.reshape(-1)
-        flat[geom.upper] = flat[geom.lower] = values
-    fs = (0.5j * h0, -0.5j * kappa * h1, -0.5j * kappa**2 * (h0 - h1 / (kappa * r)))
+    h0, h1 = _hankel_pair(geom, kappa)
+    fs = (0.5j * h0, -0.5j * kappa * h1, -0.5j * kappa**2 * (h0 - h1 / (kappa * geom.r)))
     pairs = [(f, f.imag * (-1.0 / np.pi)) for f in fs]
-    lim, G = geom.lim, geom.jets.G[geom.lim[0]]
+    lim = geom.lim
     (f, f1), *slopes = pairs
-    f[lim] = 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * G) / np.pi
+    f[lim] = _m2_limit(geom, kappa)
     f1[lim] = -1.0 / (2.0 * np.pi)
     for f, f1 in slopes:
         f[lim] = f1[lim] = 0.0
     return pairs
 
 
-def _pair_tables(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelTables:
-    """Split tables of the two-point set (t, ς); entry [0, 1] is the pair (t, ς)."""
+def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelTables:
+    """Split parts of the parametrized layer kernels at the pair (t, ς):
+    entry [0, 1] of :func:`kernel_tables` on the two-point set (t, ς)."""
     ts = np.array([t, s], dtype=float)
-    return kernel_tables(pair_geometry(jet(curve, ts), ts), kappa)
+    tab = kernel_tables(pair_geometry(jet(curve, ts), ts), kappa)
+    return KernelTables(**{f: v[0, 1] for f, v in vars(tab).items()})
 
 
-def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitM:
-    """Split parts of the parametrized single-layer kernel at (t, ς)."""
-    tab = _pair_tables(curve, t, s, kappa)
-    return KernelSplitM(m1=tab.m1[0, 1], m2=tab.m2[0, 1])
-
-
-def split_k(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitK:
-    """Split parts of the parametrized normal-derivative kernel at (t, ς)."""
-    tab = _pair_tables(curve, t, s, kappa)
-    return KernelSplitK(k1=tab.k1[0, 1], k2=tab.k2[0, 1])
-
-
-def split_h(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplitH:
-    """Split parts of the parametrized tangential-derivative kernel at (t, ς)."""
-    tab = _pair_tables(curve, t, s, kappa)
-    return KernelSplitH(h1=tab.h1[0, 1], h2=tab.h2[0, 1], h3=tab.h3[0, 1])
+split_k = split_h = split_m

@@ -23,7 +23,6 @@ from .forward import (
     assemble_system,
     factor_system,
     far_field,
-    gamma_far,
     rhs_plane_wave,
 )
 from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
@@ -287,8 +286,8 @@ def assemble_two_body(
     sep = separation(curve_d, curve_b)
     if sep < _MIN_SEPARATION:
         raise ValueError(
-            f"bodies too close (separation {sep:.3f} < {_MIN_SEPARATION}); "
-            "the cross kernels would be nearly singular"
+            f"obstacle too close to the reference ball (separation {sep:.3f} < "
+            f"{_MIN_SEPARATION}); the cross kernels would be nearly singular"
         )
     # the pair first: a reconstruction keeps it past the system's temporaries,
     # and built above them it left glibc's heap so fragmented that a later
@@ -338,8 +337,4 @@ def far_field_sum(
     """Total far field: sum of the two single-layer far-field quadratures."""
     ff_d = far_field(densities.body_d, curve_d, params, obs_angles, grid_d)
     ff_b = far_field(densities.body_b, curve_b, params, obs_angles, grid_b)
-    return FarField(
-        angles=ff_d.angles,
-        values=ff_d.values + ff_b.values,
-        gamma_a=gamma_far(params.kappa_a),
-    )
+    return FarField(angles=ff_d.angles, values=ff_d.values + ff_b.values)

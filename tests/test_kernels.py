@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 from scipy import special
 
-from aescatter.geometry import NodeGrid, jet, make_apple, make_circle, make_peanut
+from aescatter.geometry import (
+    NodeGrid,
+    jet,
+    make_apple,
+    make_circle,
+    make_fourier,
+    make_peanut,
+)
 from aescatter.kernels import (
     grad_phi,
     hess_phi,
     kernel_tables,
     pair_geometry,
     phi,
+    single_layer_slopes,
     split_h,
     split_k,
     split_m,
@@ -150,6 +158,42 @@ class TestTables:
             assert abs(tab.h1[i, j] - h.h1) < 1e-12
             assert abs(tab.h2[i, j] - h.h2) < 1e-12
             assert abs(tab.h3[i, j] - h.h3) < 1e-11
+
+
+def make_fourier_curve():
+    return make_fourier((0.1, -0.2), [0.55, 0.06, -0.04, 0.03], [0.05, -0.02, 0.01])
+
+
+SHAPES = [make_apple, make_peanut, make_fourier_curve]
+
+
+class TestSingleLayerSlopes:
+    @pytest.mark.parametrize("make", SHAPES)
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_first_pair_is_the_m_split(self, make, n):
+        """(f, f1) is the (m1, m2) split of kernel_tables, bit for bit: f1 is
+        m1, f - f1 ln(4 sin^2) is m2 off the lim pairs and f is m2 at them."""
+        grid = NodeGrid(n)
+        geom = pair_geometry(jet(make(), grid.nodes), grid.nodes)
+        off = np.ones(geom.r.shape, dtype=bool)
+        off[geom.lim] = False
+        for kappa in KAPPAS:
+            tab = kernel_tables(geom, kappa)
+            (f, f1), *_ = single_layer_slopes(geom, kappa)
+            assert np.array_equal(f1, tab.m1)
+            assert np.array_equal((f - f1 * geom.logsin)[off], tab.m2[off])
+            assert np.array_equal(f[geom.lim], tab.m2[geom.lim])
+
+    @pytest.mark.parametrize("make", SHAPES)
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_distance_matrix(self, make, n):
+        """The pair geometry's r is |p_j - p_i|, with 1 at the lim pairs."""
+        grid = NodeGrid(n)
+        jets = jet(make(), grid.nodes)
+        geom = pair_geometry(jets, grid.nodes)
+        r = np.hypot(*(jets.p[None, :, k] - jets.p[:, None, k] for k in (0, 1)))
+        r[geom.lim] = 1.0
+        assert np.array_equal(geom.r, r)
 
 
 class TestAssemblyHankelCalls:
