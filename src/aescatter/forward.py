@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 _COND_WARN_RCOND = 1e-12
-_RESIDUAL_GATE = 1e-10
+_BACKWARD_GATE = 1e-14  # of ||Ax - b|| / (||A|| ||x|| + ||b||), 1-norms; LU gives ~1e-16
 _NEAR_FIELD_CLEARANCE = 1e-3
 
 
@@ -429,13 +429,13 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     Warns when the reciprocal condition estimate drops below 1e-12 (an
     interior eigenvalue or a Jones-adjacent frequency can do this). The
     returned ``solve(b)`` takes one right-hand side or a matrix of them as
-    columns, and raises FloatingPointError when the relative residual
-    ||A x - b|| / ||b|| of any column exceeds 1e-10 or is not a number
-    (a zero pivot gives NaN densities).
+    columns, and raises FloatingPointError when the backward error of any
+    column exceeds ``_BACKWARD_GATE`` or is not a number (a zero pivot gives
+    NaN densities); unlike a relative residual it does not grow with kappa.
     """
     lu, piv = lu_factor(system)
     gecon = get_lapack_funcs("gecon", (system,))
-    rcond, _ = gecon(lu, np.linalg.norm(system, 1))
+    rcond, _ = gecon(lu, norm := np.linalg.norm(system, 1))
     if rcond < _COND_WARN_RCOND:
         warnings.warn(
             f"system is nearly singular (rcond ~ {rcond:.2e}); "
@@ -445,11 +445,10 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = lu_solve((lu, piv), b)
-        resid = np.linalg.norm(system @ x - b, axis=0)
-        bnorm = np.linalg.norm(b, axis=0)
-        rel = np.max(resid / np.where(bnorm > 0, bnorm, 1.0))
-        if not rel <= _RESIDUAL_GATE:  # a NaN residual fails the gate too
-            raise FloatingPointError(f"linear solve residual too large: {rel:.2e}")
+        scale = norm * np.abs(x).sum(axis=0) + np.abs(b).sum(axis=0)
+        eta = np.max(np.abs(system @ x - b).sum(axis=0) / np.where(scale > 0, scale, 1.0))
+        if not eta <= _BACKWARD_GATE:  # a NaN residual fails the gate too
+            raise FloatingPointError(f"linear solve residual too large: {eta:.2e}")
         return x
 
     return solve

@@ -120,12 +120,31 @@ def phaseless_columns(
     return 2.0 * (np.conj(total_values)[:, None] * B).real
 
 
+# The obstacle excites ball mode m about as (R_b / d)^m, d its nodes' distance from
+# the ball's center (Graf's addition theorem); 2 n_b nodes alias mode 2 n_b, so a
+# clearance of one ball radius gives 2^(-2 n_b) <= 1e-13 at n_b = 22. The ball's own
+# band needs (kappa R_b / 2)^m / m! <= 1e-13, a bound on J_m(kappa R_b) (Jacobi-Anger).
+_BALL_CLEARANCE = 1.0  # in ball radii, between the ball and the obstacle's nodes
+_BALL_TOL = 1e-13
+
+
+def _ball_grid(radius: float, params: MaterialParams, n_d: int) -> NodeGrid:
+    """The ball's grid: the least n_b the rule above allows, at most n_d."""
+    n_b = int(np.ceil(np.log(_BALL_TOL) / (-2.0 * np.log1p(_BALL_CLEARANCE))))
+    half_kr = max(params.kappa_p, params.kappa_s, params.kappa_a) * radius / 2.0
+    m = np.arange(1, n_d + 1)  # the log of that bound rises, then falls
+    band = 1 + int(np.count_nonzero(np.cumsum(np.log(half_kr / m)) > np.log(_BALL_TOL)))
+    return NodeGrid(min(n_d, max(n_b, band)))
+
+
 class _FixedBall(NamedTuple):
     """The part of the two-body problem that no obstacle update changes: the
-    ball's curve, self block A_bb, right-hand side b_b and far-field matrix
-    F_b at the observation angles."""
+    ball's curve and grid, the clearance ``reach`` (least distance of an
+    obstacle node from its center), A_bb, b_b and F_b at the angles."""
 
     curve: StarlikeCurve
+    grid: NodeGrid
+    reach: float
     A: np.ndarray
     b: np.ndarray
     F: np.ndarray
@@ -133,9 +152,12 @@ class _FixedBall(NamedTuple):
 
 def _fixed_ball(ball_curve: StarlikeCurve, params: MaterialParams, wave: IncidentWave,
                 angles: np.ndarray, grid: NodeGrid) -> _FixedBall:
-    return _FixedBall(ball_curve, assemble_system(ball_curve, params, grid),
-                      np.concatenate(rhs_plane_wave(ball_curve, params, wave, grid)),
-                      far_field_matrix(ball_curve, params, angles, grid))
+    radius = float(ball_curve.radial.radius(np.zeros(1))[0])
+    ball_grid = _ball_grid(radius, params, grid.n)
+    return _FixedBall(ball_curve, ball_grid, (1.0 + _BALL_CLEARANCE) * radius,
+                      assemble_system(ball_curve, params, ball_grid),
+                      np.concatenate(rhs_plane_wave(ball_curve, params, wave, ball_grid)),
+                      far_field_matrix(ball_curve, params, angles, ball_grid))
 
 
 class _Scene(NamedTuple):
@@ -159,12 +181,15 @@ def _predicted_modulus(
 ) -> tuple[np.ndarray, _Scene]:
     """Predicted |u_inf|^2 at ``angles``, with the ``_Scene`` of the two-body
     system it came from, for a Jacobian there."""
-    A, pair = assemble_two_body(curve_d, ball.curve, params, grid, grid, ball.A)
+    near = curve_d.point(grid.nodes) - ball.curve.center
+    if np.min(np.hypot(near[:, 0], near[:, 1])) < ball.reach:
+        raise ValueError(f"obstacle inside the reference ball's clearance ({ball.reach:.3f})")
+    A, pair = assemble_two_body(curve_d, ball.curve, params, grid, ball.grid, ball.A)
     solve = factor_system(A)
     x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid), ball.b]))
     N = grid.size
     F_d = far_field_matrix(curve_d, params, angles, grid)
-    total = F_d @ x[2 * N : 3 * N] + ball.F @ x[5 * N :]
+    total = F_d @ x[2 * N : 3 * N] + ball.F @ x[3 * N + 2 * ball.grid.size :]
     return np.abs(total) ** 2, _Scene(solve, x, pair, F_d)
 
 
@@ -185,9 +210,10 @@ def exact_phaseless_jacobian(
     ``inverse_phased._boundary_motion`` gives how they move the nodes. The
     derivative is taken at any starlike ``curve_d``, whatever its radial
     profile, as no perturbed curve is built. The ball's self block,
-    right-hand side and far-field matrix are built once, then A is assembled
-    and factored once, as one prediction of ``run_phaseless`` does. The
-    density response to each parameter is dx = -A^{-1}(dA x - db), from the
+    right-hand side and far-field matrix are built once on its own grid
+    (``_ball_grid``; ValueError within one ball radius of it), then A is
+    assembled and factored once, as one prediction of ``run_phaseless``
+    does. The density response is dx = -A^{-1}(dA x - db), from the
     one factorization with every column behind the same residual gate as a
     forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. Every piece
     that moves with the obstacle is differentiated analytically from the
@@ -226,7 +252,7 @@ def _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene):
     already has: no Hankel function of the cross blocks is evaluated again,
     and neither the jets nor F_D are rebuilt."""
     solve, x, pair, F_d = scene
-    N = grid.size
+    N, b3 = grid.size, 3 * grid.size + 2 * ball.grid.size  # b3: where phi3 on B starts
     x_d, x_b = x[: 3 * N], x[3 * N :]
     jets = pair.jets_d
     motion = _boundary_motion(jets, grid.nodes, M)
@@ -236,13 +262,13 @@ def _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene):
     dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     dx = solve(-dR)
 
-    u = F_d @ x_d[2 * N :] + ball.F @ x_b[2 * N :]
+    u = F_d @ x_d[2 * N :] + ball.F @ x[b3:]
     # moving the nodes changes F_D x_d through the phase (the frozen-density
     # Frechet columns) and through the weight G^2, by 2 dG_i / G_i per node
     Fx = F_d * x_d[2 * N :]
     dF = (_phase_columns(Fx, angles, motion, params.kappa_a)
           + Fx @ (2.0 * motion.dG / jets.G[:, None]))
-    du = dF + F_d @ dx[2 * N : 3 * N] + ball.F @ dx[5 * N :]
+    du = dF + F_d @ dx[2 * N : 3 * N] + ball.F @ dx[b3:]
     return 2.0 * (np.conj(u)[:, None] * du).real
 
 
@@ -257,13 +283,13 @@ def run_phaseless(
     """Full reconstruction loop from phaseless total-field data.
 
     Only the obstacle moves; the ball is trusted as given, and its self
-    block, right-hand side and far-field matrix are built once per run.
-    Each step of ``inverse_phased._newton_tikhonov`` uses the exact
-    Jacobian of |u_inf|^2 on the factorization, the cross-block Hankel
-    values and the far-field matrix that the line search made at the
-    iterate. A candidate within 0.1 of the ball fails in
-    ``assemble_two_body`` and is skipped; an initial guess that close
-    raises that ``ValueError`` from the first prediction.
+    block, right-hand side and far-field matrix are built once per run, on
+    a grid of its own (``_ball_grid``: n_b = 22 for n_forward = 64, 516
+    rows in place of 768). Each step of ``_newton_tikhonov`` uses the exact
+    Jacobian of |u_inf|^2 on the factorization, the Hankel values and F_D
+    that the line search made at the iterate. A candidate with a node within
+    one ball radius of the ball (the clearance that sizes n_b) is skipped as
+    a collision; an initial guess that close raises that ``ValueError``.
     """
     ball_curve = ball.curve()
     grid = NodeGrid(config.n_forward)

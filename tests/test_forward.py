@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from aescatter import forward
 from aescatter.forward import (
     IncidentWave,
     MaterialParams,
@@ -423,3 +424,85 @@ class TestFactorSystem:
         with np.errstate(invalid="ignore"), pytest.raises(
                 FloatingPointError, match="linear solve residual too large"):
             solve(np.ones(6))
+
+
+def _conditioned(cond, n=60, seed=0):
+    """A complex n x n matrix with singular values from 1 down to 1/cond, and
+    its left singular vectors."""
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    return (U * np.logspace(0, -np.log10(cond), n)) @ V.conj().T, U
+
+
+class TestBackwardErrorGate:
+    def test_ill_conditioned_valid_solve_passes(self):
+        """At condition number 1e9 a backward-stable solve leaves a relative
+        residual ||Ax - b|| / ||b|| far above 1e-10, which the gate used to
+        reject; its backward error is at rounding level, and it passes."""
+        A, U = _conditioned(1e9)
+        b = U[:, -1] + 1e-3 * U[:, 0]  # mostly along the smallest singular direction
+        x = factor_system(A)(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) > 1e-10
+        assert np.allclose(A @ x, b, rtol=0.0, atol=1e-6)
+
+    def test_inaccurate_solve_of_a_well_conditioned_system_fails(self, monkeypatch):
+        """A solution 1e-11 off in every entry of a system with condition
+        number 10 has a relative residual below 1e-10, which the old gate
+        let pass; its backward error is about 1e-11 and the gate rejects it."""
+        A, _ = _conditioned(10.0)
+        b = np.ones(len(A), dtype=complex)
+        exact = forward.lu_solve
+        monkeypatch.setattr(forward, "lu_solve",
+                            lambda lu_piv, rhs: exact(lu_piv, rhs) * (1.0 + 1e-11))
+        solve = factor_system(A)
+        x = exact(forward.lu_factor(A), b) * (1.0 + 1e-11)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
+        with pytest.raises(FloatingPointError, match="linear solve residual too large"):
+            solve(b)
+
+    def test_zero_right_hand_side(self):
+        A, _ = _conditioned(10.0)
+        assert np.array_equal(factor_system(A)(np.zeros((len(A), 2))), np.zeros((len(A), 2)))
+
+
+def optical_gap(u_inf, ka):
+    """Relative gap in the optical theorem for a lossless scatterer,
+    int |u_inf|^2 = -sqrt(8 pi / ka) Re(e^{i pi/4} u_inf(d)), from far-field
+    samples on equispaced angles whose first one is the incident direction d."""
+    power = 2.0 * np.pi * np.mean(np.abs(u_inf) ** 2)
+    forward_lobe = -np.sqrt(8.0 * np.pi / ka) * np.real(np.exp(0.25j * np.pi) * u_inf[0])
+    return abs(power - forward_lobe) / power
+
+
+class TestOpticalTheorem:
+    """Energy conservation (Colton & Kress): the scattered power equals the
+    extinction read from the forward far field. The solver does not build it
+    in; the constant is the one the circle series satisfies."""
+
+    @pytest.mark.parametrize("a, theta_d", [(1.0, np.pi / 8), (0.5, 1.0), (1.7, 4.0)])
+    def test_circle_series(self, params, a, theta_d):
+        coeffs = series_coefficients(params, a, theta_d)
+        angles = theta_d + 2.0 * np.pi * np.arange(128) / 128
+        ka = params.kappa_a
+        series = np.sqrt(2.0 / (np.pi * ka)) * np.exp(-1j * np.pi / 4) * sum(
+            coeffs[m][2] * (-1j) ** m * np.exp(1j * m * angles) for m in coeffs)
+        assert optical_gap(series, ka) <= 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        center=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        a0=st.floats(0.4, 0.8),
+        modes=st.lists(st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+                       min_size=1, max_size=4),
+        theta_d=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_smooth_fourier_curves(self, params, center, a0, modes, theta_d):
+        # at n = 64 the gap measured <= 1.5e-14 on such curves
+        m = np.arange(1, len(modes) + 1)
+        a, b = (np.array(c) / m**2 for c in zip(*modes))
+        curve, grid = make_fourier(center, [a0, *a], b), NodeGrid(64)
+        angles = theta_d + 2.0 * np.pi * np.arange(128) / 128
+        dens = solve_forward(curve, params, IncidentWave(theta_d), grid)
+        u_inf = far_field(dens, curve, params, angles, grid).values
+        assert optical_gap(u_inf, params.kappa_a) <= 1e-10

@@ -11,7 +11,15 @@ from aescatter.forward import (
     gamma_far,
     rhs_plane_wave,
 )
-from aescatter.geometry import NodeGrid, jet, make_fourier, make_peanut, translate
+from aescatter.geometry import (
+    NodeGrid,
+    jet,
+    make_apple,
+    make_circle,
+    make_fourier,
+    make_peanut,
+    translate,
+)
 from aescatter.inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
@@ -22,6 +30,7 @@ from aescatter.inverse_phased import (
 from aescatter.inverse_phaseless import (
     PhaselessData,
     ReferenceBallSpec,
+    _ball_grid,
     _fixed_ball,
     _predicted_modulus,
     add_noise_phaseless,
@@ -341,7 +350,7 @@ def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, st
 
     def moving_terms(curve):
         A_db, A_bd = multibody.cross_blocks(
-            multibody.cross_pair(curve, ball_curve, params, grid, grid))
+            multibody.cross_pair(curve, ball_curve, params, grid, ball.grid))
         rows_d = (
             assemble_system(curve, params, grid) @ x_d
             + A_db @ x_b
@@ -364,9 +373,9 @@ def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, st
     dx = solve(-dR)
 
     F_d = far_field_matrix(curve_d, params, angles, grid)
-    F_b = far_field_matrix(ball_curve, params, angles, grid)
-    u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * N :]
-    du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[5 * N :]
+    F_b = far_field_matrix(ball_curve, params, angles, ball.grid)
+    u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * ball.grid.size :]
+    du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[3 * N + 2 * ball.grid.size :]
     return 2.0 * (np.conj(u)[:, None] * du).real
 
 
@@ -458,3 +467,107 @@ class TestAnalyticJacobian:
             for k in range(2 * degree + 3)
         ])
         assert np.abs(J - fd).max() / np.abs(fd).max() <= 1e-6
+
+
+RULE_SHAPES = {
+    "peanut": make_peanut,
+    "apple": make_apple,
+    "fourier": lambda: make_fourier((0.0, 0.0), [0.5, 0.05, -0.08, 0.03], [0.04, -0.05, 0.02]),
+}
+
+
+def _nearest_node(curve, ball, grid):
+    p = curve.point(grid.nodes) - ball.center
+    return np.min(np.hypot(p[:, 0], p[:, 1]))
+
+
+def _at_distance(shape, ball, grid, distance):
+    """``shape`` moved along x until its nearest node is ``distance`` from
+    the center of ``ball``, which lies to its right."""
+    lo, hi = -20.0, float(ball.center[0])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _nearest_node(translate(shape, (mid, 0.0)), ball, grid) > distance:
+            lo = mid
+        else:
+            hi = mid
+    return translate(shape, (lo, 0.0))
+
+
+class TestBallGrid:
+    """The ball's own coarse grid against the obstacle's grid on the ball."""
+
+    @staticmethod
+    def _modulus_gap(curve, ball_spec, params, wave, grid, monkeypatch):
+        ball = _fixed_ball(ball_spec.curve(), params, wave, OBS, grid)
+        coarse = _predicted_modulus(curve, ball, params, wave, OBS, grid)[0]
+        monkeypatch.setattr(inverse_phaseless, "_ball_grid", lambda r, p, n: NodeGrid(n))
+        full_ball = _fixed_ball(ball_spec.curve(), params, wave, OBS, grid)
+        full = _predicted_modulus(curve, full_ball, params, wave, OBS, grid)[0]
+        return ball.grid.n, np.abs(coarse - full).max() / np.abs(full).max()
+
+    @pytest.mark.parametrize("clearances", [1.0, 2.0, None])
+    @pytest.mark.parametrize("name", list(RULE_SHAPES))
+    def test_matches_the_obstacle_grid(self, params, wave, monkeypatch, name, clearances):
+        """At the clearance (one ball radius between the bodies), at twice
+        it and at the criterion-9 start, |u_inf|^2 on the chosen n_b agrees
+        with n_b = n_d = 64 (measured <= 1.2e-13)."""
+        grid, ball = NodeGrid(64), BALL.curve()
+        curve = (translate(RULE_SHAPES[name](), (-0.7, 0.2)) if clearances is None else
+                 _at_distance(RULE_SHAPES[name](), ball, grid,
+                              (1.0 + clearances) * BALL.radius * (1.0 + 1e-9)))
+        n_b, gap = self._modulus_gap(curve, BALL, params, wave, grid, monkeypatch)
+        assert n_b == 22
+        assert gap <= 1e-12
+
+    def test_band_floor_of_a_large_ball(self, params, wave, monkeypatch):
+        """With kappa_a R_b = 5 the ball's own band, not the obstacle, sets
+        n_b above the 22 of the clearance (23; measured 7.6e-15)."""
+        spec = ReferenceBallSpec((9.0, 0.0), 5.0 / params.kappa_a)
+        curve = translate(make_peanut(), (-0.7, 0.2))
+        n_b, gap = self._modulus_gap(curve, spec, params, wave, NodeGrid(64), monkeypatch)
+        assert 22 < n_b < 64
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("n_d", [4, 16, 22, 23, 64, 100])
+    @pytest.mark.parametrize("radius", [0.1, 0.71, 2.0, 8.0])
+    def test_never_above_the_obstacle_grid(self, params, n_d, radius):
+        assert _ball_grid(radius, params, n_d).n <= n_d
+
+
+class TestClearance:
+    def test_candidate_inside_is_skipped(self, params, wave, monkeypatch):
+        """Data from an obstacle inside the clearance pull the iterates
+        towards the ball: the candidates that cross the clearance fail as
+        collisions and are skipped, and no record lies inside it."""
+        truth, grid = make_circle((4.9, 0.0), 0.3), NodeGrid(32)
+        dens = solve_two_body_forward(truth, BALL.curve(), params, wave, grid)
+        total = far_field_sum(dens, truth, BALL.curve(), params, OBS, grid, grid)
+        data = PhaselessData(OBS, np.abs(total.values) ** 2)
+        refused = []
+        predict = inverse_phaseless._predicted_modulus
+
+        def spy(*args):
+            try:
+                return predict(*args)
+            except ValueError as exc:
+                refused.append(str(exc))
+                raise
+
+        monkeypatch.setattr(inverse_phaseless, "_predicted_modulus", spy)
+        cfg = InverseConfig(initial_center=(4.5, 0.0), initial_radius=0.3, epsilon=1e-6,
+                            M=2, max_iter=4, n_forward=16)
+        records = run_phaseless(data, BALL, params, wave, cfg)
+        assert len(records) == 5
+        assert refused and all("reference ball's clearance" in msg for msg in refused)
+        nearest = min(_nearest_node(r.curve, BALL.curve(), NodeGrid(16)) for r in records)
+        assert nearest >= 2.0 * BALL.radius
+
+    def test_initial_guess_inside_raises(self, params, wave, peanut_scene):
+        """Nodes 1.4 from the ball's center: 0.69 from the ball itself, so
+        the cross kernels are fine, but inside the clearance of 2 R_b = 1.42."""
+        *_, data, _ = peanut_scene
+        cfg = InverseConfig(initial_center=(4.9, 0.0), initial_radius=0.3,
+                            epsilon=0.05, n_forward=32)
+        with pytest.raises(ValueError, match="reference ball"):
+            run_phaseless(data, BALL, params, wave, cfg)
