@@ -3,7 +3,10 @@
 Times ``kernel_tables`` (the split tables of one wavenumber, and of the
 three wavenumbers of one assembly, each with the pair geometry they need),
 ``assemble_system``, ``factor_system`` and ``far_field`` on the apple at
-n in {32, 64, 100, 128}; the phased Frechet matrix (``frechet_columns``) at
+n in {32, 64, 100, 128}, and at n in {64, 128} the four back to back as
+``aescatter forward`` runs them (``forward_sequence``: assemble, factor,
+solve, far field; the isolated layers cannot show one BLAS thread pool
+slowing another); the phased Frechet matrix (``frechet_columns``) at
 the criterion-8 initial guess with M = 6, n = 64 and 128 angles; and the
 two-body layers of the criterion-9 case at n = 64: ``cross_blocks`` of the
 peanut and the reference ball (with the Hankel values they share, the ball
@@ -18,9 +21,10 @@ derivative inside it (``system_sensitivity``, on checkouts that have it);
 and the two whole reconstructions, ``run_phased`` on the
 criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
 made at n = 100. Each is timed with ``time.perf_counter`` and repeats, and
-the median and interquartile range of each go to a JSON file:
+the median and interquartile range of each go to a JSON file, with the
+thread counts of the two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_12.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_13.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -40,6 +44,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (32, 64, 100, 128)
+SEQUENCE_SIZES = (64, 128)
 N_ANGLES = 128
 INVERSE_N = 64
 REPEATS = 15
@@ -55,13 +60,14 @@ def git_sha(src: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def blas_threads(numpy) -> int | str:
-    """The thread count of the OpenBLAS that numpy has loaded, asked from the
-    library itself (loading the same file again returns the loaded copy)."""
-    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*scipy_openblas64_*")):
-        return int(ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_())
-    return "unknown (numpy's OpenBLAS not found)"
+def openblas_threads(module, lib_glob: str, symbol: str) -> int | str:
+    """The thread count of the OpenBLAS that ``module``'s wheel has loaded,
+    asked from the library itself (loading the same file again returns the
+    loaded copy). numpy and scipy each bring their own."""
+    libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+    for path in sorted(libs.glob(lib_glob)):
+        return int(getattr(ctypes.CDLL(str(path)), symbol)())
+    return f"unknown ({module.__name__}'s OpenBLAS not found)"
 
 
 def timings(fn) -> dict:
@@ -101,13 +107,17 @@ def layer_calls(n: int) -> dict:
     wave = fw.IncidentWave(np.pi / 8)
     dens = fw.solve_densities(system, fw.rhs_plane_wave(curve, params, wave, grid))
     angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
-    return {
+    calls = {
         "kernel_tables": lambda: tables(kappas[:1]),
         "kernel_tables_3k": lambda: tables(kappas),
         "assemble_system": lambda: fw.assemble_system(curve, params, grid),
         "factor_system": lambda: fw.factor_system(system),
         "far_field": lambda: fw.far_field(dens, curve, params, angles, grid),
     }
+    if n in SEQUENCE_SIZES:
+        calls["forward_sequence"] = lambda: fw.far_field(
+            fw.solve_forward(curve, params, wave, grid), curve, params, angles, grid)
+    return calls
 
 
 def phased_calls() -> dict:
@@ -206,10 +216,11 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_12.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_13.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 
     layers: dict = {}
     for n in SIZES:
@@ -227,7 +238,10 @@ def main(argv=None) -> None:
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__,
                     "blas": blas["name"] + " " + blas.get("version", ""),
-                    "blas_threads": blas_threads(numpy)},
+                    "blas_threads": openblas_threads(
+                        numpy, "*scipy_openblas64_*", "scipy_openblas_get_num_threads64_"),
+                    "scipy_blas_threads": openblas_threads(
+                        scipy, "*scipy_openblas-*", "scipy_openblas_get_num_threads")},
         "curve": "apple", "far_field_angles": N_ANGLES,
         "phased": "the criterion-8 initial circle, incident angle pi/8; Frechet "
                   "matrix M = 6, 128 angles",

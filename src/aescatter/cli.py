@@ -36,6 +36,7 @@ from .forward import (
     FarField,
     IncidentWave,
     MaterialParams,
+    _add_times_d,
     far_field,
     far_field_matrix,
     solve_forward,
@@ -266,6 +267,15 @@ def cmd_verify(quick: bool = False) -> tuple[bool, str]:
     ok &= _check("differentiation weights",
                  np.abs(diff_matrix(n) @ np.cos(3 * nodes) + 3 * np.sin(3 * nodes)).max(),
                  1e-12, lines)
+    # Assembly applies D along the rows by FFT; the dense matrix is the reference.
+    n_d = 32 if quick else 64
+    rng = np.random.default_rng(11)
+    W = rng.standard_normal((2 * n_d, 2 * n_d)) + 1j * rng.standard_normal((2 * n_d, 2 * n_d))
+    WD = np.zeros_like(W)
+    _add_times_d(WD, W)
+    dense = W @ diff_matrix(n_d)
+    ok &= _check("differentiation by FFT",
+                 np.abs(WD - dense).max() / np.abs(dense).max(), 1e-13, lines)
 
     # Special-function identity (Wronskian).
     x = np.linspace(1e-3, 50.0, 2000)

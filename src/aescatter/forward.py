@@ -8,6 +8,16 @@ of the boundary conditions on a shifted collocation grid.
 
 The unknowns are the scaled densities phi_tilde = (g o p) / G, which keeps
 third derivatives of the radial function out of the kernels.
+
+No numpy product on the solve path is large enough for OpenBLAS to run it
+on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
+scipy each load their own OpenBLAS, and the threads of each busy-wait for
+about 0.1 s after a threaded call; so a threaded numpy product made just
+before scipy's LU takes a core from it (on 2 cores a 768-row LU took 46-62
+ms instead of 23-25 ms). D is therefore applied by FFT, and the products
+next to the LU (the backward error, the far field, the shape derivative)
+go through ``_gemm``, the gemm of scipy's BLAS. The (N x 2) @ (2 x N)
+frame products stay in numpy: below N = 363 they run on one thread.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
 
 from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
 from .kernels import (
@@ -194,12 +204,17 @@ def _ops(geom, grid: NodeGrid, kappa: float):
     return S, K, H
 
 
-def _add_times_d(block: np.ndarray, W: np.ndarray, D: np.ndarray) -> None:
-    """block += W @ D for a complex W and the real D, as one real product
-    of the stacked real and imaginary parts."""
-    WD = np.concatenate([W.real, W.imag]) @ D
-    block.real += WD[: len(D)]
-    block.imag += WD[len(D) :]
+def _add_times_d(block: np.ndarray, W: np.ndarray) -> None:
+    """block += W @ D for the 2n x 2n differentiation matrix D = diff_matrix(n).
+
+    D is circulant, so W @ D is a circular convolution along the rows: its
+    symbol is -i m on the Fourier modes m = -n+1..n-1, and 0 on the Nyquist
+    mode. O(N^2 log N) work, and no BLAS call.
+    """
+    N = W.shape[1]
+    symbol = -1j * np.fft.fftfreq(N, 1.0 / N)
+    symbol[N // 2] = 0.0
+    block += np.fft.ifft(np.fft.fft(W, axis=1) * symbol, axis=1)
 
 
 def assemble_system(
@@ -220,7 +235,6 @@ def assemble_system(
     lam, mu = params.lam, params.mu
     kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
     w2r = params.omega**2 * params.rho_a
-    D = diff_matrix(grid.n)
 
     G, G2, i = jets.G, jets.G**2, np.arange(N)
 
@@ -239,10 +253,10 @@ def assemble_system(
     (A11, A12, A13), (A21, A22, _), (A31, A32, A33) = rows
     # Each pair (X o a) @ D +- (Y o b) @ D is folded into one product; the
     # D of A21 and the mu D of A12 enter as identities.
-    _add_times_d(A11, mu * (Kp * nu_np - Hp * nu_n), D)
+    _add_times_d(A11, mu * (Kp * nu_np - Hp * nu_n))
     W = Kp * tau_np - Hp * tau_n
     W[i, i] += 1.0
-    _add_times_d(A21, W, D)
+    _add_times_d(A21, W)
     A11 += Sp * (-kp**2 * (mu * nu_n**2 + (lam + mu) * G2))
     A11 += Kp * (mu * nu_npd) - Hp * (mu * nu_nd)
     A21 += Sp * (-kp**2 * tau_n * nu_n)
@@ -253,8 +267,8 @@ def assemble_system(
     Ss, Ks, Hs = _ops(geom, grid, ks)
     W = mu * (Ks * nu_n + Hs * nu_np)
     W[i, i] += mu
-    _add_times_d(A12, W, D)
-    _add_times_d(A22, Ks * tau_n + Hs * tau_np, D)
+    _add_times_d(A12, W)
+    _add_times_d(A22, Ks * tau_n + Hs * tau_np)
     A12 += Ss * (mu * ks**2 * nu_np * nu_n)
     A12 += Ks * (mu * nu_nd) + Hs * (mu * nu_npd)
     A22 += Ss * (ks**2 * tau_np * nu_n)
@@ -348,8 +362,7 @@ def system_sensitivity(
     N, n, lim, i = grid.size, grid.n, geom.lim, np.arange(grid.size)
     R, T, pin = log_weight_table(n), cauchy_weight_table(n), np.pi / n
     x = np.reshape(x, (3, N))
-    D = diff_matrix(n)
-    y = (D @ x[0], D @ x[1])
+    y = _gemm(diff_matrix(n), x[:2].T).T
     G, t, nu, tau, r = jets.G, grid.nodes, jets.nu, jets.tau, geom.r
 
     a, b = geom.n_dot / G[:, None], geom.np_dot / G[:, None]
@@ -418,9 +431,21 @@ def system_sensitivity(
                   diag_bend[0][e], diag_bend[1][e])
         # the third equation has no p'' terms: those weights are the scalar 0
         source = [m for m in source if np.ndim(m)]
-        rows.append(np.hstack(source) @ stacked[: len(source) * N]
+        rows.append(_gemm(np.hstack(source), stacked[: len(source) * N])
                     + sum(tc[:, None] * c for tc, c in zip(target, comps)))
     return np.concatenate(rows)
+
+
+def _gemm(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a matrix a and one vector or a matrix of columns x, by the
+    gemm of scipy's BLAS, the library that also runs the LU.
+
+    a goes in as a.T with trans_a=1: for the C-ordered matrices built here
+    that is an F-ordered view, so nothing is copied.
+    """
+    cols = x.reshape(len(x), -1)
+    gemm = get_blas_funcs("gemm", (a, cols))
+    return gemm(1.0, a.T, cols, trans_a=1).reshape(a.shape[:1] + x.shape[1:])
 
 
 def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -432,10 +457,15 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     columns, and raises FloatingPointError when the backward error of any
     column exceeds ``_BACKWARD_GATE`` or is not a number (a zero pivot gives
     NaN densities); unlike a relative residual it does not grow with kappa.
+
+    The LU is that of system.T, the F-ordered view of the C-ordered matrix
+    that assembly builds, so LAPACK gets it without a transposing copy; the
+    solves use its transpose, and infinity norms of system.T are 1-norms of
+    the system (``lange`` takes it with no N x N temporary).
     """
-    lu, piv = lu_factor(system)
-    gecon = get_lapack_funcs("gecon", (system,))
-    rcond, _ = gecon(lu, norm := np.linalg.norm(system, 1))
+    lu, piv = lu_factor(system.T)
+    gecon, lange = get_lapack_funcs(("gecon", "lange"), (system,))
+    rcond, _ = gecon(lu, norm := lange("I", system.T), norm="I")
     if rcond < _COND_WARN_RCOND:
         warnings.warn(
             f"system is nearly singular (rcond ~ {rcond:.2e}); "
@@ -444,9 +474,10 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         )
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = lu_solve((lu, piv), b)
+        x = lu_solve((lu, piv), b, trans=1)
         scale = norm * np.abs(x).sum(axis=0) + np.abs(b).sum(axis=0)
-        eta = np.max(np.abs(system @ x - b).sum(axis=0) / np.where(scale > 0, scale, 1.0))
+        eta = np.max(np.abs(_gemm(system, x) - b).sum(axis=0)
+                     / np.where(scale > 0, scale, 1.0))
         if not eta <= _BACKWARD_GATE:  # a NaN residual fails the gate too
             raise FloatingPointError(f"linear solve residual too large: {eta:.2e}")
         return x
@@ -502,7 +533,7 @@ def far_field(
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
     if grid is None:
         grid = NodeGrid(len(densities.phi3_tilde) // 2)
-    vals = far_field_matrix(curve, params, obs_angles, grid) @ densities.phi3_tilde
+    vals = _gemm(far_field_matrix(curve, params, obs_angles, grid), densities.phi3_tilde)
     return FarField(angles=obs_angles, values=vals)
 
 

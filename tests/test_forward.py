@@ -3,6 +3,8 @@ manufactured point-source solutions on non-trivial curves, boundary
 residuals on a shifted grid, translation covariance, far-field
 reciprocity, and the shape derivative of the system matrix."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,6 +344,31 @@ class TestSharedGeometryAssembly:
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+class TestSolvePathProducts:
+    """The two products that keep numpy's BLAS off the solve path: D applied
+    along the rows by FFT, and the gemm of scipy's BLAS next to the LU."""
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_fft_times_d_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        W = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        WD = np.zeros_like(W)
+        forward._add_times_d(WD, W)
+        dense = W @ diff_matrix(n)
+        assert np.abs(WD - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("x_shape", [(50,), (50, 3)])
+    def test_scipy_gemm_matches_matmul(self, order, x_shape):
+        rng = np.random.default_rng(2)
+        a = np.asarray(rng.standard_normal((40, 50)) + 1j * rng.standard_normal((40, 50)),
+                       order=order)
+        x = rng.standard_normal(x_shape) + 1j * rng.standard_normal(x_shape)
+        ax = forward._gemm(a, x)
+        assert ax.shape == (40,) + x_shape[1:]
+        assert np.abs(ax - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+
+
 def reciprocity_gap(curve: StarlikeCurve, params, n: int, thetas) -> float:
     """max |u_inf(x; d) - u_inf(-d; -x)| over x, d in the directions
     ``thetas``, relative to the largest |u_inf|."""
@@ -425,6 +452,18 @@ class TestFactorSystem:
                 FloatingPointError, match="linear solve residual too large"):
             solve(np.ones(6))
 
+    def test_condition_estimate_is_the_one_norm(self):
+        """A row of 3e5 gives reciprocal condition numbers 1.1e-11 in the
+        1-norm and 1.1e-13 in the infinity norm: the system warns only when
+        transposed, whatever the order of the LU inside."""
+        A = np.eye(11)
+        A[0, 1:] = 3e5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor_system(A)
+        with pytest.warns(RuntimeWarning, match="rcond ~ 1.11e-13"):
+            factor_system(A.T.copy())
+
 
 def _conditioned(cond, n=60, seed=0):
     """A complex n x n matrix with singular values from 1 down to 1/cond, and
@@ -454,7 +493,7 @@ class TestBackwardErrorGate:
         b = np.ones(len(A), dtype=complex)
         exact = forward.lu_solve
         monkeypatch.setattr(forward, "lu_solve",
-                            lambda lu_piv, rhs: exact(lu_piv, rhs) * (1.0 + 1e-11))
+                            lambda lu_piv, rhs, **kw: exact(lu_piv, rhs, **kw) * (1.0 + 1e-11))
         solve = factor_system(A)
         x = exact(forward.lu_factor(A), b) * (1.0 + 1e-11)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
