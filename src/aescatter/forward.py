@@ -12,12 +12,13 @@ third derivatives of the radial function out of the kernels.
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
 scipy each load their own OpenBLAS, and the threads of each busy-wait for
-about 0.1 s after a threaded call; so a threaded numpy product made just
-before scipy's LU takes a core from it (on 2 cores a 768-row LU took 46-62
-ms instead of 23-25 ms). D is therefore applied by FFT, and the products
-next to the LU (the backward error, the far field, the shape derivative)
-go through ``_gemm``, the gemm of scipy's BLAS. The (N x 2) @ (2 x N)
-frame products stay in numpy: below N = 363 they run on one thread.
+about 0.1 s after a threaded call, so a threaded numpy product made just
+before scipy's LU takes a core from it: on 2 cores a 768-row LU took 48 ms
+after such a product, 28-31 ms after a scipy product or alone. D is
+therefore applied by FFT, and the products next to the LU (the backward
+error, the far field, the shape derivative) go through ``_gemm``, the gemm
+of scipy's BLAS. The (N x 2) @ (2 x N) frame products and the far-field
+phase stay in numpy: they run on one thread while m n <= 131072.
 """
 
 from __future__ import annotations
