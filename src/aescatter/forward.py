@@ -9,6 +9,11 @@ of the boundary conditions on a shifted collocation grid.
 The unknowns are the scaled densities phi_tilde = (g o p) / G, which keeps
 third derivatives of the radial function out of the kernels.
 
+The system is stated once, as the term table ``_terms`` and the jump signs
+``_JUMPS``: ``assemble_system`` sums the rows into blocks, and
+``system_sensitivity`` takes the same sums against x and D x as the feature
+weights that it differentiates.
+
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
 scipy each load their own OpenBLAS, and the threads of each busy-wait for
@@ -30,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
 
-from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
+from .geometry import BoundaryMotion, NodeGrid, StarlikeCurve, jet
 from .kernels import (
     grad_phi,
     hess_phi,
@@ -175,34 +180,72 @@ def rhs_plane_wave(
     return w1, w2, w3
 
 
-def _layer_ops(geom, grid: NodeGrid, tab):
-    """Quadrature matrices (S, K) of the split tables ``tab`` of one
-    wavenumber on one grid.
+# The jump +-1/G of each wavenumber's K on the diagonal (kappa_p, kappa_s,
+# kappa_a): the diagonal terms of the system and the identities next to D.
+_JUMPS = (1.0, 1.0, -1.0)
 
-    ``geom`` is the ``pair_geometry`` of the grid nodes, shared by every
-    wavenumber. The elementwise product with a weight matrix Q[i, j] gives
-    the dense matrix acting on node samples of the (scaled) density. K
-    carries the 1/G(t) factor of the parametrized operator.
+
+def _terms(params: MaterialParams) -> tuple:
+    """The Nystrom system as rows (equation, feature, operator, density,
+    through D, coefficient), the features those of ``_features`` and the
+    operators those of ``_ops``. Block (e, c) of A is the sum over its rows
+    of coefficient (feature o op), times D on the right for the rows through
+    D; op is the operator at density c's own wavenumber (kappa_p, kappa_s,
+    kappa_a), with the jump of ``_JUMPS`` in K's diagonal.
     """
-    R = log_weight_table(grid.n)
-    pin = np.pi / grid.n
-    S = R * tab.m1 + pin * tab.m2
-    K = (R * tab.k1 + pin * tab.k2) / geom.jets.G[:, None]
-    return S, K
+    lam, mu = params.lam, params.mu
+    kp2, ks2 = params.kappa_p**2, params.kappa_s**2
+    w2r = params.omega**2 * params.rho_a
+    return (
+        (0, "C", "K", 1, True, mu), (0, "C", "H", 0, True, -mu),
+        (0, "Sg", "K", 0, True, -mu), (0, "Sg", "H", 1, True, -mu),
+        (0, "Dr", "K", 0, False, mu), (0, "Dr", "H", 1, False, mu),
+        (0, "Di", "K", 1, False, mu), (0, "Di", "H", 0, False, -mu),
+        (0, "G2", "S", 2, False, 1.0), (0, "G2", "S", 0, False, -kp2 * (lam + mu)),
+        (0, "C2", "S", 0, False, -kp2 * mu), (0, "SgC", "S", 1, False, -ks2 * mu),
+        (1, "C", "K", 0, True, 1.0), (1, "C", "H", 1, True, 1.0),
+        (1, "Sg", "K", 1, True, 1.0), (1, "Sg", "H", 0, True, -1.0),
+        (1, "Dr", "H", 0, False, 1.0), (1, "Dr", "K", 1, False, -1.0),
+        (1, "Di", "K", 0, False, 1.0), (1, "Di", "H", 1, False, 1.0),
+        (1, "C2", "S", 1, False, ks2), (1, "SgC", "S", 0, False, -kp2),
+        (2, "G2", "K", 0, False, 1.0), (2, "G2", "H", 1, False, 1.0),
+        (2, "G2", "K", 2, False, -1.0 / w2r),
+    )
 
 
-def _ops(geom, grid: NodeGrid, kappa: float):
-    """Quadrature matrices (S, K, H) for one wavenumber on one grid; H is
-    the tangential operator, with the 1/G(t) factor like K."""
-    n = grid.n
+def _features(jets) -> dict:
+    """The frame features of the system, [target i, source j]: C = nu_i . n_j,
+    Sg = tau_i . n_j, Dr = nu_i . p''_j, Di = tau_i . p''_j, G2 = G_j^2,
+    C2 = C^2 and SgC = Sg C. They cover every frame product of the
+    equations: tau_i . n_perp_j = C, nu_i . n_perp_j = -Sg,
+    nu_i . n_perp'_j = -tau_i . n'_j = Dr and nu_i . n'_j = tau_i . n_perp'_j = Di.
+    """
+    C, Sg = jets.nu @ jets.n.T, jets.tau @ jets.n.T
+    Dr, Di = jets.nu @ jets.ddp.T, jets.tau @ jets.ddp.T
+    return {"C": C, "Sg": Sg, "Dr": Dr, "Di": Di, "G2": jets.G**2,
+            "C2": C * C, "SgC": Sg * C}
+
+
+def _tangential(terms) -> set:
+    """The densities whose wavenumber has an H term in ``terms``."""
+    return {c for _, _, op, c, _, _ in terms if op == "H"}
+
+
+def _ops(geom, grid: NodeGrid, kappa: float, tangential: bool = True) -> dict:
+    """Quadrature matrices S, K and, if ``tangential``, H for one wavenumber
+    on one grid, from the ``pair_geometry`` of its nodes; K and the
+    tangential operator H carry the 1/G(t) factor. Times a feature Q[i, j],
+    each is the dense matrix acting on node samples of the scaled density."""
+    n, pin, G = grid.n, np.pi / grid.n, geom.jets.G[:, None]
     # The cached weight tables are built before the split tables: built after
     # them, they sit above the freed temporaries in glibc's heap and kept
     # about 10 MB resident after an n=128 assembly.
     R, T = log_weight_table(n), cauchy_weight_table(n)
     tab = kernel_tables(geom, kappa)
-    S, K = _layer_ops(geom, grid, tab)
-    H = (T * tab.h1 + R * tab.h2 + (np.pi / n) * tab.h3) / geom.jets.G[:, None]
-    return S, K, H
+    ops = {"S": R * tab.m1 + pin * tab.m2, "K": (R * tab.k1 + pin * tab.k2) / G}
+    if tangential:
+        ops["H"] = (T * tab.h1 + R * tab.h2 + pin * tab.h3) / G
+    return ops
 
 
 def _add_times_d(block: np.ndarray, W: np.ndarray) -> None:
@@ -224,110 +267,66 @@ def assemble_system(
     """Dense 6n x 6n system matrix on the given collocation grid.
 
     Row blocks are the three boundary equations at the 2n nodes; column
-    blocks are the three scaled densities. The pair geometry is computed
-    once and shared by the three wavenumbers, and each wavenumber's
-    operators go into the blocks before the next ones are built.
+    blocks are the three scaled densities, each with its own wavenumber. The
+    blocks are the sums of the rows of ``_terms``. The pair geometry is
+    computed once and shared by the three wavenumbers, and each
+    wavenumber's operators go into its column before the next are built.
     """
     if grid.n < 8:
         raise ValueError("grid too coarse for the singular quadrature (need n >= 8)")
     jets = jet(curve, grid.nodes)
     geom = pair_geometry(jets, grid.nodes)
-    N = grid.size
-    lam, mu = params.lam, params.mu
-    kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
-    w2r = params.omega**2 * params.rho_a
-
-    G, G2, i = jets.G, jets.G**2, np.arange(N)
-
-    # Q[i, j] geometry factors, e.g. nu_n[i, j] = nu(t_i) . n(s_j); source
-    # quantities in column index j.
-    sources = (jets.n, jets.n_perp, jets.n_perp_prime, jets.n_prime)
-    nu_n, nu_np, nu_npd, nu_nd = (jets.nu @ v.T for v in sources)
-    tau_n, tau_np, tau_npd, tau_nd = (jets.tau @ v.T for v in sources)
-
-    Sp, Kp, Hp = _ops(geom, grid, kp)
-    # Allocated after the first operators, so that A can take the memory of
-    # their freed temporaries: allocated first, it raised the peak resident
-    # size of a two-body set-up at n=100 by about 8% (glibc malloc).
-    A = np.zeros((3 * N, 3 * N), dtype=complex)
-    rows = [[A[r : r + N, c : c + N] for c in (0, N, 2 * N)] for r in (0, N, 2 * N)]
-    (A11, A12, A13), (A21, A22, _), (A31, A32, A33) = rows
-    # Each pair (X o a) @ D +- (Y o b) @ D is folded into one product; the
-    # D of A21 and the mu D of A12 enter as identities.
-    _add_times_d(A11, mu * (Kp * nu_np - Hp * nu_n))
-    W = Kp * tau_np - Hp * tau_n
-    W[i, i] += 1.0
-    _add_times_d(A21, W)
-    A11 += Sp * (-kp**2 * (mu * nu_n**2 + (lam + mu) * G2))
-    A11 += Kp * (mu * nu_npd) - Hp * (mu * nu_nd)
-    A21 += Sp * (-kp**2 * tau_n * nu_n)
-    A21 += Kp * tau_npd - Hp * tau_nd
-    A31[...] = Kp * G2
-    del Sp, Kp, Hp, W  # each wavenumber's operators go before the next are built
-
-    Ss, Ks, Hs = _ops(geom, grid, ks)
-    W = mu * (Ks * nu_n + Hs * nu_np)
-    W[i, i] += mu
-    _add_times_d(A12, W)
-    _add_times_d(A22, Ks * tau_n + Hs * tau_np)
-    A12 += Ss * (mu * ks**2 * nu_np * nu_n)
-    A12 += Ks * (mu * nu_nd) + Hs * (mu * nu_npd)
-    A22 += Ss * (ks**2 * tau_np * nu_n)
-    A22 += Ks * tau_nd + Hs * tau_npd
-    A32[...] = Hs * G2
-    del Ss, Ks, Hs, W
-
-    Sa, Ka = _layer_ops(geom, grid, kernel_tables(geom, ka))  # no H: no block uses it
-    A13[...] = Sa * G2
-    A33[...] = Ka * (-G2 / w2r)
-
-    # Diagonal terms; nu_npd[i, i] = nu(t_i) . n_perp'(t_i), and so on.
-    A11[i, i] += mu * nu_npd[i, i] / G
-    A12[i, i] += mu * nu_nd[i, i] / G
-    A21[i, i] += tau_npd[i, i] / G
-    A22[i, i] += tau_nd[i, i] / G
-    A31[i, i] += G
-    A33[i, i] += G / w2r
+    N, i = grid.size, np.arange(grid.size)
+    features, terms = _features(jets), _terms(params)
+    A = None
+    for c, kappa in enumerate((params.kappa_p, params.kappa_s, params.kappa_a)):
+        ops = _ops(geom, grid, kappa, c in _tangential(terms))
+        ops["K"][i, i] += _JUMPS[c] / jets.G
+        if A is None:
+            # Allocated after the first operators, so that A can take the
+            # memory of their freed temporaries: allocated first, it raised
+            # the peak resident size of a two-body set-up at n=100 by about
+            # 8% (glibc malloc).
+            A = np.zeros((3 * N, 3 * N), dtype=complex)
+        for e in range(3):
+            block, W = A[e * N : (e + 1) * N, c * N : (c + 1) * N], None
+            for _, f, op, _, through_d, coef in (t for t in terms if t[0] == e and t[3] == c):
+                term = ops[op] * (coef * features[f])
+                if not through_d:
+                    block += term
+                elif W is None:
+                    W = term
+                else:
+                    W += term
+                del term  # held through the FFT product, it raised forward-sweep's peak RSS 1.5 MB
+            if W is not None:
+                _add_times_d(block, W)  # the rows through D, as one product
+        del ops, W  # each wavenumber's operators go before the next are built
     if not np.all(np.isfinite(A)):
         raise FloatingPointError("non-finite entries during system assembly")
     return A
 
 
-def _feature_weights(ops, x, y, params: MaterialParams):
-    """Per equation e, the weights B_f of the frame features f = (C, Sg, Dr,
-    Di, G2, C^2, Sg C) in A x: row e of A x is the row sum of the sum of
-    f o B_f, given the operators ``ops``, (S, K, H) per wavenumber
-    (kappa_p, kappa_s, kappa_a), with the diagonal terms and identities of
-    ``assemble_system`` as the jump +-1/G in K's diagonal.
-
-    C = nu_i . n_j, Sg = tau_i . n_j, Dr = nu_i . p''_j, Di = tau_i . p''_j
-    and G2 = G_j^2, so nu_n = tau_np = C, tau_n = -nu_np = Sg,
-    nu_npd = -tau_nd = Dr and nu_nd = tau_npd = Di. A x is linear in the
-    operators and in the features, so the derivatives of the operators give
-    the weights of their derivatives. x holds the three densities and y the
-    first two times D; ``None`` marks a feature with no weight.
+def _weights(ops, x, y, terms) -> list:
+    """Per equation e, the weights B_f of the features f in A x: row e of A x
+    is the row sum of the sum of f o B_f, for the operators ``ops``, one dict
+    of S, K, H per wavenumber. B_f is the sum of coefficient (op x_c) over the
+    rows of ``terms``, with y_c = (D x)_c in place of x_c through D; a row
+    whose operator ``ops`` lacks is left out. A x is linear in the operators
+    and in the features, so the derivatives of the operators give the weights
+    of their derivatives.
     """
-    (Sp, Kp, Hp), (Ss, Ks, Hs), (Sa, Ka, _) = ops
-    (x1, x2, x3), (y1, y2) = x, y
-    lam, mu = params.lam, params.mu
-    kp2, ks2 = params.kappa_p**2, params.kappa_s**2
-    w2r = params.omega**2 * params.rho_a
-    X1, X2 = Kp * x1 + Hs * x2, Ks * x2 - Hp * x1
-    Y1, Y2 = Kp * y1 + Hs * y2, Ks * y2 - Hp * y1
-    Sx1, Sx2 = Sp * x1, Ss * x2
-    return (
-        (mu * Y2, -mu * Y1, mu * X1, mu * X2, Sa * x3 - kp2 * (lam + mu) * Sx1,
-         -kp2 * mu * Sx1, -mu * ks2 * Sx2),
-        (Y1, Y2, -X2, X1, None, ks2 * Sx2, -kp2 * Sx1),
-        (None, None, None, None, X1 - Ka * x3 / w2r, None, None),
-    )
+    B = [{}, {}, {}]
+    for e, f, op, c, through_d, coef in terms:
+        if op in ops[c]:
+            term = ops[c][op] * (coef * (y if through_d else x)[c])
+            B[e][f] = B[e][f] + term if f in B[e] else term
+    return B
 
 
 def _combine(features, weights) -> np.ndarray:
-    """The sum of f o B_f over the features that have both a value and a
-    weight (``None`` marks either missing)."""
-    return sum(f * w for f, w in zip(features, weights)
-               if f is not None and w is not None)
+    """The sum of f o B_f over the features that are in both dicts."""
+    return sum(features[f] * w for f, w in weights.items() if f in features)
 
 
 def system_sensitivity(
@@ -375,45 +374,43 @@ def system_sensitivity(
     # Kress's rule on f = f1 ln(4 sin^2) + f2 is R o f1 + pin f2 = pin f + f1 o RL
     RL = R - pin * geom.logsin
 
-    C, Sg = nu @ jets.n.T, tau @ jets.n.T
-    Dr, Di = nu @ jets.ddp.T, tau @ jets.ddp.T
+    f, terms = _features(jets), _terms(params)
+    C, Sg, Dr, Di = f["C"], f["Sg"], f["Dr"], f["Di"]
     lim_K = 1.0 / (2 * n * G**2)          # K's diagonal limit is Dr_ii lim_K
     ops, ops_r, ops_phi, ops_G = [], [], [], []
-    # per wavenumber: the jump of K, and whether any equation has its H
-    for kappa, jump, tangential in ((params.kappa_p, 1.0, True),
-                                    (params.kappa_s, 1.0, True),
-                                    (params.kappa_a, -1.0, False)):
-        S, S_r, S_rr = (pin * f + f1 * RL for f, f1 in single_layer_slopes(geom, kappa))
+    for c, kappa in enumerate((params.kappa_p, params.kappa_s, params.kappa_a)):
+        S, S_r, S_rr = (pin * v + v1 * RL for v, v1 in single_layer_slopes(geom, kappa))
         K = -a * S_r                               # 0 at the lim pairs, as S_r
-        K[i, i] = Dr[i, i] * lim_K + jump / G
-        H = H_r = H_phi = 0.0
-        if tangential:
+        K[i, i] = Dr[i, i] * lim_K + _JUMPS[c] / G
+        op, op_r, op_phi = {"S": S, "K": K}, {"S": S_r}, {}
+        if c in _tangential(terms):
             H_phi = cauchy - S_r
-            H, H_phi = b * H_phi, a * H_phi
-            H_r = -b * (cauchy_r + S_rr)
-        ops.append((S, K, H))
-        ops_r.append((S_r, -a * S_rr, H_r))
-        ops_phi.append((0.0, b * S_r, H_phi))
+            op["H"], op_phi["H"] = b * H_phi, a * H_phi
+            op_r["H"] = -b * (cauchy_r + S_rr)
+        op_r["K"], op_phi["K"] = -a * S_rr, b * S_r
+        ops.append(op)
+        ops_r.append(op_r)
+        ops_phi.append(op_phi)
         # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
-        ops_G.append((-1.0 / n, -2.0 * Dr[i, i] * lim_K - jump / G, 0.0))
+        ops_G.append({"S": -1.0 / n, "K": -2.0 * Dr[i, i] * lim_K - _JUMPS[c] / G})
 
-    f = (C, Sg, Dr, Di, G**2, C * C, Sg * C)
-    f_ii = tuple(v if v.ndim == 1 else v[i, i] for v in f)
-    B, B_r, B_phi = (_feature_weights(o, x, y, params) for o in (ops, ops_r, ops_phi))
+    f_ii = {k: v if v.ndim == 1 else v[i, i] for k, v in f.items()}
+    B, B_r, B_phi = (_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi))
 
     def diagonal(diag_ops):   # target part of the diagonal entries' derivatives
-        return [_combine(f_ii, w) for w in _feature_weights(diag_ops, x, y, params)]
+        return [_combine(f_ii, w) for w in _weights(diag_ops, x, y, terms)]
 
     # The derivatives of the features: in the relative rotation of the two
     # frames (dtheta_i - dtheta_j), in the target frame's rotation against
     # p''_j (dtheta_i), in log G_j and in p''_j.
-    rotation = (-Sg, C, None, None, None, -2.0 * C * Sg, C * C - Sg * Sg)
-    target_turn = (None, None, -Di, Dr, None, None, None)
-    stretch = (C, Sg, None, None, 2.0 * G**2, 2.0 * C * C, 2.0 * Sg * C)
-    bend = [(None, None, nu[:, k, None], tau[:, k, None], None, None, None) for k in (0, 1)]
+    rotation = {"C": -Sg, "Sg": C, "C2": -2.0 * f["SgC"], "SgC": f["C2"] - Sg * Sg}
+    target_turn = {"Dr": -Di, "Di": Dr}
+    stretch = {"C": C, "Sg": Sg, "G2": 2.0 * f["G2"], "C2": 2.0 * f["C2"],
+               "SgC": 2.0 * f["SgC"]}
+    bend = [{"Dr": nu[:, k, None], "Di": tau[:, k, None]} for k in (0, 1)]
     diag_G = diagonal(ops_G)
-    diag_theta = diagonal([(0.0, -Di[i, i] * lim_K, 0.0)] * 3)
-    diag_bend = [diagonal([(0.0, nu[:, k] * lim_K, 0.0)] * 3) for k in (0, 1)]
+    diag_theta = diagonal([{"K": -Di[i, i] * lim_K}] * 3)
+    diag_bend = [diagonal([{"K": nu[:, k] * lim_K}] * 3) for k in (0, 1)]
 
     dp = motion.dp - motion.dp.mean(axis=0)
     comps = (dp[:, 0], dp[:, 1], motion.dG / G[:, None], motion.dtheta,
@@ -622,7 +619,8 @@ def jump_check(
     geom = pair_geometry(jets, grid.nodes)
     # The factor 1/2 turns the doubled boundary operators into plain
     # boundary integrals of theta = G * g.
-    Smat, Kmat, Hmat = (0.5 * M for M in _ops(geom, grid, kappa))
+    ops = _ops(geom, grid, kappa)
+    Smat, Kmat, Hmat = (0.5 * ops[k] for k in "SKH")
     D = diff_matrix(n)
 
     g = density(grid.nodes)

@@ -41,7 +41,6 @@ from .multibody import (
     TwoBodyDensities,
     assemble_two_body,
     cross_block_sensitivity,
-    solve_two_body_forward,
 )
 
 __all__ = [

@@ -38,7 +38,7 @@ from aescatter.geometry import (
     translate,
 )
 from aescatter.inverse_phased import _boundary_motion
-from aescatter.kernels import grad_phi, hess_phi
+from aescatter.kernels import grad_phi, hess_phi, pair_geometry
 from aescatter.kernels import phi as Phi
 from aescatter.quadrature import cauchy_weight_table, diff_matrix, log_weight_table
 from aescatter.specfun import EULER_GAMMA, hankel1_0, hankel1_1
@@ -437,6 +437,34 @@ class TestSystemSensitivity:
             for k in range(2, 2 * degree + 3)
         ])
         assert np.abs(dAx[:, 2:] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+class TestTermTable:
+    @pytest.mark.parametrize("grid", [NodeGrid(16), NodeGrid(64),
+                                      NodeGrid(16, offset=0.5 * np.pi / 16),
+                                      NodeGrid(64, offset=0.5 * np.pi / 64)],
+                             ids=["n16", "n64", "n16-shifted", "n64-shifted"])
+    @pytest.mark.parametrize("name", list(SENSITIVITY_CURVES))
+    def test_weights_apply_the_assembled_system(self, params, name, grid):
+        """A x as system_sensitivity forms it, the row sums of the sum of
+        f o B_f(x, D x) over the frame features f, on the assembly's operators
+        with the jumps in K's diagonal, equals assemble_system(curve) @ x: the
+        two readers of the term table agree to rounding."""
+        curve = SENSITIVITY_CURVES[name]()
+        jets = jet(curve, grid.nodes)
+        geom = pair_geometry(jets, grid.nodes)
+        ops = [forward._ops(geom, grid, kappa)
+               for kappa in (params.kappa_p, params.kappa_s, params.kappa_a)]
+        for jump, op in zip(forward._JUMPS, ops):
+            op["K"][np.diag_indices(grid.size)] += jump / jets.G
+        rng = np.random.default_rng(grid.n)
+        x = rng.standard_normal((3, grid.size)) + 1j * rng.standard_normal((3, grid.size))
+        y = x[:2] @ diff_matrix(grid.n).T
+        features = forward._features(jets)
+        B = forward._weights(ops, x, y, forward._terms(params))
+        Ax = np.concatenate([forward._combine(features, w).sum(axis=1) for w in B])
+        ref = assemble_system(curve, params, grid) @ x.ravel()
+        assert np.abs(Ax - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestFactorSystem:

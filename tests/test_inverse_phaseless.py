@@ -241,7 +241,8 @@ class TestExactJacobian:
             return wrapper
 
         for name in calls:
-            for module in (inverse_phaseless, multibody):
+            # inverse_phaseless does not import solve_two_body_forward
+            for module in (m for m in (inverse_phaseless, multibody) if hasattr(m, name)):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         exact_phaseless_jacobian(self._curve(), BALL.curve(), params, wave, OBS,
                                  self.DEGREE, NodeGrid(16))
