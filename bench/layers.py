@@ -1,7 +1,7 @@
 """Per-layer timings of the Nystrom pipeline.
 
-Times ``kernel_tables`` (the split tables of one wavenumber, and of the
-three wavenumbers of one assembly, each with the pair geometry they need),
+Times ``kernel_tables`` (the single-layer tables of one wavenumber, and of
+the three wavenumbers of one assembly, each with the pair geometry they need),
 ``assemble_system``, ``factor_system`` and ``far_field`` on the apple at
 n in {32, 64, 100, 128}, and at n in {64, 128} the four back to back as
 ``aescatter forward`` runs them (``forward_sequence``: assemble, factor,
@@ -24,7 +24,7 @@ made at n = 100. Each is timed with ``time.perf_counter`` and repeats, and
 the median and interquartile range of each go to a JSON file, with the
 thread counts of the two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_14.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_15.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -216,7 +216,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_14.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy

@@ -10,9 +10,10 @@ The unknowns are the scaled densities phi_tilde = (g o p) / G, which keeps
 third derivatives of the radial function out of the kernels.
 
 The system is stated once, as the term table ``_terms`` and the jump signs
-``_JUMPS``: ``assemble_system`` sums the rows into blocks, and
-``system_sensitivity`` takes the same sums against x and D x as the feature
-weights that it differentiates.
+``_JUMPS``, and its operators are built once, by ``_ops``:
+``assemble_system`` sums the rows into blocks, and ``system_sensitivity``
+takes the same sums against x and D x as the feature weights that it
+differentiates.
 
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
@@ -36,14 +37,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
 
 from .geometry import BoundaryMotion, NodeGrid, StarlikeCurve, jet
-from .kernels import (
-    grad_phi,
-    hess_phi,
-    kernel_tables,
-    pair_geometry,
-    phi,
-    single_layer_slopes,
-)
+from .kernels import grad_phi, hess_phi, k_limit, kernel_tables, pair_geometry, phi
 from .quadrature import (
     cauchy_weight_table,
     diff_matrix,
@@ -226,26 +220,39 @@ def _features(jets) -> dict:
             "C2": C * C, "SgC": Sg * C}
 
 
-def _tangential(terms) -> set:
-    """The densities whose wavenumber has an H term in ``terms``."""
-    return {c for _, _, op, c, _, _ in terms if op == "H"}
-
-
-def _ops(geom, grid: NodeGrid, kappa: float, tangential: bool = True) -> dict:
-    """Quadrature matrices S, K and, if ``tangential``, H for one wavenumber
-    on one grid, from the ``pair_geometry`` of its nodes; K and the
-    tangential operator H carry the 1/G(t) factor. Times a feature Q[i, j],
-    each is the dense matrix acting on node samples of the scaled density."""
-    n, pin, G = grid.n, np.pi / grid.n, geom.jets.G[:, None]
+def _ops(geom, grid: NodeGrid, kappa: float) -> dict:
+    """The one operator builder: quadrature matrices for one wavenumber on
+    one grid, from the ``pair_geometry`` of its nodes and the single-layer
+    tables. S is the single-layer operator and S_r its r-derivative;
+    K = -a o S_r with K's diagonal limit, and H = b o (Q - S_r) with the
+    Cauchy part Q = (T o sin(ς_j - t_i) - pi/n)/(pi r). The unit-frame
+    components a, b of the chord carry the 1/G(t) factor of K and H. Times a
+    frame feature, S, K and H are the dense matrices acting on node samples
+    of the scaled density."""
+    n, pin, t, lim = grid.n, np.pi / grid.n, grid.nodes, geom.lim
     # The cached weight tables are built before the split tables: built after
     # them, they sit above the freed temporaries in glibc's heap and kept
     # about 10 MB resident after an n=128 assembly.
     R, T = log_weight_table(n), cauchy_weight_table(n)
     tab = kernel_tables(geom, kappa)
-    ops = {"S": R * tab.m1 + pin * tab.m2, "K": (R * tab.k1 + pin * tab.k2) / G}
-    if tangential:
-        ops["H"] = (T * tab.h1 + R * tab.h2 + pin * tab.h3) / G
-    return ops
+    # Kress's rule on f = f1 ln(4 sin^2) + f2 is R o f1 + pin f2 = pin f + f1 o RL
+    RL = pin * geom.logsin
+    np.subtract(R, RL, out=RL)
+    S, S_r = tab.f, tab.f_r   # built in the tables' memory
+    for v, v1 in ((S, tab.f1), (S_r, tab.f1_r)):
+        v *= pin
+        v1 *= RL
+        v += v1
+    del RL, tab
+    K = -geom.a * S_r
+    K[lim] = pin * k_limit(geom) / geom.jets.G[lim[0]]
+    Q = np.sin(t[None, :] - t[:, None])
+    Q *= T
+    Q -= pin
+    Q /= np.pi * geom.r  # finite at the lim pairs, where a = b = 0
+    H = Q - S_r
+    H *= geom.b
+    return {"S": S, "S_r": S_r, "K": K, "H": H, "Q": Q}
 
 
 def _add_times_d(block: np.ndarray, W: np.ndarray) -> None:
@@ -276,18 +283,18 @@ def assemble_system(
         raise ValueError("grid too coarse for the singular quadrature (need n >= 8)")
     jets = jet(curve, grid.nodes)
     geom = pair_geometry(jets, grid.nodes)
-    N, i = grid.size, np.arange(grid.size)
-    features, terms = _features(jets), _terms(params)
+    N, i, terms = grid.size, np.arange(grid.size), _terms(params)
     A = None
     for c, kappa in enumerate((params.kappa_p, params.kappa_s, params.kappa_a)):
-        ops = _ops(geom, grid, kappa, c in _tangential(terms))
+        ops = _ops(geom, grid, kappa)
         ops["K"][i, i] += _JUMPS[c] / jets.G
         if A is None:
             # Allocated after the first operators, so that A can take the
             # memory of their freed temporaries: allocated first, it raised
             # the peak resident size of a two-body set-up at n=100 by about
-            # 8% (glibc malloc).
+            # 8% (glibc malloc). The features follow for the same reason.
             A = np.zeros((3 * N, 3 * N), dtype=complex)
+            features = _features(jets)
         for e in range(3):
             block, W = A[e * N : (e + 1) * N, c * N : (c + 1) * N], None
             for _, f, op, _, through_d, coef in (t for t in terms if t[0] == e and t[3] == c):
@@ -345,10 +352,10 @@ def system_sensitivity(
     (n . p''/G^2); the weight tables, the log factor and D do not move.
     With a = nu_i . (p_j - p_i)/r and b = tau_i . (p_j - p_i)/r, the
     operators of one wavenumber are S, K = -a S_r and H = b (Q - S_r) off
-    the diagonal, where S_r is the r-derivative of S and Q the Cauchy part
-    (T o sin(ς_j - t_i) - pi/n)/(pi r); so one H0 and one H1 evaluation give
-    every operator and its derivatives in r and phi
-    (:func:`kernels.single_layer_slopes`).
+    the diagonal, where S_r is the r-derivative of S and Q the Cauchy part,
+    all from the ``_ops`` that assembly uses. The radial Helmholtz equation
+    gives S_rr = -kappa^2 S - S_r/r, so one H0 and one H1 evaluation per
+    wavenumber give every operator and its derivatives in r and phi.
 
     Each (W o a) @ D x is taken as (W o a) @ (D x), and each derivative is
     split into a target part, moving with node i (row sums, then times the
@@ -359,38 +366,27 @@ def system_sensitivity(
     """
     jets = jet(curve, grid.nodes)
     geom = pair_geometry(jets, grid.nodes)
-    N, n, lim, i = grid.size, grid.n, geom.lim, np.arange(grid.size)
-    R, T, pin = log_weight_table(n), cauchy_weight_table(n), np.pi / n
+    N, n, i = grid.size, grid.n, np.arange(grid.size)
     x = np.reshape(x, (3, N))
     y = _gemm(diff_matrix(n), x[:2].T).T
-    G, t, nu, tau, r = jets.G, grid.nodes, jets.nu, jets.tau, geom.r
-
-    a, b = geom.n_dot / G[:, None], geom.np_dot / G[:, None]
+    G, nu, tau, r, a, b = jets.G, jets.nu, jets.tau, geom.r, geom.a, geom.b
     rx = a * nu[:, 0, None] + b * tau[:, 0, None]   # (p_j - p_i)/r
     ry = a * nu[:, 1, None] + b * tau[:, 1, None]
-    cauchy = (T * np.sin(t[None, :] - t[:, None]) - pin) / (np.pi * r)
-    cauchy[lim] = 0.0
-    cauchy_r = cauchy / r
-    # Kress's rule on f = f1 ln(4 sin^2) + f2 is R o f1 + pin f2 = pin f + f1 o RL
-    RL = R - pin * geom.logsin
 
     f, terms = _features(jets), _terms(params)
     C, Sg, Dr, Di = f["C"], f["Sg"], f["Dr"], f["Di"]
-    lim_K = 1.0 / (2 * n * G**2)          # K's diagonal limit is Dr_ii lim_K
+    # K's diagonal limit, (pi/n) k_limit/G, is Dr_ii lim_K; its derivatives
+    # in log G, theta and p'' below are those of Dr_ii lim_K
+    lim_K = 1.0 / (2 * n * G**2)
     ops, ops_r, ops_phi, ops_G = [], [], [], []
     for c, kappa in enumerate((params.kappa_p, params.kappa_s, params.kappa_a)):
-        S, S_r, S_rr = (pin * v + v1 * RL for v, v1 in single_layer_slopes(geom, kappa))
-        K = -a * S_r                               # 0 at the lim pairs, as S_r
-        K[i, i] = Dr[i, i] * lim_K + _JUMPS[c] / G
-        op, op_r, op_phi = {"S": S, "K": K}, {"S": S_r}, {}
-        if c in _tangential(terms):
-            H_phi = cauchy - S_r
-            op["H"], op_phi["H"] = b * H_phi, a * H_phi
-            op_r["H"] = -b * (cauchy_r + S_rr)
-        op_r["K"], op_phi["K"] = -a * S_rr, b * S_r
+        op = _ops(geom, grid, kappa)
+        S_r, Q = op.pop("S_r"), op.pop("Q")
+        op["K"][i, i] += _JUMPS[c] / G
+        S_rr = -kappa**2 * op["S"] - S_r / r   # a = b = 0 at the lim pairs
         ops.append(op)
-        ops_r.append(op_r)
-        ops_phi.append(op_phi)
+        ops_r.append({"S": S_r, "K": -a * S_rr, "H": -b * (Q / r + S_rr)})
+        ops_phi.append({"K": b * S_r, "H": a * (Q - S_r)})
         # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
         ops_G.append({"S": -1.0 / n, "K": -2.0 * Dr[i, i] * lim_K - _JUMPS[c] / G})
 

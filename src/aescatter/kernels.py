@@ -1,15 +1,19 @@
 """Fundamental solution of the 2D Helmholtz equation and kernel splittings.
 
-The parametrized layer kernels are split into a smooth factor times the
-periodic log singularity ln(4 sin^2((t-ς)/2)) (plus, for the tangential
-kernel, a 1/sin(ς-t) Cauchy factor) and an analytic remainder, so each
-piece can be integrated by the matching quadrature rule. The diagonal
-limits of all split parts are closed-form.
+The parametrized layer kernels are the single-layer kernel
+f = (i/2) H0(kappa r) (M) and its r-derivative f_r times the normal (K) or
+tangential (H) component at the target of (p(ς) - p(t))/r.
+``kernel_tables`` evaluates f and f_r at all node pairs, each with the
+smooth factor of its periodic log singularity ln(4 sin^2((t-ς)/2)), so each
+piece can be integrated by the matching quadrature rule; the 1/r of f_r
+gives H its 1/sin(ς-t) Cauchy factor. The diagonal limits are closed-form:
+``_m2_limit`` for f and ``k_limit`` for K; the smooth parts of H vanish there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +31,12 @@ __all__ = [
     "split_m",
     "split_k",
     "split_h",
+    "KernelSplit",
     "KernelTables",
     "PairGeometry",
     "pair_geometry",
+    "k_limit",
     "kernel_tables",
-    "single_layer_slopes",
 ]
 
 # Below this parameter separation the splits subtract two diverging terms;
@@ -81,22 +86,34 @@ def hess_phi(x, y, kappa: float):
     return -0.25j * kappa * (rad + tan)
 
 
+class KernelSplit(NamedTuple):
+    """The split parts of the parametrized layer kernels at one pair (t, ς):
+    M = m1 ln(4 sin^2((t-ς)/2)) + m2, K = k1 ln(...) + k2 and
+    H = h1 / sin(ς-t) + h2 ln(...) + h3."""
+
+    m1: float
+    m2: complex
+    k1: float
+    k2: complex
+    h1: float
+    h2: float
+    h3: complex
+
+
 @dataclass(frozen=True)
 class KernelTables:
-    """All split-kernel matrices for a set of pairs, indexed [target, source],
-    or, from :func:`split_m`, the split parts of one pair (t, ς) as scalars:
-
-    M = m1 ln(4 sin^2((t-ς)/2)) + m2, K = k1 ln(...) + k2 and
-    H = h1 / sin(ς-t) + h2 ln(...) + h3.
+    """The single-layer kernel f = (i/2) H0(kappa r) and its r-derivative
+    f_r = -(i/2) kappa H1(kappa r) at all pairs, [target, source], each with
+    the factor of its log singularity, f1 = -Im f / pi = -J0 / (2 pi) and
+    f1_r = -Im f_r / pi = kappa J1 / (2 pi) (Y_m carries (2/pi) J_m ln).
+    At the ``lim`` pairs f holds the limit of f - f1 ln(4 sin^2((t-ς)/2)),
+    f1 is -1/(2 pi), and f_r and f1_r are 0.
     """
 
-    m1: np.ndarray
-    m2: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
+    f: np.ndarray
+    f1: np.ndarray
+    f_r: np.ndarray
+    f1_r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -108,8 +125,9 @@ class PairGeometry:
     distance r = |p_j - p_i| is 1 at the ``lim`` pairs and exactly symmetric
     (p_j - p_i = -(p_i - p_j) in floating point), so the Hankel functions
     are evaluated at the strict upper-triangle flat indices ``upper`` only
-    and copied to the mirrored ``lower`` ones. ``n_dot``, ``np_dot`` are
-    n(t_i) . (p_j - p_i) / r and the same with n_perp; h1 has no wavenumber.
+    and copied to the mirrored ``lower`` ones. ``a`` and ``b`` are
+    nu(t_i) . (p_j - p_i) / r and the same with tau(t_i); both are 0 at the
+    ``lim`` pairs.
     """
 
     jets: CurveJet
@@ -118,10 +136,8 @@ class PairGeometry:
     lower: np.ndarray
     r: np.ndarray
     logsin: np.ndarray
-    n_dot: np.ndarray
-    np_dot: np.ndarray
-    h1_over_sin: np.ndarray
-    h1: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 def pair_geometry(jets: CurveJet, t) -> PairGeometry:
@@ -138,16 +154,12 @@ def pair_geometry(jets: CurveJet, t) -> PairGeometry:
     upper, lower = iu * len(t) + ju, ju * len(t) + iu
 
     logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2 + diag)  # 0 at the lim pairs
-    n_dot = (jets.n[:, 0, None] * dx + jets.n[:, 1, None] * dy) / r
-    np_dot = (jets.n_perp[:, 0, None] * dx + jets.n_perp[:, 1, None] * dy) / r
-    h1_over_sin = np_dot / (np.pi * r)
-    h1 = h1_over_sin * np.sin(-dt)
+    a = (jets.nu[:, 0, None] * dx + jets.nu[:, 1, None] * dy) / r
+    b = (jets.tau[:, 0, None] * dx + jets.tau[:, 1, None] * dy) / r
     lim = np.nonzero(diag)
-    h1[lim] = 1.0 / np.pi
-    return PairGeometry(
-        jets=jets, lim=lim, upper=upper, lower=lower, r=r,
-        logsin=logsin, n_dot=n_dot, np_dot=np_dot, h1_over_sin=h1_over_sin, h1=h1,
-    )
+    a[lim] = b[lim] = 0.0
+    return PairGeometry(jets=jets, lim=lim, upper=upper, lower=lower, r=r,
+                        logsin=logsin, a=a, b=b)
 
 
 def _hankel_pair(geom: PairGeometry, kappa: float):
@@ -169,65 +181,51 @@ def _m2_limit(geom: PairGeometry, kappa: float) -> np.ndarray:
     return 0.5j - EULER_GAMMA / np.pi - np.log(0.5 * kappa * G) / np.pi
 
 
+def k_limit(geom: PairGeometry) -> np.ndarray:
+    """The diagonal limit n . p'' / (2 pi G^2) of k2 at the ``lim`` pairs, at
+    the target t_i; it has no wavenumber."""
+    jets, rows = geom.jets, geom.lim[0]
+    n_ddp = np.einsum("ik,ik->i", jets.n[rows], jets.ddp[rows])
+    return n_ddp / (2.0 * np.pi * jets.G[rows] ** 2)
+
+
 def kernel_tables(geom: PairGeometry, kappa: float) -> KernelTables:
-    """Every split part at all pairs of ``geom`` (from :func:`pair_geometry`)
-    for one wavenumber; the only code that evaluates the kernel splits for
-    assembly.
-
-    J0, J1 are the real parts of H0, H1 (:func:`_hankel_pair`). The ``lim``
-    pairs get the closed-form diagonal limits at the target t_i; 1/sin(ς-t)
-    is never formed near its zeros (the ratio h1/sin is evaluated directly,
-    which is smooth there).
-    """
-    h0, h1b = _hankel_pair(geom, kappa)
-    j0, j1b = h0.real, h1b.real                        # J_m = Re H_m^(1), exactly
-    logsin = geom.logsin
-
-    m1 = j0 * (-1.0 / (2.0 * np.pi))
-    m2 = 0.5j * h0 - m1 * logsin
-    k1 = (-kappa / (2.0 * np.pi)) * geom.n_dot * j1b
-    k2 = (0.5j * kappa) * geom.n_dot * h1b - k1 * logsin
-    h2 = (-kappa / (2.0 * np.pi)) * geom.np_dot * j1b
-    h3 = (0.5j * kappa) * geom.np_dot * h1b - geom.h1_over_sin - h2 * logsin
-
-    lim, rows, jets = geom.lim, geom.lim[0], geom.jets
-    G, n_ddp = jets.G[rows], np.einsum("ik,ik->i", jets.n[rows], jets.ddp[rows])
-    m1[lim] = -1.0 / (2.0 * np.pi)
-    m2[lim] = _m2_limit(geom, kappa)
-    k2[lim] = n_ddp / (2.0 * np.pi * G**2)
-    k1[lim] = h2[lim] = h3[lim] = 0.0
-    return KernelTables(m1=m1, m2=m2, k1=k1, k2=k2, h1=geom.h1, h2=h2, h3=h3)
-
-
-def single_layer_slopes(geom: PairGeometry, kappa: float):
-    """The single-layer kernel f = (i/2) H0(kappa r) and its first two
-    derivatives in r = |p(ς_j) - p(t_i)| at fixed parameters, each with the
-    factor f1 of its log singularity: three (f, f1) pairs, [target, source],
-    from the H0 and H1 of :func:`kernel_tables` (H0' = -H1, H1' = H0 - H1/z).
-
-    The log factor is -Im f / pi (Y_m carries (2/pi) J_m ln), so (f1, f -
-    f1 ln(4 sin^2((t-ς)/2))) is the (m1, m2) split of :func:`kernel_tables`.
-    At the ``lim`` pairs, where the log factor vanishes, f holds the limit of
-    m2, which depends on the shape through G only, and the derivatives are 0.
+    """The single-layer tables of one wavenumber at all pairs of ``geom``
+    (from :func:`pair_geometry`); the only code that evaluates the Hankel
+    functions on the single-body path. K and H are r-derivatives of the
+    single-layer kernel, so (f, f1) and (f_r, f1_r) split them all.
     """
     h0, h1 = _hankel_pair(geom, kappa)
-    fs = (0.5j * h0, -0.5j * kappa * h1, -0.5j * kappa**2 * (h0 - h1 / (kappa * geom.r)))
-    pairs = [(f, f.imag * (-1.0 / np.pi)) for f in fs]
+    h0 *= 0.5j
+    h1 *= -0.5j * kappa
+    tab = KernelTables(f=h0, f1=h0.imag * (-1.0 / np.pi),
+                       f_r=h1, f1_r=h1.imag * (-1.0 / np.pi))
     lim = geom.lim
-    (f, f1), *slopes = pairs
-    f[lim] = _m2_limit(geom, kappa)
-    f1[lim] = -1.0 / (2.0 * np.pi)
-    for f, f1 in slopes:
-        f[lim] = f1[lim] = 0.0
-    return pairs
+    tab.f[lim] = _m2_limit(geom, kappa)
+    tab.f1[lim] = -1.0 / (2.0 * np.pi)
+    tab.f_r[lim] = tab.f1_r[lim] = 0.0
+    return tab
 
 
-def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelTables:
-    """Split parts of the parametrized layer kernels at the pair (t, ς):
-    entry [0, 1] of :func:`kernel_tables` on the two-point set (t, ς)."""
+def split_m(curve: StarlikeCurve, t: float, s: float, kappa: float) -> KernelSplit:
+    """Split parts of the parametrized layer kernels at the pair (t, ς), from
+    :func:`kernel_tables` on the two-point set (t, ς). M is f, and K and H
+    are -(n . d) f_r and -(n_perp . d) f_r with d = (p(ς) - p(t))/r, so each
+    log factor is the same product with f1 or f1_r; H's Cauchy part
+    h1/sin(ς-t) is n_perp . d/(pi r), from the 1/(pi r) in -f_r."""
     ts = np.array([t, s], dtype=float)
-    tab = kernel_tables(pair_geometry(jet(curve, ts), ts), kappa)
-    return KernelTables(**{f: v[0, 1] for f, v in vars(tab).items()})
+    geom = pair_geometry(jet(curve, ts), ts)
+    tab = kernel_tables(geom, kappa)
+    G, logsin, r = geom.jets.G[:, None], geom.logsin, geom.r
+    n_dot, np_dot = G * geom.a, G * geom.b
+    k1, h2 = -n_dot * tab.f1_r, -np_dot * tab.f1_r
+    parts = {"m1": tab.f1, "m2": tab.f - tab.f1 * logsin,
+             "k1": k1, "k2": -n_dot * tab.f_r - k1 * logsin,
+             "h1": np_dot * np.sin(ts[None, :] - ts[:, None]) / (np.pi * r), "h2": h2,
+             "h3": -np_dot * (tab.f_r + 1.0 / (np.pi * r)) - h2 * logsin}
+    parts["k2"][geom.lim] = k_limit(geom)
+    parts["h1"][geom.lim] = 1.0 / np.pi
+    return KernelSplit(**{k: v[0, 1] for k, v in parts.items()})
 
 
 split_k = split_h = split_m

@@ -1,4 +1,4 @@
-"""Fundamental solution, kernel splits, and split-table assembly."""
+"""Fundamental solution, kernel splits, and the single-layer tables."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from aescatter.kernels import (
     kernel_tables,
     pair_geometry,
     phi,
-    single_layer_slopes,
     split_h,
     split_k,
     split_m,
@@ -137,29 +136,6 @@ class TestSplits:
         assert abs(near - diag) < 1e-3
 
 
-class TestTables:
-    def test_tables_match_scalar_splits(self):
-        curve = make_apple()
-        kappa = 0.7 * np.pi
-        grid = NodeGrid(16)
-        jets = jet(curve, grid.nodes)
-        tab = kernel_tables(pair_geometry(jets, grid.nodes), kappa)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            i, j = rng.integers(0, grid.size, 2)
-            t, s = grid.nodes[i], grid.nodes[j]
-            m = split_m(curve, t, s, kappa)
-            assert abs(tab.m1[i, j] - m.m1) < 1e-12
-            assert abs(tab.m2[i, j] - m.m2) < 1e-11
-            k = split_k(curve, t, s, kappa)
-            assert abs(tab.k1[i, j] - k.k1) < 1e-12
-            assert abs(tab.k2[i, j] - k.k2) < 1e-11
-            h = split_h(curve, t, s, kappa)
-            assert abs(tab.h1[i, j] - h.h1) < 1e-12
-            assert abs(tab.h2[i, j] - h.h2) < 1e-12
-            assert abs(tab.h3[i, j] - h.h3) < 1e-11
-
-
 def make_fourier_curve():
     return make_fourier((0.1, -0.2), [0.55, 0.06, -0.04, 0.03], [0.05, -0.02, 0.01])
 
@@ -170,19 +146,31 @@ SHAPES = [make_apple, make_peanut, make_fourier_curve]
 class TestSingleLayerSlopes:
     @pytest.mark.parametrize("make", SHAPES)
     @pytest.mark.parametrize("n", [16, 64])
-    def test_first_pair_is_the_m_split(self, make, n):
-        """(f, f1) is the (m1, m2) split of kernel_tables, bit for bit: f1 is
-        m1, f - f1 ln(4 sin^2) is m2 off the lim pairs and f is m2 at them."""
+    def test_tables_match_scipy(self, make, n):
+        """kernel_tables against scipy.special off the lim pairs, to 1e-13 of
+        each table's largest entry: f = (i/2) H0(kappa r), f1 = -J0(kappa r)/(2 pi),
+        f_r = -(i/2) kappa H1(kappa r) and f1_r = kappa J1(kappa r)/(2 pi); at
+        the lim pairs f is the m2 limit, f1 is -1/(2 pi), f_r and f1_r are 0."""
         grid = NodeGrid(n)
-        geom = pair_geometry(jet(make(), grid.nodes), grid.nodes)
+        jets = jet(make(), grid.nodes)
+        geom = pair_geometry(jets, grid.nodes)
         off = np.ones(geom.r.shape, dtype=bool)
         off[geom.lim] = False
+        G = jets.G[geom.lim[0]]
         for kappa in KAPPAS:
             tab = kernel_tables(geom, kappa)
-            (f, f1), *_ = single_layer_slopes(geom, kappa)
-            assert np.array_equal(f1, tab.m1)
-            assert np.array_equal((f - f1 * geom.logsin)[off], tab.m2[off])
-            assert np.array_equal(f[geom.lim], tab.m2[geom.lim])
+            z = kappa * geom.r[off]
+            oracle = {"f": 0.5j * special.hankel1(0, z),
+                      "f1": -special.j0(z) / (2.0 * np.pi),
+                      "f_r": -0.5j * kappa * special.hankel1(1, z),
+                      "f1_r": kappa * special.j1(z) / (2.0 * np.pi)}
+            for name, ref in oracle.items():
+                got = getattr(tab, name)[off]
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+            m2_limit = 0.5j - np.euler_gamma / np.pi - np.log(0.5 * kappa * G) / np.pi
+            np.testing.assert_allclose(tab.f[geom.lim], m2_limit, rtol=1e-14)
+            assert np.all(tab.f1[geom.lim] == -1.0 / (2.0 * np.pi))
+            assert np.all(tab.f_r[geom.lim] == 0.0) and np.all(tab.f1_r[geom.lim] == 0.0)
 
     @pytest.mark.parametrize("make", SHAPES)
     @pytest.mark.parametrize("n", [16, 64])
@@ -196,25 +184,50 @@ class TestSingleLayerSlopes:
         assert np.array_equal(geom.r, r)
 
 
+@pytest.fixture
+def hankel_sizes(monkeypatch):
+    """The sizes of the arrays that kernels passes to hankel1_0 and hankel1_1."""
+    from aescatter import kernels
+
+    sizes = {"hankel1_0": [], "hankel1_1": []}
+    for name in sizes:
+        original = getattr(kernels, name)
+
+        def counting(x, _name=name, _original=original):
+            sizes[_name].append(np.size(x))
+            return _original(x)
+
+        monkeypatch.setattr(kernels, name, counting)
+    return sizes
+
+
 class TestAssemblyHankelCalls:
     def test_one_hankel_pair_per_wavenumber_on_the_upper_triangle(
-        self, params, monkeypatch
+        self, params, hankel_sizes
     ):
         """One assemble_system evaluates H0 and H1 once per wavenumber,
         each on the N(N-1)/2 distinct distances of the 2n nodes."""
-        from aescatter import forward, kernels
+        from aescatter import forward
 
-        sizes = {"hankel1_0": [], "hankel1_1": []}
-        for name in sizes:
-            original = getattr(kernels, name)
-
-            def counting(x, _name=name, _original=original):
-                sizes[_name].append(np.size(x))
-                return _original(x)
-
-            monkeypatch.setattr(kernels, name, counting)
         grid = NodeGrid(16)
         forward.assemble_system(make_apple(), params, grid)
         N = grid.size
-        assert sizes == {"hankel1_0": [N * (N - 1) // 2] * 3,
-                         "hankel1_1": [N * (N - 1) // 2] * 3}
+        assert hankel_sizes == {"hankel1_0": [N * (N - 1) // 2] * 3,
+                                "hankel1_1": [N * (N - 1) // 2] * 3}
+
+    def test_one_hankel_pair_per_wavenumber_in_the_shape_derivative(
+        self, params, hankel_sizes
+    ):
+        """system_sensitivity, which takes its operators and their r-derivatives
+        from the tables of assembly, evaluates H0 and H1 once per wavenumber,
+        each on the N(N-1)/2 distinct distances."""
+        from aescatter import forward
+        from aescatter.inverse_phased import _boundary_motion
+
+        curve, grid = make_apple(), NodeGrid(16)
+        motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, 3)
+        x = np.random.default_rng(0).standard_normal(3 * grid.size).astype(complex)
+        forward.system_sensitivity(curve, params, grid, x, motion)
+        N = grid.size
+        assert hankel_sizes == {"hankel1_0": [N * (N - 1) // 2] * 3,
+                                "hankel1_1": [N * (N - 1) // 2] * 3}
