@@ -20,11 +20,15 @@ with the ball on its own 44 nodes, 768 x 768 with it on the obstacle's
 derivative inside it (``system_sensitivity``, on checkouts that have it);
 and the two whole reconstructions, ``run_phased`` on the
 criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
-made at n = 100. Each is timed with ``time.perf_counter`` and repeats, and
-the median and interquartile range of each go to a JSON file, with the
-thread counts of the two OpenBLAS libraries that numpy and scipy load:
+made at n = 100. The two reconstructions are timed again with the thread
+pool of numpy's OpenBLAS at 1 and at 2 threads (set in this process only,
+and restored afterwards): equal medians show that no numpy product in
+either Newton loop runs on threads that would compete with scipy's LU.
+Each is timed with ``time.perf_counter`` and repeats, and the median and
+interquartile range of each go to a JSON file, with the thread counts of the
+two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_15.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_16.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -33,6 +37,7 @@ checkout's), so two commits can be compared on the same machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import os
@@ -48,6 +53,8 @@ SEQUENCE_SIZES = (64, 128)
 N_ANGLES = 128
 INVERSE_N = 64
 REPEATS = 15
+NUMPY_OPENBLAS = "*scipy_openblas64_*"
+POOL_SIZES = (1, 2)
 
 
 def git_sha(src: Path) -> str:
@@ -60,14 +67,33 @@ def git_sha(src: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
-def openblas_threads(module, lib_glob: str, symbol: str) -> int | str:
-    """The thread count of the OpenBLAS that ``module``'s wheel has loaded,
-    asked from the library itself (loading the same file again returns the
-    loaded copy). numpy and scipy each bring their own."""
+def openblas(module, lib_glob: str) -> ctypes.CDLL | None:
+    """The OpenBLAS that ``module``'s wheel has loaded (loading the same file
+    again returns the loaded copy), or None. numpy and scipy each bring
+    their own."""
     libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
-    for path in sorted(libs.glob(lib_glob)):
-        return int(getattr(ctypes.CDLL(str(path)), symbol)())
-    return f"unknown ({module.__name__}'s OpenBLAS not found)"
+    paths = sorted(libs.glob(lib_glob))
+    return ctypes.CDLL(str(paths[0])) if paths else None
+
+
+def openblas_threads(module, lib_glob: str, symbol: str) -> int | str:
+    """The thread count of ``module``'s OpenBLAS, asked from the library."""
+    lib = openblas(module, lib_glob)
+    if lib is None:
+        return f"unknown ({module.__name__}'s OpenBLAS not found)"
+    return int(getattr(lib, symbol)())
+
+
+@contextlib.contextmanager
+def numpy_pool(lib: ctypes.CDLL, size: int):
+    """numpy's OpenBLAS pool at ``size`` threads in this process, restored
+    to its former size on exit."""
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(size)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def timings(fn) -> dict:
@@ -216,7 +242,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
@@ -227,11 +253,19 @@ def main(argv=None) -> None:
         for name, fn in layer_calls(n).items():
             layers.setdefault(name, {})[str(n)] = timings(fn)
             print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms")
-    for name, fn in {**phased_calls(), **phaseless_calls(),
-                     **reconstruction_calls()}.items():
+    reconstructions = reconstruction_calls()
+    for name, fn in {**phased_calls(), **phaseless_calls(), **reconstructions}.items():
         layers[name] = {str(INVERSE_N): timings(fn)}
         print(f"{name:18s} n={INVERSE_N:4d} "
               f"{layers[name][str(INVERSE_N)]['median_ms']:9.2f} ms")
+    numpy_blas, pool = openblas(numpy, NUMPY_OPENBLAS), {}
+    if numpy_blas is not None:
+        for name, fn in reconstructions.items():
+            for size in POOL_SIZES:
+                with numpy_pool(numpy_blas, size):
+                    pool.setdefault(name, {})[str(size)] = timings(fn)
+                print(f"{name:18s} numpy threads={size} "
+                      f"{pool[name][str(size)]['median_ms']:9.2f} ms")
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "git_sha": git_sha(args.src),
@@ -239,7 +273,7 @@ def main(argv=None) -> None:
                     "numpy": numpy.__version__,
                     "blas": blas["name"] + " " + blas.get("version", ""),
                     "blas_threads": openblas_threads(
-                        numpy, "*scipy_openblas64_*", "scipy_openblas_get_num_threads64_"),
+                        numpy, NUMPY_OPENBLAS, "scipy_openblas_get_num_threads64_"),
                     "scipy_blas_threads": openblas_threads(
                         scipy, "*scipy_openblas-*", "scipy_openblas_get_num_threads")},
         "curve": "apple", "far_field_angles": N_ANGLES,
@@ -252,6 +286,10 @@ def main(argv=None) -> None:
                            "seed 3) and run_phaseless on criterion 9 (peanut and the ball, "
                            "pi/6, 64 angles, 1% noise seed 7), M = 6, n_forward = 64",
         "layers": layers,
+        "numpy_pool": "the two reconstructions with numpy's OpenBLAS pool at 1 and at 2 "
+                      "threads, keyed by pool size (empty when numpy's OpenBLAS is not "
+                      "found)",
+        "reconstructions_by_numpy_pool": pool,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 

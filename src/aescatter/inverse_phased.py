@@ -11,6 +11,16 @@ skipping those that pinch, are too thin for the grid (``_strip_width``),
 collide with a fixed body or break the forward solve. The loop stops at
 E_k <= epsilon, at the iteration cap or when no candidate is taken, and
 returns every visited iterate's record in each case.
+
+Every step factors a Nystrom system, so the rule of ``forward`` holds for
+the whole step, here and in ``inverse_phaseless`` and ``multibody``: no
+numpy product in it is large enough for OpenBLAS to run it on threads (gemm
+with m n k > 262144, gemv with m n > 9216), since numpy's threads would take
+a core from scipy's LU, and the products with N-row matrices (here the
+phase columns of ``_phase_columns``) go through ``forward._gemm``. The small
+products stay in numpy and run on one thread: ``tikhonov_step``'s normal
+equations, (2M+3) x 2n~ x (2M+3) = 15 x 128 x 15 at criterion 8, and
+``BoundaryUpdate.delta_r``, len(t) x M, which no step calls.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from .forward import (
     FarField,
     IncidentWave,
     MaterialParams,
+    _gemm,
     far_field,
     far_field_matrix,
     solve_forward,
@@ -223,8 +234,8 @@ def frechet_columns(
 def _phase_columns(Fx, obs_angles, motion: BoundaryMotion, kappa_a: float) -> np.ndarray:
     """The columns of ``frechet_columns`` from Fx, the far-field quadrature
     matrix times the fixed acoustic density, and the node motion."""
-    return -1j * kappa_a * (np.cos(obs_angles)[:, None] * (Fx @ motion.dp[:, 0])
-                            + np.sin(obs_angles)[:, None] * (Fx @ motion.dp[:, 1]))
+    return -1j * kappa_a * (np.cos(obs_angles)[:, None] * _gemm(Fx, motion.dp[:, 0])
+                            + np.sin(obs_angles)[:, None] * _gemm(Fx, motion.dp[:, 1]))
 
 
 def _penalty_diag(M: int) -> np.ndarray:

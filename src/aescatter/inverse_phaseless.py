@@ -8,6 +8,12 @@ contributions carries the obstacle's position. The iteration linearizes
 |u_inf|^2 about the current guess (ball fixed, obstacle boundary and
 densities updated each step) and takes Tikhonov-regularized steps in the
 same center-plus-trig-polynomial parameter space as the phased algorithm.
+
+The far-field products of a step, F_D and F_B times the densities in
+``_predicted_modulus`` and times the densities and their responses in
+``_jacobian_at``, go through ``forward._gemm``, by the rule stated in
+``inverse_phased``; the (N x 2) frame products of ``_rhs_sensitivity`` (a
+gemv with m n = 2N) stay in numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .forward import (
     IncidentWave,
     MaterialParams,
+    _gemm,
     assemble_system,
     factor_system,
     far_field_matrix,
@@ -188,7 +195,7 @@ def _predicted_modulus(
     x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid), ball.b]))
     N = grid.size
     F_d = far_field_matrix(curve_d, params, angles, grid)
-    total = F_d @ x[2 * N : 3 * N] + ball.F @ x[3 * N + 2 * ball.grid.size :]
+    total = _gemm(F_d, x[2 * N : 3 * N]) + _gemm(ball.F, x[3 * N + 2 * ball.grid.size :])
     return np.abs(total) ** 2, _Scene(solve, x, pair, F_d)
 
 
@@ -261,13 +268,13 @@ def _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene):
     dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     dx = solve(-dR)
 
-    u = F_d @ x_d[2 * N :] + ball.F @ x[b3:]
+    u = _gemm(F_d, x_d[2 * N :]) + _gemm(ball.F, x[b3:])
     # moving the nodes changes F_D x_d through the phase (the frozen-density
     # Frechet columns) and through the weight G^2, by 2 dG_i / G_i per node
     Fx = F_d * x_d[2 * N :]
     dF = (_phase_columns(Fx, angles, motion, params.kappa_a)
-          + Fx @ (2.0 * motion.dG / jets.G[:, None]))
-    du = dF + F_d @ dx[2 * N : 3 * N] + ball.F @ dx[b3:]
+          + _gemm(Fx, 2.0 * motion.dG / jets.G[:, None]))
+    du = dF + _gemm(F_d, dx[2 * N : 3 * N]) + _gemm(ball.F, dx[b3:])
     return 2.0 * (np.conj(u)[:, None] * du).real
 
 

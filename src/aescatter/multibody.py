@@ -7,6 +7,12 @@ Each cross kernel is a radial function of |x - y| times powers of the
 normal and tangential components of the unit vector (x - y)/|x - y|, so
 one pair of Hankel evaluations per wavenumber (a ``CrossPair``) serves both
 cross blocks, and their derivatives when the obstacle moves.
+
+``cross_block_sensitivity`` runs in every phaseless Newton step, so by the
+rule stated in ``inverse_phased`` its product of the source gradients with
+the node motion, (N_b x 3N_d) @ (3N_d x P) = 44 x 384 x 15 at criterion 9,
+goes through ``forward._gemm``; the (N x 2) frame products of
+``rhs_plane_wave`` stay in numpy.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .forward import (
     FarField,
     IncidentWave,
     MaterialParams,
+    _gemm,
     assemble_system,
     factor_system,
     far_field,
@@ -259,7 +266,7 @@ def cross_block_sensitivity(
         mono_b, parts_b, _transposed(slopes), r.T, r_hat_b, v_d, params)
     source_motion = np.concatenate([dp[:, 0], dp[:, 1], 2.0 * dG / jets_d.G[:, None]])
     d_bd = np.concatenate([
-        np.hstack([-gx, -gy, k]) @ source_motion
+        _gemm(np.hstack([-gx, -gy, k]), source_motion)
         for (gx, gy, _), k in zip(gradients, values)
     ])
     return d_db, d_bd

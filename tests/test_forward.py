@@ -3,7 +3,9 @@ manufactured point-source solutions on non-trivial curves, boundary
 residuals on a shifted grid, translation covariance, far-field
 reciprocity, and the shape derivative of the system matrix."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,9 +346,16 @@ class TestSharedGeometryAssembly:
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+# The functions of a Newton step that make products over the nodes.
+NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "_jacobian_at",
+                         "cross_block_sensitivity", "far_field", "factor_system",
+                         "system_sensitivity")
+
+
 class TestSolvePathProducts:
     """The two products that keep numpy's BLAS off the solve path: D applied
-    along the rows by FFT, and the gemm of scipy's BLAS next to the LU."""
+    along the rows by FFT, and the gemm of scipy's BLAS next to the LU and
+    in every Newton step, which uses no numpy @."""
 
     @pytest.mark.parametrize("n", [8, 64, 128])
     def test_fft_times_d_matches_dense(self, n):
@@ -367,6 +376,40 @@ class TestSolvePathProducts:
         ax = forward._gemm(a, x)
         assert ax.shape == (40,) + x_shape[1:]
         assert np.abs(ax - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+
+    @pytest.mark.parametrize("kind", ["real", "strided-view", "contiguous-slice", "hstack"])
+    def test_scipy_gemm_matches_matmul_on_inverse_operands(self, kind):
+        """The operands a Newton step passes: a complex a with a real x, the
+        view dp[:, 0] of an (N, 2, P) motion, a slice x[2N:3N] of the
+        densities, and the stacked cross-block gradients."""
+        rng = np.random.default_rng(3)
+        N, P = 128, 15
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a, x = {
+            "real": lambda: (cplx(64, N), rng.standard_normal((N, P))),
+            "strided-view": lambda: (cplx(64, N), rng.standard_normal((N, 2, P))[:, 0]),
+            "contiguous-slice": lambda: (cplx(64, N), cplx(4 * N)[2 * N : 3 * N]),
+            "hstack": lambda: (np.hstack([-cplx(44, N), -cplx(44, N), cplx(44, N)]),
+                               rng.standard_normal((3 * N, P))),
+        }[kind]()
+        ax = forward._gemm(a, x)
+        assert ax.shape == (a @ x).shape
+        assert np.abs(ax - a @ x).max() <= 1e-14 * np.abs(a @ x).max()
+
+    @pytest.mark.parametrize("name", NEWTON_STEP_FUNCTIONS)
+    def test_no_numpy_product_in_newton_step(self, name):
+        """No function of a Newton step uses numpy's @, whose OpenBLAS
+        threads would compete with scipy's LU: its products go through
+        ``forward._gemm``."""
+        defs = [node for path in Path(forward.__file__).parent.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert defs, f"{name} is not defined in the library"
+        for node in defs:
+            assert not any(isinstance(op, ast.MatMult) for op in ast.walk(node)), name
 
 
 def reciprocity_gap(curve: StarlikeCurve, params, n: int, thetas) -> float:
