@@ -17,7 +17,9 @@ the whole step, here and in ``inverse_phaseless`` and ``multibody``: no
 numpy product in it is large enough for OpenBLAS to run it on threads (gemm
 with m n k > 262144, gemv with m n > 9216), since numpy's threads would take
 a core from scipy's LU, and the products with N-row matrices (here the
-phase columns of ``_phase_columns``) go through ``forward._gemm``. The small
+phase columns of ``_phase_columns``) go through ``forward._gemm`` whatever
+their size: numpy's Fx @ dp[:, 0], 128 x 128 x 15 with a real strided dp,
+took 4.6 ms on 2 threads and 0.06 ms on 1 (2 cores, OpenBLAS). The small
 products stay in numpy and run on one thread: ``tikhonov_step``'s normal
 equations, (2M+3) x 2n~ x (2M+3) = 15 x 128 x 15 at criterion 8, and
 ``BoundaryUpdate.delta_r``, len(t) x M, which no step calls.
