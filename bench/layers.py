@@ -11,7 +11,9 @@ the criterion-8 initial guess with M = 6, n = 64 and 128 angles; and the
 two-body layers of the criterion-9 case at n = 64: ``cross_blocks`` of the
 peanut and the reference ball (with the Hankel values they share, the ball
 on its own grid on checkouts that give it one), and at the initial guess
-with M = 6 one prediction of |u_inf|^2 as the line search makes it
+with M = 6 the cross-block shape derivative (``cross_block_sensitivity``,
+with the densities of that start's two-body solve, on checkouts that have
+it), one prediction of |u_inf|^2 as the line search makes it
 (``_predicted_modulus``: two-body assembly, LU, far field; with the ball's
 blocks built beforehand on checkouts that build them once per
 reconstruction), ``factor_system`` on that two-body system alone (516 x 516
@@ -28,7 +30,7 @@ Each is timed with ``time.perf_counter`` and repeats, and the median and
 interquartile range of each go to a JSON file, with the thread counts of the
 two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_16.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_17.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -204,9 +206,13 @@ def phaseless_calls() -> dict:
     if hasattr(fw, "system_sensitivity"):  # before it, the self block was differenced
         motion = inverse_phaseless._boundary_motion(
             geometry.jet(start, grid.nodes), grid.nodes, 6)
-        x_d = scene[1][: 3 * grid.size]
+        x_d, x_b = scene[1][: 3 * grid.size], scene[1][3 * grid.size :]
         calls["system_sensitivity"] = lambda: fw.system_sensitivity(
             start, params, grid, x_d, motion)
+        if hasattr(multibody, "cross_block_sensitivity"):
+            pair = multibody.cross_pair(start, ball, params, grid, ball_grid)
+            calls["cross_block_sensitivity"] = lambda: multibody.cross_block_sensitivity(
+                pair, x_d, x_b, motion)
     return calls
 
 
@@ -242,7 +248,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy

@@ -11,9 +11,11 @@ third derivatives of the radial function out of the kernels.
 
 The system is stated once, as the term table ``_terms`` and the jump signs
 ``_JUMPS``, and its operators are built once, by ``_ops``:
-``assemble_system`` sums the rows into blocks, and ``system_sensitivity``
-takes the same sums against x and D x as the feature weights that it
-differentiates.
+``assemble_system`` sums the rows into blocks (``_fill_column``), and
+``system_sensitivity`` takes the same sums against x and D x as the
+feature weights that it differentiates (``_sensitivity_parts``). The two
+cross blocks of ``multibody`` and their derivative come from the same
+rows and routines, with plain trapezoid operators between the bodies.
 
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
@@ -207,16 +209,18 @@ def _terms(params: MaterialParams) -> tuple:
     )
 
 
-def _features(jets) -> dict:
+def _features(jets, source=None) -> dict:
     """The frame features of the system, [target i, source j]: C = nu_i . n_j,
     Sg = tau_i . n_j, Dr = nu_i . p''_j, Di = tau_i . p''_j, G2 = G_j^2,
     C2 = C^2 and SgC = Sg C. They cover every frame product of the
     equations: tau_i . n_perp_j = C, nu_i . n_perp_j = -Sg,
     nu_i . n_perp'_j = -tau_i . n'_j = Dr and nu_i . n'_j = tau_i . n_perp'_j = Di.
+    The sources are the nodes of ``source``, by default those of ``jets``.
     """
-    C, Sg = jets.nu @ jets.n.T, jets.tau @ jets.n.T
-    Dr, Di = jets.nu @ jets.ddp.T, jets.tau @ jets.ddp.T
-    return {"C": C, "Sg": Sg, "Dr": Dr, "Di": Di, "G2": jets.G**2,
+    src = jets if source is None else source
+    C, Sg = jets.nu @ src.n.T, jets.tau @ src.n.T
+    Dr, Di = jets.nu @ src.ddp.T, jets.tau @ src.ddp.T
+    return {"C": C, "Sg": Sg, "Dr": Dr, "Di": Di, "G2": src.G**2,
             "C2": C * C, "SgC": Sg * C}
 
 
@@ -268,6 +272,28 @@ def _add_times_d(block: np.ndarray, W: np.ndarray) -> None:
     block += np.fft.ifft(np.fft.fft(W, axis=1) * symbol, axis=1)
 
 
+def _fill_column(A: np.ndarray, c: int, ops: dict, features: dict, terms) -> None:
+    """Add the rows of ``terms`` with density c to A, 3N_t x 3N_s: block
+    (e, c) gains coefficient (feature o op) for each row of equation e, with
+    the rows through D summed first and applied to D as one product. ``ops``
+    holds the S, K and H of density c's wavenumber, [target, source], and D
+    is the differentiation matrix of the source grid."""
+    Nt, Ns = A.shape[0] // 3, A.shape[1] // 3
+    for e in range(3):
+        block, W = A[e * Nt : (e + 1) * Nt, c * Ns : (c + 1) * Ns], None
+        for _, f, op, _, through_d, coef in (t for t in terms if t[0] == e and t[3] == c):
+            term = ops[op] * (coef * features[f])
+            if not through_d:
+                block += term
+            elif W is None:
+                W = term
+            else:
+                W += term
+            del term  # held through the FFT product, it raised forward-sweep's peak RSS 1.5 MB
+        if W is not None:
+            _add_times_d(block, W)  # the rows through D, as one product
+
+
 def assemble_system(
     curve: StarlikeCurve, params: MaterialParams, grid: NodeGrid
 ) -> np.ndarray:
@@ -295,20 +321,8 @@ def assemble_system(
             # 8% (glibc malloc). The features follow for the same reason.
             A = np.zeros((3 * N, 3 * N), dtype=complex)
             features = _features(jets)
-        for e in range(3):
-            block, W = A[e * N : (e + 1) * N, c * N : (c + 1) * N], None
-            for _, f, op, _, through_d, coef in (t for t in terms if t[0] == e and t[3] == c):
-                term = ops[op] * (coef * features[f])
-                if not through_d:
-                    block += term
-                elif W is None:
-                    W = term
-                else:
-                    W += term
-                del term  # held through the FFT product, it raised forward-sweep's peak RSS 1.5 MB
-            if W is not None:
-                _add_times_d(block, W)  # the rows through D, as one product
-        del ops, W  # each wavenumber's operators go before the next are built
+        _fill_column(A, c, ops, features, terms)
+        del ops  # each wavenumber's operators go before the next are built
     if not np.all(np.isfinite(A)):
         raise FloatingPointError("non-finite entries during system assembly")
     return A
@@ -336,6 +350,46 @@ def _combine(features, weights) -> np.ndarray:
     return sum(features[f] * w for f, w in weights.items() if f in features)
 
 
+def _derivative_ops(op: dict, kappa: float, r, a, b, Q=0.0) -> tuple[dict, dict]:
+    """The r- and phi-derivatives of one wavenumber's S, K = -a o S_r and
+    H = b o (Q - S_r), with S_r taken out of ``op``: S_rr = -kappa^2 S - S_r/r
+    by the radial Helmholtz equation, and the Cauchy part Q goes as 1/r."""
+    S_r = op.pop("S_r")
+    S_rr = -kappa**2 * op["S"] - S_r / r   # a = b = 0 at the lim pairs
+    return ({"S": S_r, "K": -a * S_rr, "H": -b * (Q / r + S_rr)},
+            {"K": b * S_r, "H": a * (Q - S_r)})
+
+
+def _sensitivity_parts(f: dict, nu, tau, r, a, b, B, B_r, B_phi):
+    """Per equation, the off-diagonal parts (source, target) of d(A x), from
+    the ``_weights`` B, B_r and B_phi of the operators and of their r- and
+    phi-derivatives, the features f, the target frames nu, tau and the
+    chords r, a, b, [target i, source j]. ``source`` weighs the motion
+    (dp_x, dp_y, dG/G, dtheta, dp''_x, dp''_y) of node j, less the trailing
+    zeros; ``target``, summed over j, weighs (dp_x, dp_y, dtheta) of node i.
+    The features move with the relative rotation of the frames
+    (dtheta_i - dtheta_j), the target frame against p''_j (dtheta_i),
+    log G_j and p''_j."""
+    rx = a * nu[:, 0, None] + b * tau[:, 0, None]   # (p_j - p_i)/r
+    ry = a * nu[:, 1, None] + b * tau[:, 1, None]
+    C, Sg, Dr, Di = f["C"], f["Sg"], f["Dr"], f["Di"]
+    rotation = {"C": -Sg, "Sg": C, "C2": -2.0 * f["SgC"], "SgC": f["C2"] - Sg * Sg}
+    target_turn = {"Dr": -Di, "Di": Dr}
+    stretch = {"C": C, "Sg": Sg, "G2": 2.0 * f["G2"], "C2": 2.0 * f["C2"],
+               "SgC": 2.0 * f["SgC"]}
+    bend = [{"Dr": nu[:, k, None], "Di": tau[:, k, None]} for k in (0, 1)]
+    for e in range(3):
+        U, V = _combine(f, B_r[e]), _combine(f, B_phi[e])
+        W_rot = _combine(rotation, B[e])
+        Gx = U * rx - V * ry / r
+        Gy = U * ry + V * rx / r
+        source = (Gx, Gy, _combine(stretch, B[e]), -W_rot,
+                  _combine(bend[0], B[e]), _combine(bend[1], B[e]))
+        target = (-Gx.sum(axis=1), -Gy.sum(axis=1),
+                  (V + W_rot + _combine(target_turn, B[e])).sum(axis=1))
+        yield [m for m in source if np.ndim(m)], target
+
+
 def system_sensitivity(
     curve: StarlikeCurve,
     params: MaterialParams,
@@ -352,15 +406,15 @@ def system_sensitivity(
     (n . p''/G^2); the weight tables, the log factor and D do not move.
     With a = nu_i . (p_j - p_i)/r and b = tau_i . (p_j - p_i)/r, the
     operators of one wavenumber are S, K = -a S_r and H = b (Q - S_r) off
-    the diagonal, where S_r is the r-derivative of S and Q the Cauchy part,
-    all from the ``_ops`` that assembly uses. The radial Helmholtz equation
-    gives S_rr = -kappa^2 S - S_r/r, so one H0 and one H1 evaluation per
-    wavenumber give every operator and its derivatives in r and phi.
+    the diagonal, from the ``_ops`` that assembly uses, and
+    ``_derivative_ops`` gives their derivatives in r and phi from the same
+    H0 and H1 values.
 
     Each (W o a) @ D x is taken as (W o a) @ (D x), and each derivative is
-    split into a target part, moving with node i (row sums, then times the
-    motion of node i), and a source part, moving with node j (one product
-    with the motion per equation). A depends on the positions only through
+    split by ``_sensitivity_parts`` into a target part, moving with node i
+    (row sums, then times the motion of node i), and a source part, moving
+    with node j (one product with the motion per equation); the diagonal
+    limits add to the target part. A depends on the positions only through
     p_j - p_i, so the mean node velocity is dropped: a translation gives
     exactly zero.
     """
@@ -369,62 +423,40 @@ def system_sensitivity(
     N, n, i = grid.size, grid.n, np.arange(grid.size)
     x = np.reshape(x, (3, N))
     y = _gemm(diff_matrix(n), x[:2].T).T
-    G, nu, tau, r, a, b = jets.G, jets.nu, jets.tau, geom.r, geom.a, geom.b
-    rx = a * nu[:, 0, None] + b * tau[:, 0, None]   # (p_j - p_i)/r
-    ry = a * nu[:, 1, None] + b * tau[:, 1, None]
+    G, r, a, b = jets.G, geom.r, geom.a, geom.b
 
     f, terms = _features(jets), _terms(params)
-    C, Sg, Dr, Di = f["C"], f["Sg"], f["Dr"], f["Di"]
+    Dr, Di = f["Dr"], f["Di"]
     # K's diagonal limit, (pi/n) k_limit/G, is Dr_ii lim_K; its derivatives
     # in log G, theta and p'' below are those of Dr_ii lim_K
     lim_K = 1.0 / (2 * n * G**2)
-    ops, ops_r, ops_phi, ops_G = [], [], [], []
-    for c, kappa in enumerate((params.kappa_p, params.kappa_s, params.kappa_a)):
-        op = _ops(geom, grid, kappa)
-        S_r, Q = op.pop("S_r"), op.pop("Q")
-        op["K"][i, i] += _JUMPS[c] / G
-        S_rr = -kappa**2 * op["S"] - S_r / r   # a = b = 0 at the lim pairs
-        ops.append(op)
-        ops_r.append({"S": S_r, "K": -a * S_rr, "H": -b * (Q / r + S_rr)})
-        ops_phi.append({"K": b * S_r, "H": a * (Q - S_r)})
+    kappas, ops, ops_G = (params.kappa_p, params.kappa_s, params.kappa_a), [], []
+    for c, kappa in enumerate(kappas):
+        ops.append(_ops(geom, grid, kappa))
+        ops[c]["K"][i, i] += _JUMPS[c] / G
         # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
         ops_G.append({"S": -1.0 / n, "K": -2.0 * Dr[i, i] * lim_K - _JUMPS[c] / G})
+    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b, op.pop("Q"))
+                           for op, kappa in zip(ops, kappas)))
 
     f_ii = {k: v if v.ndim == 1 else v[i, i] for k, v in f.items()}
-    B, B_r, B_phi = (_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi))
 
     def diagonal(diag_ops):   # target part of the diagonal entries' derivatives
         return [_combine(f_ii, w) for w in _weights(diag_ops, x, y, terms)]
 
-    # The derivatives of the features: in the relative rotation of the two
-    # frames (dtheta_i - dtheta_j), in the target frame's rotation against
-    # p''_j (dtheta_i), in log G_j and in p''_j.
-    rotation = {"C": -Sg, "Sg": C, "C2": -2.0 * f["SgC"], "SgC": f["C2"] - Sg * Sg}
-    target_turn = {"Dr": -Di, "Di": Dr}
-    stretch = {"C": C, "Sg": Sg, "G2": 2.0 * f["G2"], "C2": 2.0 * f["C2"],
-               "SgC": 2.0 * f["SgC"]}
-    bend = [{"Dr": nu[:, k, None], "Di": tau[:, k, None]} for k in (0, 1)]
+    parts = _sensitivity_parts(f, jets.nu, jets.tau, r, a, b,
+                               *(_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi)))
     diag_G = diagonal(ops_G)
     diag_theta = diagonal([{"K": -Di[i, i] * lim_K}] * 3)
-    diag_bend = [diagonal([{"K": nu[:, k] * lim_K}] * 3) for k in (0, 1)]
+    diag_bend = [diagonal([{"K": jets.nu[:, k] * lim_K}] * 3) for k in (0, 1)]
 
     dp = motion.dp - motion.dp.mean(axis=0)
     comps = (dp[:, 0], dp[:, 1], motion.dG / G[:, None], motion.dtheta,
              motion.dp_second[:, 0], motion.dp_second[:, 1])
     stacked = np.concatenate(comps)
     rows = []
-    for e in range(3):
-        U, V = _combine(f, B_r[e]), _combine(f, B_phi[e])
-        W_rot = _combine(rotation, B[e])
-        Gx = U * rx - V * ry / r
-        Gy = U * ry + V * rx / r
-        source = (Gx, Gy, _combine(stretch, B[e]), -W_rot,
-                  _combine(bend[0], B[e]), _combine(bend[1], B[e]))
-        target = (-Gx.sum(axis=1), -Gy.sum(axis=1), diag_G[e],
-                  (V + W_rot + _combine(target_turn, B[e])).sum(axis=1) + diag_theta[e],
-                  diag_bend[0][e], diag_bend[1][e])
-        # the third equation has no p'' terms: those weights are the scalar 0
-        source = [m for m in source if np.ndim(m)]
+    for e, (source, (tx, ty, ttheta)) in enumerate(parts):
+        target = (tx, ty, diag_G[e], ttheta + diag_theta[e], diag_bend[0][e], diag_bend[1][e])
         rows.append(_gemm(np.hstack(source), stacked[: len(source) * N])
                     + sum(tc[:, None] * c for tc, c in zip(target, comps)))
     return np.concatenate(rows)

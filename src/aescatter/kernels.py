@@ -68,8 +68,8 @@ def hess_phi(x, y, kappa: float):
 
     H = -(i kappa/4) [kappa H1'(kappa r) rr^T + H1(kappa r)(I - rr^T)/r]
     with H1'(z) = H0(z) - H1(z)/z and the unit vector r = (x-y)/|x-y|.
-    Pointwise reference for ``forward.jump_check`` only; assembly and the
-    cross-body blocks (``multibody._radial_parts``) do not call it.
+    Pointwise reference for ``forward.jump_check`` only: every block of the
+    one- and two-body systems takes its second derivatives through D.
     """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     r = np.linalg.norm(d, axis=-1)

@@ -1,23 +1,25 @@
 """Two-body forward solver for an obstacle together with a reference ball.
 
-The coupled system on Gamma_D and Gamma_B reuses the single-body assembly
-for the self-interaction blocks; the cross-interaction kernels are smooth
-(the bodies are disjoint) and are discretized by the plain trapezoid rule.
-Each cross kernel is a radial function of |x - y| times powers of the
-normal and tangential components of the unit vector (x - y)/|x - y|, so
-one pair of Hankel evaluations per wavenumber (a ``CrossPair``) serves both
-cross blocks, and their derivatives when the obstacle moves.
+The coupled system is the single-body system of ``forward`` on and between
+the two bodies: the self blocks are ``assemble_system``'s, and the two cross
+blocks are filled from the same term table by the same routine,
+``forward._fill_column``, with the tangential derivatives through the
+source grid's D. The bodies are disjoint, so the cross operators are the
+plain trapezoid rule on the smooth kernels. One pair of Hankel evaluations
+per wavenumber (a ``CrossPair``) serves both cross blocks, and their
+derivatives when the obstacle moves, which ``forward._sensitivity_parts``
+takes as it does for ``system_sensitivity``.
 
 ``cross_block_sensitivity`` runs in every phaseless Newton step, so by the
-rule stated in ``inverse_phased`` its product of the source gradients with
-the node motion, (N_b x 3N_d) @ (3N_d x P) = 44 x 384 x 15 at criterion 9,
-goes through ``forward._gemm``; the (N x 2) frame products of
-``rhs_plane_wave`` stay in numpy.
+rule stated in ``inverse_phased`` its products with the node motion go
+through ``forward._gemm`` and D is applied by FFT; the (N x 2) frame
+products of ``rhs_plane_wave`` and ``_features`` stay in numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,14 @@ from .forward import (
     FarField,
     IncidentWave,
     MaterialParams,
+    _add_times_d,
+    _derivative_ops,
+    _features,
+    _fill_column,
     _gemm,
+    _sensitivity_parts,
+    _terms,
+    _weights,
     assemble_system,
     factor_system,
     far_field,
@@ -65,119 +74,36 @@ def separation(curve_a: StarlikeCurve, curve_b: StarlikeCurve, samples: int = 25
     return float(np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1)))
 
 
-def _radial_parts(r: np.ndarray, kappa: float):
-    """Radial factors (f, g, h_rad, h_tan) of phi and its derivatives at
-    distances r: phi = f, grad phi = g r_hat and Hess phi =
-    h_rad r_hat r_hat^T + h_tan (I - r_hat r_hat^T), from H0 and H1 of
-    kappa r, each evaluated once (H1' = H0 - H1/z).
-    """
-    z = kappa * r
-    h0, h1 = hankel1_0(z), hankel1_1(z)
-    c = -0.25j * kappa
-    return 0.25j * h0, c * h1, c * kappa * (h0 - h1 / z), c * h1 / r
+class _Direction(NamedTuple):
+    """One cross block's targets and sources, and, [target i, source j], the
+    distances r, the chord components a = nu_i . (p_j - p_i)/r and
+    b = tau_i . (p_j - p_i)/r, and per wavenumber S = (pi/n_s) f and
+    S_r = (pi/n_s) f_r on the source grid."""
+
+    targets: CurveJet
+    sources: CurveJet
+    r: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    S: list
 
 
-def _radial_slopes(parts, r: np.ndarray, kappa: float):
-    """The r-derivatives of the radial factors (f, g, h_rad, h_tan):
-    f' = g, g' = h_rad, h_tan' = (h_rad - h_tan)/r and, from the radial
-    Helmholtz equation phi'' + phi'/r + kappa^2 phi = 0,
-    h_rad' = -(h_rad - h_tan)/r - kappa^2 g. No further Hankel values."""
-    _, g, rad, tan = parts
-    q = (rad - tan) / r
-    return g, rad, -q - kappa**2 * g, q
-
-
-def _monomials(nu: np.ndarray, tau: np.ndarray, r_hat: np.ndarray):
-    """The angular factors (1, a^2, a b, a, b) of the cross kernels, with
-    a = nu . r_hat and b = tau . r_hat at the target, [target, source]."""
-    a = np.einsum("ik,ijk->ij", nu, r_hat)
-    b = np.einsum("ik,ijk->ij", tau, r_hat)
-    return 1.0, a**2, b * a, a, b
-
-
-def _turned(mono):
-    """The derivatives of the angular factors in the angle phi of r_hat,
-    counted from nu towards tau (a = cos phi, b = sin phi)."""
-    _, _, ab, a, b = mono
-    return 0.0, -2.0 * ab, a * a - b * b, -b, a
-
-
-def _kernels(mono, parts, params: MaterialParams) -> list[list[np.ndarray]]:
-    """The cross kernels K[e][c] (equation e at the target, density c at the
-    source) without the weight 2 w_j, [target, source].
-
-    ``parts`` holds the radial factors per wavenumber, ``mono`` the angular
-    factors of ``_monomials``. With |nu| = 1 and tau . nu = 0,
-    nu^T H nu = h_tan + (h_rad - h_tan) a^2 and tau^T H nu =
-    (h_rad - h_tan) a b. Every kernel is linear in the radial factors and
-    in the angular factors, so the same formulas give its r-derivative
-    (from ``_radial_slopes``) and its phi-derivative (from ``_turned``).
-    """
-    one, nn, tn, nu_r, tau_r = mono
-    (f_p, g_p, rad_p, tan_p), (_, g_s, rad_s, tan_s), (f_a, g_a, _, _) = parts
-    kp, lam, mu = params.kappa_p, params.lam, params.mu
-    w2r = params.omega**2 * params.rho_a
-    return [
-        [mu * (tan_p * one + (rad_p - tan_p) * nn) - (lam + mu) * kp**2 * f_p * one,
-         mu * (rad_s - tan_s) * tn,
-         f_a * one],
-        [(rad_p - tan_p) * tn,
-         -(tan_s * one + (rad_s - tan_s) * nn),
-         np.zeros_like(f_a)],
-        [g_p * nu_r, g_s * tau_r, -g_a * nu_r / w2r],
-    ]
-
-
-def _weighted(kernels, v) -> list[np.ndarray]:
-    """Per equation e, sum_c K[e][c] v[c], entrywise: the [target, source]
-    terms of the block applied to the weighted source densities v[c]."""
-    return [sum(k * vc for k, vc in zip(row, v)) for row in kernels]
-
-
-def _target_gradients(mono, parts, slopes, r, r_hat, v, params):
-    """Per equation e, the [target, source] terms (x, y, theta) of the
-    derivatives of (A v)_e in the target's position and in the angle of its
-    frame, for the weighted source densities v.
-
-    In polar coordinates about the source, grad K = K_r r_hat +
-    (K_phi / r) e_phi with e_phi = r_hat turned by +90 degrees (tau is nu
-    turned by +90 degrees). The frame change d nu = -dtheta tau,
-    d tau = dtheta nu changes a by -b dtheta and b by a dtheta, as phi
-    does by dtheta, so dK/dtheta = K_phi.
-    """
-    K_r = _weighted(_kernels(mono, slopes, params), v)
-    K_phi = _weighted(_kernels(_turned(mono), parts, params), v)
-    rx, ry = r_hat[..., 0], r_hat[..., 1]
-    return [(kr * rx - kf * ry / r, kr * ry + kf * rx / r, kf)
-            for kr, kf in zip(K_r, K_phi)]
-
-
-def _target_block(mono, parts, w, params: MaterialParams) -> np.ndarray:
-    """Cross block with the three equations at the target nodes (rows) and
-    the three source densities (columns); ``w`` the source quadrature
-    weights."""
-    kernels = _kernels(mono, parts, params)
-    for row in kernels:
-        for k in row:
-            k *= 2.0 * w  # in place: a weighted copy of every kernel would add to the peak
-    return np.block(kernels)
+def _direction(targets: CurveJet, sources: CurveJet, dx, dy, r, S) -> _Direction:
+    """The ``_Direction`` of the chords (dx, dy) = p_j - p_i of length r."""
+    a, b = ((e[:, 0, None] * dx + e[:, 1, None] * dy) / r for e in (targets.nu, targets.tau))
+    return _Direction(targets, sources, r, a, b, S)
 
 
 @dataclass(frozen=True)
 class CrossPair:
     """What both cross blocks of an obstacle D and a ball B share, and their
-    derivatives when D moves: the jets and trapezoid weights pi/n G^2 of each
-    body, the D x B distances r, the unit vectors r_hat from B to D, and the
-    radial factors of ``_radial_parts`` per wavenumber of ``params``."""
+    derivatives when D moves: the jets of D and the ``_Direction`` of A_db
+    (``db``, targets on D) and of A_bd (``bd``)."""
 
     params: MaterialParams
     jets_d: CurveJet
-    jets_b: CurveJet
-    w_d: np.ndarray
-    w_b: np.ndarray
-    r: np.ndarray
-    r_hat: np.ndarray
-    parts: list
+    db: _Direction
+    bd: _Direction
 
 
 def cross_pair(
@@ -187,41 +113,63 @@ def cross_pair(
     grid_d: NodeGrid,
     grid_b: NodeGrid,
 ) -> CrossPair:
-    """The ``CrossPair`` of two disjoint bodies: H0 and H1 once per
-    wavenumber on the D x B distance matrix."""
+    """The ``CrossPair`` of two disjoint bodies: f = (i/2) H0(kappa r) and
+    f_r = -(i/2) kappa H1(kappa r) once per wavenumber on the D x B
+    distances, the only Hankel values of the cross blocks."""
     jets_d, jets_b = jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes)
-    diff = jets_d.p[:, None, :] - jets_b.p[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    r_hat = diff / r[..., None]
-    parts = [_radial_parts(r, k) for k in (params.kappa_p, params.kappa_s, params.kappa_a)]
-    w_d = (np.pi / grid_d.n) * jets_d.G**2
-    w_b = (np.pi / grid_b.n) * jets_b.G**2
-    return CrossPair(params, jets_d, jets_b, w_d, w_b, r, r_hat, parts)
+    dx = jets_b.p[None, :, 0] - jets_d.p[:, None, 0]   # from D's node i to B's node j
+    dy = jets_b.p[None, :, 1] - jets_d.p[:, None, 1]
+    r = np.hypot(dx, dy)
+    S_db, S_bd = [], []
+    for kappa in (params.kappa_p, params.kappa_s, params.kappa_a):
+        z = kappa * r
+        f, f_r = 0.5j * hankel1_0(z), -0.5j * kappa * hankel1_1(z)
+        S_db.append(((np.pi / grid_b.n) * f, (np.pi / grid_b.n) * f_r))
+        S_bd.append(((np.pi / grid_d.n) * f.T.copy(), (np.pi / grid_d.n) * f_r.T.copy()))
+    return CrossPair(params, jets_d,
+                     _direction(jets_d, jets_b, dx, dy, r, S_db),
+                     _direction(jets_b, jets_d, -dx.T, -dy.T, r.T.copy(), S_bd))
 
 
-def _transposed(parts):
-    return [[p.T for p in part] for part in parts]
+def _direction_ops(d: _Direction, c: int) -> dict:
+    """Density c's operators in direction d, by the plain trapezoid rule:
+    S and S_r of the pair, K = -a o S_r and H = -b o S_r, with no Kress or
+    Cauchy correction and no jump."""
+    S, S_r = d.S[c]
+    return {"S": S, "S_r": S_r, "K": -d.a * S_r, "H": -d.b * S_r}
 
 
 def cross_blocks(pair: CrossPair) -> tuple[np.ndarray, np.ndarray]:
     """Both cross-interaction blocks of two disjoint bodies, (A_db, A_bd).
 
     A_db has the equations at D's nodes as rows and B's densities as
-    columns; A_bd the reverse. The kernels are evaluated pointwise and
-    weighted by the trapezoid rule with the source Jacobian squared (the
-    densities are scaled by 1/G). Every kernel is a radial factor times
-    powers of nu . r_hat and tau . r_hat, so both blocks come from the one
-    set of Hankel values in ``pair``; reversing the direction flips r_hat,
-    which flips the sign of the gradient terms only. ``pair`` is not
-    changed.
+    columns; A_bd the reverse. Each is filled as ``assemble_system`` fills
+    a self block, one wavenumber's ``_direction_ops`` at a time.
     """
-    jets_d, jets_b, params = pair.jets_d, pair.jets_b, pair.params
-    A_db = _target_block(_monomials(jets_d.nu, jets_d.tau, pair.r_hat), pair.parts,
-                         pair.w_b, params)
-    # r_hat from D to B through the sign of the ball's frame, not a copy of r_hat
-    A_bd = _target_block(_monomials(-jets_b.nu, -jets_b.tau, pair.r_hat.transpose(1, 0, 2)),
-                         _transposed(pair.parts), pair.w_d, params)
-    return A_db, A_bd
+    terms = _terms(pair.params)
+    blocks = []
+    for d in (pair.db, pair.bd):
+        A = np.zeros((3 * len(d.targets.G), 3 * len(d.sources.G)), dtype=complex)
+        features = _features(d.targets, d.sources)
+        for c in range(3):
+            _fill_column(A, c, _direction_ops(d, c), features, terms)
+        blocks.append(A)
+    return blocks[0], blocks[1]
+
+
+def _direction_parts(d: _Direction, params: MaterialParams, x: np.ndarray):
+    """The ``forward._sensitivity_parts`` of direction d for the source
+    densities x. D x is taken by FFT as -(x^T D)^T (D is skew), so that no
+    table of the ball's grid enters the quadrature cache during a run."""
+    x = np.reshape(x, (3, -1))
+    y = np.zeros((2, x.shape[1]), dtype=complex)
+    _add_times_d(y, -x[:2])
+    ops = [_direction_ops(d, c) for c in range(3)]
+    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, d.r, d.a, d.b) for op, kappa
+                           in zip(ops, (params.kappa_p, params.kappa_s, params.kappa_a))))
+    weights = (_weights(o, x, y, _terms(params)) for o in (ops, ops_r, ops_phi))
+    return _sensitivity_parts(_features(d.targets, d.sources), d.targets.nu, d.targets.tau,
+                              d.r, d.a, d.b, *weights)
 
 
 def cross_block_sensitivity(
@@ -234,41 +182,20 @@ def cross_block_sensitivity(
     cross-block products when D moves by ``motion`` and the densities
     x_d, x_b stay fixed.
 
-    No Hankel function is evaluated: the radial factors come from ``pair``,
-    the values ``cross_blocks`` used, and every higher r-derivative of phi
-    follows from them. In A_db x_b, D holds the targets: each row moves
-    with its node and turns with its frame, so the gradient of each row in
-    position and frame angle is contracted with x_b once (O(N_d N_b)) and
-    then combined with the motion. In A_bd x_d, D holds the sources: a
-    kernel moves against its source node and the weight pi/n G^2 changes by
-    the factor 2 dG/G, and both go in as one matrix product with the
-    motion.
+    No Hankel function is evaluated. The parts are those of
+    ``system_sensitivity``, with no diagonal and the raw motion (a
+    translation of D moves it against the ball): D holds the targets of
+    A_db and the sources of A_bd.
     """
-    jets_d, jets_b, params = pair.jets_d, pair.jets_b, pair.params
-    r, r_hat, parts = pair.r, pair.r_hat, pair.parts
-    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
-    slopes = [_radial_slopes(p, r, k) for p, k in zip(parts, kappas)]
-    dp, dtheta, dG = motion.dp, motion.dtheta, motion.dG
-
-    v_b = 2.0 * pair.w_b * x_b.reshape(3, -1)
+    dp, dtheta = motion.dp, motion.dtheta
     d_db = np.concatenate([
-        gx.sum(axis=1)[:, None] * dp[:, 0] + gy.sum(axis=1)[:, None] * dp[:, 1]
-        + gt.sum(axis=1)[:, None] * dtheta
-        for gx, gy, gt in _target_gradients(
-            _monomials(jets_d.nu, jets_d.tau, r_hat), parts, slopes, r, r_hat, v_b, params)
-    ])
-
-    v_d = 2.0 * pair.w_d * x_d.reshape(3, -1)
-    r_hat_b, parts_b = -r_hat.transpose(1, 0, 2), _transposed(parts)
-    mono_b = _monomials(jets_b.nu, jets_b.tau, r_hat_b)
-    values = _weighted(_kernels(mono_b, parts_b, params), v_d)
-    gradients = _target_gradients(
-        mono_b, parts_b, _transposed(slopes), r.T, r_hat_b, v_d, params)
-    source_motion = np.concatenate([dp[:, 0], dp[:, 1], 2.0 * dG / jets_d.G[:, None]])
+        tx[:, None] * dp[:, 0] + ty[:, None] * dp[:, 1] + ttheta[:, None] * dtheta
+        for _, (tx, ty, ttheta) in _direction_parts(pair.db, pair.params, x_b)])
+    stacked = np.concatenate([dp[:, 0], dp[:, 1], motion.dG / pair.jets_d.G[:, None], dtheta,
+                              motion.dp_second[:, 0], motion.dp_second[:, 1]])
     d_bd = np.concatenate([
-        _gemm(np.hstack([-gx, -gy, k]), source_motion)
-        for (gx, gy, _), k in zip(gradients, values)
-    ])
+        _gemm(np.hstack(source), stacked[: len(source) * len(dp)])
+        for source, _ in _direction_parts(pair.bd, pair.params, x_d)])
     return d_db, d_bd
 
 

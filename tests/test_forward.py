@@ -349,7 +349,8 @@ class TestSharedGeometryAssembly:
 # The functions of a Newton step that make products over the nodes.
 NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "_jacobian_at",
                          "cross_block_sensitivity", "far_field", "factor_system",
-                         "system_sensitivity")
+                         "system_sensitivity", "_sensitivity_parts", "_direction_ops",
+                         "_direction_parts")
 
 
 class TestSolvePathProducts:
