@@ -18,8 +18,11 @@ it), one prediction of |u_inf|^2 as the line search makes it
 blocks built beforehand on checkouts that build them once per
 reconstruction), ``factor_system`` on that two-body system alone (516 x 516
 with the ball on its own 44 nodes, 768 x 768 with it on the obstacle's
-128), one phaseless Jacobian (``_jacobian_at``) and the self-block shape
-derivative inside it (``system_sensitivity``, on checkouts that have it);
+128), the separation check of each two-body assembly (``separation``), one
+phaseless Jacobian (``_jacobian_at``) and the self-block shape derivative
+inside it (``system_sensitivity``, on checkouts that have it), building
+its own operators and, on checkouts that hand them over, as the Jacobian
+calls it, on the operators of the prediction's assembly;
 and the two whole reconstructions, ``run_phased`` on the
 criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
 made at n = 100. The two reconstructions are timed again with the thread
@@ -30,7 +33,7 @@ Each is timed with ``time.perf_counter`` and repeats, and the median and
 interquartile range of each go to a JSON file, with the thread counts of the
 two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_17.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_18.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -200,6 +203,8 @@ def phaseless_calls() -> dict:
         "jacobian_at": lambda: inverse_phaseless._jacobian_at(
             start, fixed, params, wave, angles, 6, grid, scene),
     }
+    if hasattr(multibody, "separation"):
+        calls["separation"] = lambda: multibody.separation(start, ball)
     if hasattr(fixed, "A"):  # the ball's self block is built once
         system = multibody.assemble_two_body(start, ball, params, grid, ball_grid, fixed.A)[0]
         calls["factor_system_two_body"] = lambda: fw.factor_system(system)
@@ -209,6 +214,9 @@ def phaseless_calls() -> dict:
         x_d, x_b = scene[1][: 3 * grid.size], scene[1][3 * grid.size :]
         calls["system_sensitivity"] = lambda: fw.system_sensitivity(
             start, params, grid, x_d, motion)
+        if hasattr(scene, "operators"):  # the prediction's operators, handed over
+            calls["system_sensitivity_handed"] = lambda: fw.system_sensitivity(
+                start, params, grid, x_d, motion, scene.operators)
         if hasattr(multibody, "cross_block_sensitivity"):
             pair = multibody.cross_pair(start, ball, params, grid, ball_grid)
             calls["cross_block_sensitivity"] = lambda: multibody.cross_block_sensitivity(
@@ -248,7 +256,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_17.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy

@@ -10,12 +10,12 @@ The unknowns are the scaled densities phi_tilde = (g o p) / G, which keeps
 third derivatives of the radial function out of the kernels.
 
 The system is stated once, as the term table ``_terms`` and the jump signs
-``_JUMPS``, and its operators are built once, by ``_ops``:
-``assemble_system`` sums the rows into blocks (``_fill_column``), and
-``system_sensitivity`` takes the same sums against x and D x as the
-feature weights that it differentiates (``_sensitivity_parts``). The two
-cross blocks of ``multibody`` and their derivative come from the same
-rows and routines, with plain trapezoid operators between the bodies.
+``_JUMPS``, and its operators are built once per curve, by ``_ops`` on the
+wavenumber-free ``_shared_tables``: ``assemble_system`` sums the rows into
+blocks (``_fill_column``), and ``system_sensitivity`` takes the same sums
+against x and D x, on the operators a Newton step's assembly kept, as the
+feature weights it differentiates (``_sensitivity_parts``). ``multibody``'s
+cross blocks and their derivative come from the same rows and routines.
 
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
@@ -176,9 +176,9 @@ def rhs_plane_wave(
     return w1, w2, w3
 
 
-# The jump +-1/G of each wavenumber's K on the diagonal (kappa_p, kappa_s,
-# kappa_a): the diagonal terms of the system and the identities next to D.
-_JUMPS = (1.0, 1.0, -1.0)
+# Per wavenumber (kappa_p, kappa_s, kappa_a): the jump +-1/G of K on the diagonal
+# (the diagonal terms and the identities next to D), and whether a row reads its H.
+_JUMPS, _TANGENTIAL = (1.0, 1.0, -1.0), (True, True, False)
 
 
 def _terms(params: MaterialParams) -> tuple:
@@ -224,39 +224,46 @@ def _features(jets, source=None) -> dict:
             "C2": C * C, "SgC": Sg * C}
 
 
-def _ops(geom, grid: NodeGrid, kappa: float) -> dict:
-    """The one operator builder: quadrature matrices for one wavenumber on
-    one grid, from the ``pair_geometry`` of its nodes and the single-layer
-    tables. S is the single-layer operator and S_r its r-derivative;
-    K = -a o S_r with K's diagonal limit, and H = b o (Q - S_r) with the
-    Cauchy part Q = (T o sin(ς_j - t_i) - pi/n)/(pi r). The unit-frame
-    components a, b of the chord carry the 1/G(t) factor of K and H. Times a
-    frame feature, S, K and H are the dense matrices acting on node samples
-    of the scaled density."""
-    n, pin, t, lim = grid.n, np.pi / grid.n, grid.nodes, geom.lim
-    # The cached weight tables are built before the split tables: built after
-    # them, they sit above the freed temporaries in glibc's heap and kept
-    # about 10 MB resident after an n=128 assembly.
-    R, T = log_weight_table(n), cauchy_weight_table(n)
-    tab = kernel_tables(geom, kappa)
-    # Kress's rule on f = f1 ln(4 sin^2) + f2 is R o f1 + pin f2 = pin f + f1 o RL
+def _shared_tables(geom, grid: NodeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of ``_ops`` on ``geom`` that have no wavenumber: Kress's
+    RL = R - (pi/n) logsin and the Cauchy part Q = (T o sin(ς_j - t_i) - pi/n)/(pi r)."""
+    pin, t = np.pi / grid.n, grid.nodes
+    R, T = log_weight_table(grid.n), cauchy_weight_table(grid.n)
     RL = pin * geom.logsin
     np.subtract(R, RL, out=RL)
+    Q = np.sin(t[None, :] - t[:, None])
+    Q *= T
+    Q -= pin
+    Q /= np.pi * geom.r  # finite at the lim pairs, where a = b = 0
+    return RL, Q
+
+
+def _ops(geom, grid: NodeGrid, kappa: float, tables=None, jump=0.0, tangential=True) -> dict:
+    """The one operator builder: quadrature matrices for one wavenumber on
+    one grid, from the ``pair_geometry`` of its nodes, the single-layer
+    tables and the (RL, Q) of ``_shared_tables``, built here if not given:
+    S, its r-derivative S_r, K = -a o S_r with K's diagonal limit plus
+    jump/G, Q and, if ``tangential``, H = b o (Q - S_r). The chord's
+    unit-frame components a, b carry the 1/G of K and H. Times a frame
+    feature, S, K and H act on node samples of the scaled density."""
+    pin, lim = np.pi / grid.n, geom.lim
+    RL, Q = _shared_tables(geom, grid) if tables is None else tables
+    tab = kernel_tables(geom, kappa)
+    # Kress's rule on f = f1 ln(4 sin^2) + f2 is R o f1 + pin f2 = pin f + f1 o RL
     S, S_r = tab.f, tab.f_r   # built in the tables' memory
     for v, v1 in ((S, tab.f1), (S_r, tab.f1_r)):
         v *= pin
         v1 *= RL
         v += v1
-    del RL, tab
+    del tab
     K = -geom.a * S_r
     K[lim] = pin * k_limit(geom) / geom.jets.G[lim[0]]
-    Q = np.sin(t[None, :] - t[:, None])
-    Q *= T
-    Q -= pin
-    Q /= np.pi * geom.r  # finite at the lim pairs, where a = b = 0
-    H = Q - S_r
-    H *= geom.b
-    return {"S": S, "S_r": S_r, "K": K, "H": H, "Q": Q}
+    K[np.diag_indices(grid.size)] += jump / geom.jets.G
+    ops = {"S": S, "S_r": S_r, "K": K, "Q": Q}
+    if tangential:
+        ops["H"] = Q - S_r
+        ops["H"] *= geom.b
+    return ops
 
 
 def _add_times_d(block: np.ndarray, W: np.ndarray) -> None:
@@ -295,25 +302,28 @@ def _fill_column(A: np.ndarray, c: int, ops: dict, features: dict, terms) -> Non
 
 
 def assemble_system(
-    curve: StarlikeCurve, params: MaterialParams, grid: NodeGrid
-) -> np.ndarray:
+    curve: StarlikeCurve, params: MaterialParams, grid: NodeGrid, keep: bool = False
+) -> np.ndarray | tuple[np.ndarray, tuple]:
     """Dense 6n x 6n system matrix on the given collocation grid.
 
     Row blocks are the three boundary equations at the 2n nodes; column
     blocks are the three scaled densities, each with its own wavenumber. The
-    blocks are the sums of the rows of ``_terms``. The pair geometry is
-    computed once and shared by the three wavenumbers, and each
-    wavenumber's operators go into its column before the next are built.
+    blocks are the sums of the rows of ``_terms``, from one pair geometry and
+    one ``_shared_tables``. Each wavenumber's operators go into its column
+    before the next are built, or, with ``keep``, are kept for a Newton
+    step: (pair geometry, [ops per density]) then follows A.
     """
     if grid.n < 8:
         raise ValueError("grid too coarse for the singular quadrature (need n >= 8)")
     jets = jet(curve, grid.nodes)
     geom = pair_geometry(jets, grid.nodes)
-    N, i, terms = grid.size, np.arange(grid.size), _terms(params)
+    # before the split tables: built after them, the cached weight tables sat
+    # above their freed temporaries in glibc's heap (10 MB resident at n=128)
+    tables = _shared_tables(geom, grid)
+    N, terms, kept = grid.size, _terms(params), []
     A = None
     for c, kappa in enumerate((params.kappa_p, params.kappa_s, params.kappa_a)):
-        ops = _ops(geom, grid, kappa)
-        ops["K"][i, i] += _JUMPS[c] / jets.G
+        ops = _ops(geom, grid, kappa, tables, _JUMPS[c], _TANGENTIAL[c])
         if A is None:
             # Allocated after the first operators, so that A can take the
             # memory of their freed temporaries: allocated first, it raised
@@ -322,10 +332,12 @@ def assemble_system(
             A = np.zeros((3 * N, 3 * N), dtype=complex)
             features = _features(jets)
         _fill_column(A, c, ops, features, terms)
+        if keep:
+            kept.append(ops)
         del ops  # each wavenumber's operators go before the next are built
     if not np.all(np.isfinite(A)):
         raise FloatingPointError("non-finite entries during system assembly")
-    return A
+    return (A, (geom, kept)) if keep else A
 
 
 def _weights(ops, x, y, terms) -> list:
@@ -352,9 +364,9 @@ def _combine(features, weights) -> np.ndarray:
 
 def _derivative_ops(op: dict, kappa: float, r, a, b, Q=0.0) -> tuple[dict, dict]:
     """The r- and phi-derivatives of one wavenumber's S, K = -a o S_r and
-    H = b o (Q - S_r), with S_r taken out of ``op``: S_rr = -kappa^2 S - S_r/r
+    H = b o (Q - S_r), from the S and S_r of ``op``: S_rr = -kappa^2 S - S_r/r
     by the radial Helmholtz equation, and the Cauchy part Q goes as 1/r."""
-    S_r = op.pop("S_r")
+    S_r = op["S_r"]
     S_rr = -kappa**2 * op["S"] - S_r / r   # a = b = 0 at the lim pairs
     return ({"S": S_r, "K": -a * S_rr, "H": -b * (Q / r + S_rr)},
             {"K": b * S_r, "H": a * (Q - S_r)})
@@ -396,6 +408,7 @@ def system_sensitivity(
     grid: NodeGrid,
     x: np.ndarray,
     motion: BoundaryMotion,
+    operators: tuple | None = None,
 ) -> np.ndarray:
     """Derivative d(A x), 6n x P, of the ``assemble_system`` matrix applied to
     fixed densities x, when the nodes move by ``motion`` (P parameters).
@@ -406,9 +419,9 @@ def system_sensitivity(
     (n . p''/G^2); the weight tables, the log factor and D do not move.
     With a = nu_i . (p_j - p_i)/r and b = tau_i . (p_j - p_i)/r, the
     operators of one wavenumber are S, K = -a S_r and H = b (Q - S_r) off
-    the diagonal, from the ``_ops`` that assembly uses, and
-    ``_derivative_ops`` gives their derivatives in r and phi from the same
-    H0 and H1 values.
+    the diagonal, the ``operators`` of ``assemble_system(..., keep=True)``
+    (read, not changed) or else the same built here; ``_derivative_ops``
+    gives their r- and phi-derivatives from the same H0 and H1 values.
 
     Each (W o a) @ D x is taken as (W o a) @ (D x), and each derivative is
     split by ``_sensitivity_parts`` into a target part, moving with node i
@@ -418,9 +431,14 @@ def system_sensitivity(
     p_j - p_i, so the mean node velocity is dropped: a translation gives
     exactly zero.
     """
-    jets = jet(curve, grid.nodes)
-    geom = pair_geometry(jets, grid.nodes)
-    N, n, i = grid.size, grid.n, np.arange(grid.size)
+    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
+    if operators is None:
+        geom = pair_geometry(jet(curve, grid.nodes), grid.nodes)
+        tables = _shared_tables(geom, grid)
+        operators = geom, [_ops(geom, grid, kappa, tables, jump, tangential)
+                           for kappa, jump, tangential in zip(kappas, _JUMPS, _TANGENTIAL)]
+    geom, ops = operators
+    jets, N, n, i = geom.jets, grid.size, grid.n, np.arange(grid.size)
     x = np.reshape(x, (3, N))
     y = _gemm(diff_matrix(n), x[:2].T).T
     G, r, a, b = jets.G, geom.r, geom.a, geom.b
@@ -430,13 +448,9 @@ def system_sensitivity(
     # K's diagonal limit, (pi/n) k_limit/G, is Dr_ii lim_K; its derivatives
     # in log G, theta and p'' below are those of Dr_ii lim_K
     lim_K = 1.0 / (2 * n * G**2)
-    kappas, ops, ops_G = (params.kappa_p, params.kappa_s, params.kappa_a), [], []
-    for c, kappa in enumerate(kappas):
-        ops.append(_ops(geom, grid, kappa))
-        ops[c]["K"][i, i] += _JUMPS[c] / G
-        # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
-        ops_G.append({"S": -1.0 / n, "K": -2.0 * Dr[i, i] * lim_K - _JUMPS[c] / G})
-    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b, op.pop("Q"))
+    # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
+    ops_G = [{"S": -1.0 / n, "K": -2.0 * Dr[i, i] * lim_K - jump / G} for jump in _JUMPS]
+    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b, op["Q"])
                            for op, kappa in zip(ops, kappas)))
 
     f_ii = {k: v if v.ndim == 1 else v[i, i] for k, v in f.items()}
@@ -486,12 +500,13 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     The LU is that of system.T, the F-ordered view of the C-ordered matrix
     that assembly builds, so LAPACK gets it without a transposing copy; the
-    solves use its transpose, and infinity norms of system.T are 1-norms of
-    the system (``lange`` takes it with no N x N temporary).
+    solves use its transpose. The 1-norm is numpy's: it sums in ``lange``'s
+    order, in about a quarter of its time, on an N x N real temporary that
+    is freed before the LU's copy of the matrix is made.
     """
+    norm = np.abs(system).sum(axis=0).max()
     lu, piv = lu_factor(system.T)
-    gecon, lange = get_lapack_funcs(("gecon", "lange"), (system,))
-    rcond, _ = gecon(lu, norm := lange("I", system.T), norm="I")
+    rcond, _ = get_lapack_funcs("gecon", (system,))(lu, norm, norm="I")
     if rcond < _COND_WARN_RCOND:
         warnings.warn(
             f"system is nearly singular (rcond ~ {rcond:.2e}); "

@@ -167,14 +167,16 @@ def _fixed_ball(ball_curve: StarlikeCurve, params: MaterialParams, wave: Inciden
 
 
 class _Scene(NamedTuple):
-    """What a Jacobian at a predicted curve reuses from its prediction: the
-    checked solver of the two-body system, the densities [x_d, x_b], the
-    cross-pair data and the obstacle's far-field matrix F_d."""
+    """What a Jacobian at a predicted curve reuses from its prediction, and
+    does not change: the checked solver of the two-body system, the densities
+    [x_d, x_b], the cross-pair data, the obstacle's far-field matrix F_d and
+    the operators its self block was assembled from (3.7 MB at n = 64)."""
 
     solve: Callable[[np.ndarray], np.ndarray]
     x: np.ndarray
     pair: CrossPair
     F_d: np.ndarray
+    operators: tuple
 
 
 def _predicted_modulus(
@@ -190,13 +192,14 @@ def _predicted_modulus(
     near = curve_d.point(grid.nodes) - ball.curve.center
     if np.min(np.hypot(near[:, 0], near[:, 1])) < ball.reach:
         raise ValueError(f"obstacle inside the reference ball's clearance ({ball.reach:.3f})")
-    A, pair = assemble_two_body(curve_d, ball.curve, params, grid, ball.grid, ball.A)
+    A, pair, ops = assemble_two_body(curve_d, ball.curve, params, grid, ball.grid, ball.A,
+                                     keep=True)
     solve = factor_system(A)
     x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid), ball.b]))
     N = grid.size
     F_d = far_field_matrix(curve_d, params, angles, grid)
     total = _gemm(F_d, x[2 * N : 3 * N]) + _gemm(ball.F, x[3 * N + 2 * ball.grid.size :])
-    return np.abs(total) ** 2, _Scene(solve, x, pair, F_d)
+    return np.abs(total) ** 2, _Scene(solve, x, pair, F_d, ops)
 
 
 def exact_phaseless_jacobian(
@@ -211,27 +214,21 @@ def exact_phaseless_jacobian(
     """Jacobian of the predicted |u_inf|^2, 2n x (2M+3), by implicit
     differentiation of the two-body Nystrom system A x = b.
 
-    The parameters are those of ``apply_update``, the center shift and the
-    coefficients a_0..a_M, b_1..b_M of a radial update r + dr, and
-    ``inverse_phased._boundary_motion`` gives how they move the nodes. The
-    derivative is taken at any starlike ``curve_d``, whatever its radial
-    profile, as no perturbed curve is built. The ball's self block,
-    right-hand side and far-field matrix are built once on its own grid
-    (``_ball_grid``; ValueError within one ball radius of it), then A is
-    assembled and factored once, as one prediction of ``run_phaseless``
-    does. The density response is dx = -A^{-1}(dA x - db), from the
-    one factorization with every column behind the same residual gate as a
-    forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b. Every piece
-    that moves with the obstacle is differentiated analytically from the
-    per-node motion of each parameter: the self block A_dd x_d
-    (``system_sensitivity``), both cross-block products A_db x_b and A_bd x_d
-    (from the Hankel values the cross blocks of A were built from), the
-    right-hand side b_d and the obstacle's far-field quadrature dF_D x_d
-    (from the F_D of the prediction). The ball's blocks do not move. Unlike
-    ``phaseless_columns`` the density response to the shape change is
-    included. The squared modulus is quadratic in the fields and the
-    density response is not a small correction there: the frozen-density
-    matrix can point uphill, while this one is the true derivative.
+    The parameters are those of ``apply_update`` (the center shift, then
+    a_0..a_M, b_1..b_M of a radial update r + dr), and
+    ``inverse_phased._boundary_motion`` gives how they move the nodes, so
+    any starlike ``curve_d`` will do and no perturbed curve is built. The
+    ball's blocks are built once on its own grid (``_ball_grid``; ValueError
+    within one ball radius of it) and do not move; A is assembled and
+    factored once, as a prediction of ``run_phaseless`` does. Then
+    dx = -A^{-1}(dA x - db), every column behind the residual gate of a
+    forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b, with every
+    piece that moves with the obstacle differentiated analytically: A_dd x_d
+    (``system_sensitivity``), A_db x_b and A_bd x_d
+    (``cross_block_sensitivity``), b_d and the obstacle's far-field
+    quadrature. Unlike ``phaseless_columns`` it includes the density
+    response, which is no small correction for the squared modulus: the
+    frozen-density matrix can point uphill.
     """
     ball = _fixed_ball(ball_curve, params, wave, angles, grid)
     _, scene = _predicted_modulus(curve_d, ball, params, wave, angles, grid)
@@ -255,16 +252,16 @@ def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
 def _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene):
     """``exact_phaseless_jacobian`` from the ``_FixedBall`` and the
     ``_Scene`` of the two-body system at ``curve_d``, which the caller
-    already has: no Hankel function of the cross blocks is evaluated again,
-    and neither the jets nor F_D are rebuilt."""
-    solve, x, pair, F_d = scene
+    already has: it evaluates no Hankel function, rebuilds no jet, pair
+    geometry, obstacle operator or F_D, and does not change the scene."""
+    solve, x, pair, F_d, operators = scene
     N, b3 = grid.size, 3 * grid.size + 2 * ball.grid.size  # b3: where phi3 on B starts
     x_d, x_b = x[: 3 * N], x[3 * N :]
     jets = pair.jets_d
     motion = _boundary_motion(jets, grid.nodes, M)
 
     d_db, d_bd = cross_block_sensitivity(pair, x_d, x_b, motion)
-    d_dd = system_sensitivity(curve_d, params, grid, x_d, motion)
+    d_dd = system_sensitivity(curve_d, params, grid, x_d, motion, operators)
     dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     dx = solve(-dR)
 
@@ -292,10 +289,11 @@ def run_phaseless(
     block, right-hand side and far-field matrix are built once per run, on
     a grid of its own (``_ball_grid``: n_b = 22 for n_forward = 64, 516
     rows in place of 768). Each step of ``_newton_tikhonov`` uses the exact
-    Jacobian of |u_inf|^2 on the factorization, the Hankel values and F_D
-    that the line search made at the iterate. A candidate with a node within
-    one ball radius of the ball (the clearance that sizes n_b) is skipped as
-    a collision; an initial guess that close raises that ``ValueError``.
+    Jacobian of |u_inf|^2 on the factorization, Hankel values, self-block
+    operators and F_D that the line search made at the iterate. A candidate
+    with a node within one ball radius of the ball (the clearance that sizes
+    n_b) is skipped as a collision; an initial guess that close raises that
+    ``ValueError``.
     """
     ball_curve = ball.curve()
     grid = NodeGrid(config.n_forward)

@@ -71,7 +71,7 @@ def separation(curve_a: StarlikeCurve, curve_b: StarlikeCurve, samples: int = 25
     """Minimum point-to-point distance between two boundary curves."""
     t = 2.0 * np.pi * np.arange(samples) / samples
     pa, pb = curve_a.point(t), curve_b.point(t)
-    return float(np.min(np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1)))
+    return float(np.min(np.hypot(pa[:, None, 0] - pb[:, 0], pa[:, None, 1] - pb[:, 1])))
 
 
 class _Direction(NamedTuple):
@@ -206,16 +206,17 @@ def assemble_two_body(
     grid_d: NodeGrid,
     grid_b: NodeGrid,
     A_bb: np.ndarray,
-) -> tuple[np.ndarray, CrossPair]:
+    keep: bool = False,
+) -> tuple:
     """Block system for the coupled obstacle-ball scattering problem, and the
     ``CrossPair`` its cross blocks came from.
 
-    Unknown ordering is [densities on D, densities on B]; the self-blocks are
-    exactly the single-body system matrices. The ball's, A_bb =
-    ``assemble_system(curve_b, params, grid_b)``, is passed in: it does not
-    depend on the obstacle, so a reconstruction assembles it once. A_dd and
-    both cross blocks are built here, after the bodies are checked to be at
-    least 0.1 apart.
+    Unknowns are ordered [on D, on B]; the self-blocks are the single-body
+    system matrices. The ball's, A_bb = ``assemble_system(curve_b, params,
+    grid_b)``, is passed in: it does not depend on the obstacle, so a
+    reconstruction assembles it once. A_dd and both cross blocks are built
+    here, once the bodies are at least 0.1 apart; with ``keep``, the
+    operators that A_dd was built from follow the pair.
     """
     sep = separation(curve_d, curve_b)
     if sep < _MIN_SEPARATION:
@@ -228,9 +229,10 @@ def assemble_two_body(
     # n = 100 two-body solve raised the peak resident size by 21 MB in about
     # half the runs
     pair = cross_pair(curve_d, curve_b, params, grid_d, grid_b)
-    A_dd = assemble_system(curve_d, params, grid_d)
+    A_dd = assemble_system(curve_d, params, grid_d, keep)
+    A_dd, *kept = A_dd if keep else (A_dd,)
     A_db, A_bd = cross_blocks(pair)
-    return np.block([[A_dd, A_db], [A_bd, A_bb]]), pair
+    return (np.block([[A_dd, A_db], [A_bd, A_bb]]), pair, *kept)
 
 
 def solve_two_body_forward(

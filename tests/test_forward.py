@@ -42,6 +42,7 @@ from aescatter.geometry import (
 from aescatter.inverse_phased import _boundary_motion
 from aescatter.kernels import grad_phi, hess_phi, pair_geometry
 from aescatter.kernels import phi as Phi
+from aescatter.multibody import assemble_two_body
 from aescatter.quadrature import cauchy_weight_table, diff_matrix, log_weight_table
 from aescatter.specfun import EULER_GAMMA, hankel1_0, hankel1_1
 
@@ -350,7 +351,7 @@ class TestSharedGeometryAssembly:
 NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "_jacobian_at",
                          "cross_block_sensitivity", "far_field", "factor_system",
                          "system_sensitivity", "_sensitivity_parts", "_direction_ops",
-                         "_direction_parts")
+                         "_direction_parts", "_shared_tables")
 
 
 class TestSolvePathProducts:
@@ -482,6 +483,23 @@ class TestSystemSensitivity:
         ])
         assert np.abs(dAx[:, 2:] - fd).max() <= 1e-6 * np.abs(fd).max()
 
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("name", ["apple", "peanut"])
+    def test_handed_over_operators(self, params, name, n):
+        """With the operators that assemble_system kept, d(A x) is bit for bit
+        the one that builds its own, and the operators are not changed: a
+        second call on them gives it again."""
+        curve, grid = SENSITIVITY_CURVES[name](), NodeGrid(n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(3 * grid.size) + 1j * rng.standard_normal(3 * grid.size)
+        motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, 6)
+        A, operators = assemble_system(curve, params, grid, keep=True)
+        assert np.array_equal(A, assemble_system(curve, params, grid))
+        ref = system_sensitivity(curve, params, grid, x, motion)
+        for _ in range(2):
+            assert np.array_equal(
+                system_sensitivity(curve, params, grid, x, motion, operators), ref)
+
 
 class TestTermTable:
     @pytest.mark.parametrize("grid", [NodeGrid(16), NodeGrid(64),
@@ -535,6 +553,49 @@ class TestFactorSystem:
             factor_system(A)
         with pytest.warns(RuntimeWarning, match="rcond ~ 1.11e-13"):
             factor_system(A.T.copy())
+
+    @pytest.mark.parametrize("system", ["single-body", "two-body"])
+    def test_norm_is_the_lapack_one_norm(self, params, monkeypatch, system):
+        """The 1-norm factor_system hands the condition estimate is LAPACK's
+        lange("1", A) on assembled systems."""
+        grid, curve = NodeGrid(32), make_apple()
+        A = assemble_system(curve, params, grid)
+        if system == "two-body":
+            ball, ball_grid = make_circle((4.0, 0.0), 0.7), NodeGrid(16)
+            A = assemble_two_body(curve, ball, params, grid, ball_grid,
+                                  assemble_system(ball, params, ball_grid))[0]
+        norms, get = [], forward.get_lapack_funcs
+
+        def spying(names, arrays):
+            gecon = get(names, arrays)
+
+            def recording(lu, anorm, **kwargs):
+                norms.append(anorm)
+                return gecon(lu, anorm, **kwargs)
+            return recording
+
+        monkeypatch.setattr(forward, "get_lapack_funcs", spying)
+        factor_system(A)
+        ref = get("lange", (A,))("1", A)
+        assert len(norms) == 1 and abs(norms[0] - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("cond", [1e9, 1e11, 1e12, 1e13, 1e15])
+    def test_warns_where_the_lapack_norm_warns(self, cond):
+        """The near-singular warning fires exactly where the condition
+        estimate from LAPACK's own 1-norm falls below 1e-12, with that
+        estimate in its message."""
+        A, _ = _conditioned(cond)
+        gecon, lange = forward.get_lapack_funcs(("gecon", "lange"), (A,))
+        rcond = gecon(forward.lu_factor(A.T)[0], lange("1", A), norm="I")[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            factor_system(A)
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        if rcond < 1e-12:
+            assert messages == [f"system is nearly singular (rcond ~ {rcond:.2e}); "
+                                "possible interior eigenvalue or Jones-adjacent frequency"]
+        else:
+            assert messages == []
 
 
 def _conditioned(cond, n=60, seed=0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aescatter import forward, inverse_phased, inverse_phaseless, multibody
+from aescatter import forward, inverse_phased, inverse_phaseless, kernels, multibody
 from aescatter.forward import (
     IncidentWave,
     assemble_system,
@@ -300,9 +300,9 @@ class TestRunPhaseless:
         calls = {"ball": 0, "obstacle": 0}
         assemble = forward.assemble_system
 
-        def counting(curve, params, grid):
+        def counting(curve, *args, **kwargs):
             calls["ball" if curve.to_dict() == ball else "obstacle"] += 1
-            return assemble(curve, params, grid)
+            return assemble(curve, *args, **kwargs)
 
         for module in (forward, inverse_phaseless, multibody):
             monkeypatch.setattr(module, "assemble_system", counting)
@@ -452,6 +452,36 @@ class TestAnalyticJacobian:
         J = inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, degree, grid, scene)
         assert calls == {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
         assert np.array_equal(J, ref)
+
+    def test_self_block_operators_reused(self, params, wave, monkeypatch):
+        """The self block's derivative reads the operators of the prediction:
+        the Jacobian builds no jet, pair geometry or operator table."""
+        grid, curve = NodeGrid(16), TestExactJacobian._curve()
+        ball = _ball(params, wave, grid)
+        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (forward, kernels, multibody):
+            for name in ("jet", "pair_geometry", "_ops", "_shared_tables", "kernel_tables"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, 3, grid, scene)
+        assert calls == []
+
+    def test_same_matrix_twice_on_one_scene(self, params, wave):
+        """The Jacobian does not change the scene it reads: a second one on
+        the same scene is bit for bit the first."""
+        grid, curve, ball = NodeGrid(16), make_peanut(), _ball(params, wave, NodeGrid(16))
+        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        first, second = (inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, M,
+                                                        grid, scene) for _ in range(2))
+        assert np.array_equal(first, second)
 
     def test_peanut_against_differenced_solves(self, params, wave, bumped):
         """A profile that is not a trigonometric polynomial: every column
