@@ -3,7 +3,9 @@
 Times ``kernel_tables`` (the single-layer tables of one wavenumber, and of
 the three wavenumbers of one assembly, each with the pair geometry they need),
 ``assemble_system``, ``factor_system`` and ``far_field`` on the apple at
-n in {32, 64, 100, 128}, and at n in {64, 128} the four back to back as
+n in {32, 64, 100, 128}, with, on checkouts that have them, the
+``Discretization`` of a Newton step (``discretize``) and the system filled
+from it (``fill_system``), and at n in {64, 128} the four back to back as
 ``aescatter forward`` runs them (``forward_sequence``: assemble, factor,
 solve, far field; the isolated layers cannot show one BLAS thread pool
 slowing another); the phased Frechet matrix (``frechet_columns``) at
@@ -18,11 +20,12 @@ it), one prediction of |u_inf|^2 as the line search makes it
 blocks built beforehand on checkouts that build them once per
 reconstruction), ``factor_system`` on that two-body system alone (516 x 516
 with the ball on its own 44 nodes, 768 x 768 with it on the obstacle's
-128), the separation check of each two-body assembly (``separation``), one
+128), the curve-sampled separation check (``separation``), one
 phaseless Jacobian (``_jacobian_at``) and the self-block shape derivative
-inside it (``system_sensitivity``, on checkouts that have it), building
-its own operators and, on checkouts that hand them over, as the Jacobian
-calls it, on the operators of the prediction's assembly;
+inside it (``system_sensitivity``, on checkouts that have it), with its
+own operators (built by ``discretize`` first, on checkouts that have it)
+and, on checkouts that hand them over, as the Jacobian calls it, on the
+operators of the prediction's assembly or ``Discretization``;
 and the two whole reconstructions, ``run_phased`` on the
 criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
 made at n = 100. The two reconstructions are timed again with the thread
@@ -33,7 +36,7 @@ Each is timed with ``time.perf_counter`` and repeats, and the median and
 interquartile range of each go to a JSON file, with the thread counts of the
 two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_18.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_21.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's), so two commits can be compared on the same machine.
@@ -145,6 +148,10 @@ def layer_calls(n: int) -> dict:
         "factor_system": lambda: fw.factor_system(system),
         "far_field": lambda: fw.far_field(dens, curve, params, angles, grid),
     }
+    if hasattr(fw, "discretize"):  # a Newton step's one evaluation of the curve
+        disc = fw.discretize(curve, params, grid)
+        calls["discretize"] = lambda: fw.discretize(curve, params, grid)
+        calls["fill_system"] = lambda: fw._fill_system(disc.geom.jets, disc.ops, params)
     if n in SEQUENCE_SIZES:
         calls["forward_sequence"] = lambda: fw.far_field(
             fw.solve_forward(curve, params, wave, grid), curve, params, angles, grid)
@@ -185,10 +192,18 @@ def phaseless_calls() -> dict:
     fixed = (inverse_phaseless._fixed_ball(ball, params, wave, angles, grid)
              if hasattr(inverse_phaseless, "_fixed_ball") else ball)
     ball_grid = getattr(fixed, "grid", grid)  # the obstacle's before the ball had its own
+    discretized = hasattr(fw, "discretize")
+    if discretized:  # the pair of the two node jets
+        def pair_of(curve):
+            return multibody.cross_pair(geometry.jet(curve, grid.nodes),
+                                        geometry.jet(ball, ball_grid.nodes),
+                                        params, grid, ball_grid)
+    else:
+        def pair_of(curve):
+            return multibody.cross_pair(curve, ball, params, grid, ball_grid)
     if hasattr(multibody, "cross_pair"):
         def cross():
-            return multibody.cross_blocks(
-                multibody.cross_pair(peanut, ball, params, grid, ball_grid))
+            return multibody.cross_blocks(pair_of(peanut))
     else:  # before the pair data was shared with the Jacobian
         def cross():
             return multibody.cross_blocks(peanut, ball, params, grid, grid)
@@ -205,20 +220,30 @@ def phaseless_calls() -> dict:
     }
     if hasattr(multibody, "separation"):
         calls["separation"] = lambda: multibody.separation(start, ball)
-    if hasattr(fixed, "A"):  # the ball's self block is built once
+    if discretized:  # the self blocks passed in
+        system = multibody.assemble_two_body(
+            pair_of(start), fw.assemble_system(start, params, grid), fixed.A)
+    elif hasattr(fixed, "A"):  # the ball's self block is built once
         system = multibody.assemble_two_body(start, ball, params, grid, ball_grid, fixed.A)[0]
+    if hasattr(fixed, "A"):
         calls["factor_system_two_body"] = lambda: fw.factor_system(system)
     if hasattr(fw, "system_sensitivity"):  # before it, the self block was differenced
         motion = inverse_phaseless._boundary_motion(
             geometry.jet(start, grid.nodes), grid.nodes, 6)
         x_d, x_b = scene[1][: 3 * grid.size], scene[1][3 * grid.size :]
-        calls["system_sensitivity"] = lambda: fw.system_sensitivity(
-            start, params, grid, x_d, motion)
+        if discretized:
+            calls["system_sensitivity"] = lambda: fw.system_sensitivity(
+                fw.discretize(start, params, grid), params, x_d, motion)
+            calls["system_sensitivity_handed"] = lambda: fw.system_sensitivity(
+                scene.disc, params, x_d, motion)
+        else:
+            calls["system_sensitivity"] = lambda: fw.system_sensitivity(
+                start, params, grid, x_d, motion)
         if hasattr(scene, "operators"):  # the prediction's operators, handed over
             calls["system_sensitivity_handed"] = lambda: fw.system_sensitivity(
                 start, params, grid, x_d, motion, scene.operators)
         if hasattr(multibody, "cross_block_sensitivity"):
-            pair = multibody.cross_pair(start, ball, params, grid, ball_grid)
+            pair = pair_of(start)
             calls["cross_block_sensitivity"] = lambda: multibody.cross_block_sensitivity(
                 pair, x_d, x_b, motion)
     return calls
@@ -256,7 +281,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_18.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_21.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy

@@ -11,11 +11,12 @@ third derivatives of the radial function out of the kernels.
 
 The system is stated once, as the term table ``_terms`` and the jump signs
 ``_JUMPS``, and its operators are built once per curve, by ``_ops`` on the
-wavenumber-free ``_shared_tables``: ``assemble_system`` sums the rows into
-blocks (``_fill_column``), and ``system_sensitivity`` takes the same sums
-against x and D x, on the operators a Newton step's assembly kept, as the
-feature weights it differentiates (``_sensitivity_parts``). ``multibody``'s
-cross blocks and their derivative come from the same rows and routines.
+wavenumber-free ``_shared_tables``, and kept in a Newton step's
+``Discretization``. One loop (``_fill_system``) sums the rows into blocks
+(``_fill_column``), and ``system_sensitivity`` takes the same sums against
+x and D x as the feature weights it differentiates (``_sensitivity_parts``).
+``multibody``'s cross blocks and their derivative come from the same rows
+and routines.
 
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
@@ -24,22 +25,31 @@ about 0.1 s after a threaded call, so a threaded numpy product made just
 before scipy's LU takes a core from it: on 2 cores a 768-row LU took 48 ms
 after such a product, 28-31 ms after a scipy product or alone. D is
 therefore applied by FFT, and the products next to the LU (the backward
-error, the far field, the shape derivative) go through ``_gemm``, the gemm
-of scipy's BLAS. The (N x 2) @ (2 x N) frame products and the far-field
-phase stay in numpy: they run on one thread while m n <= 131072.
+error, the far field and its phase, the shape derivative) go through
+``_gemm``, the gemm of scipy's BLAS. The (N x 2) @ (2 x N) frame products
+and the gemv of the right-hand side stay in numpy: they run on one thread
+while m n <= 131072.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
 
-from .geometry import BoundaryMotion, NodeGrid, StarlikeCurve, jet
-from .kernels import grad_phi, hess_phi, k_limit, kernel_tables, pair_geometry, phi
+from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
+from .kernels import (
+    PairGeometry,
+    grad_phi,
+    hess_phi,
+    k_limit,
+    kernel_tables,
+    pair_geometry,
+    phi,
+)
 from .quadrature import (
     cauchy_weight_table,
     diff_matrix,
@@ -54,6 +64,8 @@ __all__ = [
     "FarField",
     "gamma_far",
     "rhs_plane_wave",
+    "Discretization",
+    "discretize",
     "assemble_system",
     "system_sensitivity",
     "factor_system",
@@ -167,7 +179,11 @@ def rhs_plane_wave(
     w1 = -2 u_inc on the boundary, w2 = 0, and w3 carries the normal
     derivative of the incident wave scaled by 1/(omega^2 rho_a).
     """
-    jets = jet(curve, grid.nodes)
+    return _rhs_on(jet(curve, grid.nodes), params, wave)
+
+
+def _rhs_on(jets: CurveJet, params: MaterialParams, wave: IncidentWave) -> tuple:
+    """``rhs_plane_wave`` at the nodes of ``jets``."""
     d = wave.direction
     uinc = np.exp(1j * params.kappa_a * (jets.p @ d))
     w1 = -2.0 * uinc
@@ -301,29 +317,42 @@ def _fill_column(A: np.ndarray, c: int, ops: dict, features: dict, terms) -> Non
             _add_times_d(block, W)  # the rows through D, as one product
 
 
-def assemble_system(
-    curve: StarlikeCurve, params: MaterialParams, grid: NodeGrid, keep: bool = False
-) -> np.ndarray | tuple[np.ndarray, tuple]:
-    """Dense 6n x 6n system matrix on the given collocation grid.
+class Discretization(NamedTuple):
+    """One curve on one grid, evaluated once (3.7 MB at n = 64): the grid,
+    the ``pair_geometry`` of its nodes (``geom.jets``, the node jet) and, per
+    density, the ``_ops`` of its wavenumber with K's jump. Read, not changed,
+    by a Newton step's system, shape derivative, right-hand side and far field."""
 
-    Row blocks are the three boundary equations at the 2n nodes; column
-    blocks are the three scaled densities, each with its own wavenumber. The
-    blocks are the sums of the rows of ``_terms``, from one pair geometry and
-    one ``_shared_tables``. Each wavenumber's operators go into its column
-    before the next are built, or, with ``keep``, are kept for a Newton
-    step: (pair geometry, [ops per density]) then follows A.
-    """
+    grid: NodeGrid
+    geom: PairGeometry
+    ops: tuple
+
+
+def _density_ops(geom, grid: NodeGrid, params: MaterialParams):
+    """Each density's ``_ops`` in turn, at its wavenumber with its jump, on
+    one ``_shared_tables``, made before the first: built after the split
+    tables, the cached weight tables sat above their freed temporaries in
+    glibc's heap (10 MB resident at n=128)."""
     if grid.n < 8:
         raise ValueError("grid too coarse for the singular quadrature (need n >= 8)")
-    jets = jet(curve, grid.nodes)
-    geom = pair_geometry(jets, grid.nodes)
-    # before the split tables: built after them, the cached weight tables sat
-    # above their freed temporaries in glibc's heap (10 MB resident at n=128)
     tables = _shared_tables(geom, grid)
-    N, terms, kept = grid.size, _terms(params), []
-    A = None
-    for c, kappa in enumerate((params.kappa_p, params.kappa_s, params.kappa_a)):
-        ops = _ops(geom, grid, kappa, tables, _JUMPS[c], _TANGENTIAL[c])
+    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
+    for kappa, jump, tangential in zip(kappas, _JUMPS, _TANGENTIAL):
+        yield _ops(geom, grid, kappa, tables, jump, tangential)
+
+
+def discretize(curve: StarlikeCurve, params: MaterialParams, grid: NodeGrid) -> Discretization:
+    """The ``Discretization`` of ``curve`` on ``grid``."""
+    geom = pair_geometry(jet(curve, grid.nodes), grid.nodes)
+    return Discretization(grid, geom, tuple(_density_ops(geom, grid, params)))
+
+
+def _fill_system(jets: CurveJet, ops: Iterable[dict], params: MaterialParams) -> np.ndarray:
+    """The 3N x 3N system on the nodes of ``jets`` from ``ops``, the three
+    densities' operators in order. Each is let go before the next is taken,
+    so a generator's are freed one by one (enumerate's tuple would hold them)."""
+    N, terms, A, c = len(jets.G), _terms(params), None, 0
+    for op in ops:
         if A is None:
             # Allocated after the first operators, so that A can take the
             # memory of their freed temporaries: allocated first, it raised
@@ -331,13 +360,25 @@ def assemble_system(
             # 8% (glibc malloc). The features follow for the same reason.
             A = np.zeros((3 * N, 3 * N), dtype=complex)
             features = _features(jets)
-        _fill_column(A, c, ops, features, terms)
-        if keep:
-            kept.append(ops)
-        del ops  # each wavenumber's operators go before the next are built
+        _fill_column(A, c, op, features, terms)
+        c += 1
+        del op
     if not np.all(np.isfinite(A)):
         raise FloatingPointError("non-finite entries during system assembly")
-    return (A, (geom, kept)) if keep else A
+    return A
+
+
+def assemble_system(curve: StarlikeCurve, params: MaterialParams, grid: NodeGrid) -> np.ndarray:
+    """Dense 6n x 6n system matrix on the given collocation grid.
+
+    Row blocks are the three boundary equations at the 2n nodes; column
+    blocks are the three scaled densities, each with its own wavenumber. The
+    blocks are the sums of the rows of ``_terms``, from one pair geometry and
+    one ``_shared_tables``. Each wavenumber's operators go into its column
+    before the next are built; a ``Discretization`` keeps them instead.
+    """
+    geom = pair_geometry(jet(curve, grid.nodes), grid.nodes)
+    return _fill_system(geom.jets, _density_ops(geom, grid, params), params)
 
 
 def _weights(ops, x, y, terms) -> list:
@@ -363,13 +404,16 @@ def _combine(features, weights) -> np.ndarray:
 
 
 def _derivative_ops(op: dict, kappa: float, r, a, b, Q=0.0) -> tuple[dict, dict]:
-    """The r- and phi-derivatives of one wavenumber's S, K = -a o S_r and
-    H = b o (Q - S_r), from the S and S_r of ``op``: S_rr = -kappa^2 S - S_r/r
-    by the radial Helmholtz equation, and the Cauchy part Q goes as 1/r."""
+    """The r- and phi-derivatives of one wavenumber's S, K = -a o S_r and,
+    if ``op`` has it, H = b o (Q - S_r), from the S and S_r of ``op``:
+    S_rr = -kappa^2 S - S_r/r by the radial Helmholtz equation, and the
+    Cauchy part Q goes as 1/r."""
     S_r = op["S_r"]
     S_rr = -kappa**2 * op["S"] - S_r / r   # a = b = 0 at the lim pairs
-    return ({"S": S_r, "K": -a * S_rr, "H": -b * (Q / r + S_rr)},
-            {"K": b * S_r, "H": a * (Q - S_r)})
+    d_r, d_phi = {"S": S_r, "K": -a * S_rr}, {"K": b * S_r}
+    if "H" in op:
+        d_r["H"], d_phi["H"] = -b * (Q / r + S_rr), a * (Q - S_r)
+    return d_r, d_phi
 
 
 def _sensitivity_parts(f: dict, nu, tau, r, a, b, B, B_r, B_phi):
@@ -403,14 +447,12 @@ def _sensitivity_parts(f: dict, nu, tau, r, a, b, B, B_r, B_phi):
 
 
 def system_sensitivity(
-    curve: StarlikeCurve,
+    disc: Discretization,
     params: MaterialParams,
-    grid: NodeGrid,
     x: np.ndarray,
     motion: BoundaryMotion,
-    operators: tuple | None = None,
 ) -> np.ndarray:
-    """Derivative d(A x), 6n x P, of the ``assemble_system`` matrix applied to
+    """Derivative d(A x), 6n x P, of the system matrix of ``disc`` applied to
     fixed densities x, when the nodes move by ``motion`` (P parameters).
 
     A depends on the shape only through the node jet (p, p', p''): through
@@ -419,9 +461,9 @@ def system_sensitivity(
     (n . p''/G^2); the weight tables, the log factor and D do not move.
     With a = nu_i . (p_j - p_i)/r and b = tau_i . (p_j - p_i)/r, the
     operators of one wavenumber are S, K = -a S_r and H = b (Q - S_r) off
-    the diagonal, the ``operators`` of ``assemble_system(..., keep=True)``
-    (read, not changed) or else the same built here; ``_derivative_ops``
-    gives their r- and phi-derivatives from the same H0 and H1 values.
+    the diagonal, the ``ops`` of ``disc`` (read, not changed);
+    ``_derivative_ops`` gives their r- and phi-derivatives from the same H0
+    and H1 values.
 
     Each (W o a) @ D x is taken as (W o a) @ (D x), and each derivative is
     split by ``_sensitivity_parts`` into a target part, moving with node i
@@ -432,12 +474,7 @@ def system_sensitivity(
     exactly zero.
     """
     kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
-    if operators is None:
-        geom = pair_geometry(jet(curve, grid.nodes), grid.nodes)
-        tables = _shared_tables(geom, grid)
-        operators = geom, [_ops(geom, grid, kappa, tables, jump, tangential)
-                           for kappa, jump, tangential in zip(kappas, _JUMPS, _TANGENTIAL)]
-    geom, ops = operators
+    grid, geom, ops = disc
     jets, N, n, i = geom.jets, grid.size, grid.n, np.arange(grid.size)
     x = np.reshape(x, (3, N))
     y = _gemm(diff_matrix(n), x[:2].T).T
@@ -553,12 +590,16 @@ def far_field_matrix(
     """Trapezoid-rule matrix taking the scaled acoustic density at the grid
     nodes to the far field at the observation angles."""
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
-    jets = jet(curve, grid.nodes)
+    return _far_field_on(jet(curve, grid.nodes), params, obs_angles, grid)
+
+
+def _far_field_on(jets: CurveJet, params: MaterialParams, obs_angles, grid: NodeGrid):
+    """``far_field_matrix`` at the nodes of ``jets``."""
     ka = params.kappa_a
-    xhat = np.stack([np.cos(obs_angles), np.sin(obs_angles)], axis=-1)
+    xhat = np.stack([np.cos(obs_angles), np.sin(obs_angles)])
     # cos + i sin of the real phase: np.exp of the imaginary array gives
     # the same values at several times the cost
-    arg = (-ka * xhat) @ jets.p.T
+    arg = _gemm(jets.p, -ka * xhat).T   # C-ordered, as F's products expect
     phase = np.cos(arg) + 1j * np.sin(arg)
     return phase * (gamma_far(ka) * (np.pi / grid.n) * jets.G**2)
 

@@ -36,9 +36,8 @@ from .forward import (
     FarField,
     IncidentWave,
     MaterialParams,
+    _far_field_on,
     _gemm,
-    far_field,
-    far_field_matrix,
     solve_forward,
 )
 from .geometry import (
@@ -228,9 +227,9 @@ def frechet_columns(
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
     if grid is None:
         grid = NodeGrid(len(densities.phi3_tilde) // 2)
-    motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, M)
-    Fx = far_field_matrix(curve, params, obs_angles, grid) * densities.phi3_tilde
-    return _phase_columns(Fx, obs_angles, motion, params.kappa_a)
+    jets = jet(curve, grid.nodes)
+    Fx = _far_field_on(jets, params, obs_angles, grid) * densities.phi3_tilde
+    return _phase_columns(Fx, obs_angles, _boundary_motion(jets, grid.nodes, M), params.kappa_a)
 
 
 def _phase_columns(Fx, obs_angles, motion: BoundaryMotion, kappa_a: float) -> np.ndarray:
@@ -351,15 +350,21 @@ def run_phased(
     ground_truth: StarlikeCurve | None = None,
 ) -> list[IterationRecord]:
     """Full reconstruction loop from phased far-field data: the records of
-    every visited iterate, with Err_k when the exact boundary is supplied."""
-    grid = NodeGrid(config.n_forward)
+    every visited iterate, with Err_k when the exact boundary is supplied.
+    A prediction evaluates the node jet and F once more, for the far field,
+    and its Jacobian, the columns of ``frechet_columns``, reads them."""
+    grid, angles = NodeGrid(config.n_forward), observed.angles
 
     def predict(curve):
         densities = solve_forward(curve, params, wave, grid)
-        return far_field(densities, curve, params, observed.angles, grid).values, densities
+        jets = jet(curve, grid.nodes)
+        F = _far_field_on(jets, params, angles, grid)
+        return _gemm(F, densities.phi3_tilde), (jets, F, densities.phi3_tilde)
 
-    def jacobian(curve, predicted, densities):
-        B = frechet_columns(curve, densities, params, observed.angles, config.M, grid)
+    def jacobian(curve, predicted, state):
+        jets, F, phi3 = state
+        B = _phase_columns(F * phi3, angles, _boundary_motion(jets, grid.nodes, config.M),
+                           params.kappa_a)
         # a shift h multiplies u_inf by exp(i kappa_a (d - x^) . h); the
         # frozen densities give only the x^ part, so add i kappa_a d_l u_inf
         B[:, :2] += 1j * params.kappa_a * wave.direction * predicted[:, None]

@@ -24,16 +24,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .forward import (
+    Discretization,
     IncidentWave,
     MaterialParams,
+    _far_field_on,
+    _fill_system,
     _gemm,
+    _rhs_on,
     assemble_system,
+    discretize,
     factor_system,
-    far_field_matrix,
-    rhs_plane_wave,
     system_sensitivity,
 )
-from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, make_circle
+from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet, make_circle
 from .inverse_phased import (
     InverseConfig,
     IterationRecord,
@@ -48,6 +51,7 @@ from .multibody import (
     TwoBodyDensities,
     assemble_two_body,
     cross_block_sensitivity,
+    cross_pair,
 )
 
 __all__ = [
@@ -145,11 +149,12 @@ def _ball_grid(radius: float, params: MaterialParams, n_d: int) -> NodeGrid:
 
 class _FixedBall(NamedTuple):
     """The part of the two-body problem that no obstacle update changes: the
-    ball's curve and grid, the clearance ``reach`` (least distance of an
-    obstacle node from its center), A_bb, b_b and F_b at the angles."""
+    ball's curve, grid and node jet, the clearance ``reach`` (least distance
+    of an obstacle node from its center), A_bb, b_b and F_b at the angles."""
 
     curve: StarlikeCurve
     grid: NodeGrid
+    jets: CurveJet
     reach: float
     A: np.ndarray
     b: np.ndarray
@@ -160,23 +165,24 @@ def _fixed_ball(ball_curve: StarlikeCurve, params: MaterialParams, wave: Inciden
                 angles: np.ndarray, grid: NodeGrid) -> _FixedBall:
     radius = float(ball_curve.radial.radius(np.zeros(1))[0])
     ball_grid = _ball_grid(radius, params, grid.n)
-    return _FixedBall(ball_curve, ball_grid, (1.0 + _BALL_CLEARANCE) * radius,
+    jets = jet(ball_curve, ball_grid.nodes)
+    return _FixedBall(ball_curve, ball_grid, jets, (1.0 + _BALL_CLEARANCE) * radius,
                       assemble_system(ball_curve, params, ball_grid),
-                      np.concatenate(rhs_plane_wave(ball_curve, params, wave, ball_grid)),
-                      far_field_matrix(ball_curve, params, angles, ball_grid))
+                      np.concatenate(_rhs_on(jets, params, wave)),
+                      _far_field_on(jets, params, angles, ball_grid))
 
 
 class _Scene(NamedTuple):
     """What a Jacobian at a predicted curve reuses from its prediction, and
     does not change: the checked solver of the two-body system, the densities
     [x_d, x_b], the cross-pair data, the obstacle's far-field matrix F_d and
-    the operators its self block was assembled from (3.7 MB at n = 64)."""
+    the obstacle's ``Discretization``."""
 
     solve: Callable[[np.ndarray], np.ndarray]
     x: np.ndarray
     pair: CrossPair
     F_d: np.ndarray
-    operators: tuple
+    disc: Discretization
 
 
 def _predicted_modulus(
@@ -188,18 +194,20 @@ def _predicted_modulus(
     grid: NodeGrid,
 ) -> tuple[np.ndarray, _Scene]:
     """Predicted |u_inf|^2 at ``angles``, with the ``_Scene`` of the two-body
-    system it came from, for a Jacobian there."""
-    near = curve_d.point(grid.nodes) - ball.curve.center
+    system it came from, for a Jacobian there. The obstacle is evaluated
+    once, as one ``Discretization``, and the ball not at all."""
+    disc = discretize(curve_d, params, grid)
+    jets = disc.geom.jets
+    near = jets.p - ball.curve.center
     if np.min(np.hypot(near[:, 0], near[:, 1])) < ball.reach:
         raise ValueError(f"obstacle inside the reference ball's clearance ({ball.reach:.3f})")
-    A, pair, ops = assemble_two_body(curve_d, ball.curve, params, grid, ball.grid, ball.A,
-                                     keep=True)
-    solve = factor_system(A)
-    x = solve(np.concatenate([*rhs_plane_wave(curve_d, params, wave, grid), ball.b]))
+    pair = cross_pair(jets, ball.jets, params, grid, ball.grid)
+    solve = factor_system(assemble_two_body(pair, _fill_system(jets, disc.ops, params), ball.A))
+    x = solve(np.concatenate([*_rhs_on(jets, params, wave), ball.b]))
     N = grid.size
-    F_d = far_field_matrix(curve_d, params, angles, grid)
+    F_d = _far_field_on(jets, params, angles, grid)
     total = _gemm(F_d, x[2 * N : 3 * N]) + _gemm(ball.F, x[3 * N + 2 * ball.grid.size :])
-    return np.abs(total) ** 2, _Scene(solve, x, pair, F_d, ops)
+    return np.abs(total) ** 2, _Scene(solve, x, pair, F_d, disc)
 
 
 def exact_phaseless_jacobian(
@@ -254,14 +262,14 @@ def _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene):
     ``_Scene`` of the two-body system at ``curve_d``, which the caller
     already has: it evaluates no Hankel function, rebuilds no jet, pair
     geometry, obstacle operator or F_D, and does not change the scene."""
-    solve, x, pair, F_d, operators = scene
+    solve, x, pair, F_d, disc = scene
     N, b3 = grid.size, 3 * grid.size + 2 * ball.grid.size  # b3: where phi3 on B starts
     x_d, x_b = x[: 3 * N], x[3 * N :]
-    jets = pair.jets_d
+    jets = disc.geom.jets
     motion = _boundary_motion(jets, grid.nodes, M)
 
     d_db, d_bd = cross_block_sensitivity(pair, x_d, x_b, motion)
-    d_dd = system_sensitivity(curve_d, params, grid, x_d, motion, operators)
+    d_dd = system_sensitivity(disc, params, x_d, motion)
     dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     dx = solve(-dR)
 
@@ -289,11 +297,11 @@ def run_phaseless(
     block, right-hand side and far-field matrix are built once per run, on
     a grid of its own (``_ball_grid``: n_b = 22 for n_forward = 64, 516
     rows in place of 768). Each step of ``_newton_tikhonov`` uses the exact
-    Jacobian of |u_inf|^2 on the factorization, Hankel values, self-block
-    operators and F_D that the line search made at the iterate. A candidate
-    with a node within one ball radius of the ball (the clearance that sizes
-    n_b) is skipped as a collision; an initial guess that close raises that
-    ``ValueError``.
+    Jacobian of |u_inf|^2 on the factorization, Hankel values,
+    ``Discretization`` and F_D that the line search made at the iterate. A
+    candidate with a node within one ball radius of the ball (the clearance
+    that sizes n_b) is skipped as a collision; an initial guess that close
+    raises that ``ValueError``.
     """
     ball_curve = ball.curve()
     grid = NodeGrid(config.n_forward)

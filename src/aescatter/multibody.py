@@ -1,19 +1,22 @@
 """Two-body forward solver for an obstacle together with a reference ball.
 
 The coupled system is the single-body system of ``forward`` on and between
-the two bodies: the self blocks are ``assemble_system``'s, and the two cross
-blocks are filled from the same term table by the same routine,
-``forward._fill_column``, with the tangential derivatives through the
-source grid's D. The bodies are disjoint, so the cross operators are the
-plain trapezoid rule on the smooth kernels. One pair of Hankel evaluations
-per wavenumber (a ``CrossPair``) serves both cross blocks, and their
-derivatives when the obstacle moves, which ``forward._sensitivity_parts``
-takes as it does for ``system_sensitivity``.
+the two bodies: the self blocks are the single-body systems, passed in by
+the caller (``assemble_system``'s, or a Newton step's filled from its
+``Discretization``), and the two cross blocks are filled from the same term
+table by the same routine, ``forward._fill_column``, with the tangential
+derivatives through the source grid's D. The bodies are disjoint, so the
+cross operators are the plain trapezoid rule on the smooth kernels. One pair
+of Hankel evaluations per wavenumber (a ``CrossPair``, made from the two
+node jets) serves both cross blocks, and their derivatives when the obstacle
+moves, which ``forward._sensitivity_parts`` takes as it does for
+``system_sensitivity``.
 
 ``cross_block_sensitivity`` runs in every phaseless Newton step, so by the
 rule stated in ``inverse_phased`` its products with the node motion go
 through ``forward._gemm`` and D is applied by FFT; the (N x 2) frame
-products of ``rhs_plane_wave`` and ``_features`` stay in numpy.
+products of the right-hand side (``forward._rhs_on``) and ``_features``
+stay in numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .forward import (
     FarField,
     IncidentWave,
     MaterialParams,
+    _TANGENTIAL,
     _add_times_d,
     _derivative_ops,
     _features,
@@ -97,46 +101,54 @@ def _direction(targets: CurveJet, sources: CurveJet, dx, dy, r, S) -> _Direction
 @dataclass(frozen=True)
 class CrossPair:
     """What both cross blocks of an obstacle D and a ball B share, and their
-    derivatives when D moves: the jets of D and the ``_Direction`` of A_db
-    (``db``, targets on D) and of A_bd (``bd``)."""
+    derivatives when D moves: the ``_Direction`` of A_db (``db``, targets on
+    D) and of A_bd (``bd``)."""
 
     params: MaterialParams
-    jets_d: CurveJet
     db: _Direction
     bd: _Direction
 
 
 def cross_pair(
-    curve_d: StarlikeCurve,
-    curve_b: StarlikeCurve,
+    jets_d: CurveJet,
+    jets_b: CurveJet,
     params: MaterialParams,
     grid_d: NodeGrid,
     grid_b: NodeGrid,
 ) -> CrossPair:
-    """The ``CrossPair`` of two disjoint bodies: f = (i/2) H0(kappa r) and
+    """The ``CrossPair`` of two disjoint bodies with the node jets ``jets_d``
+    on ``grid_d`` and ``jets_b`` on ``grid_b``: f = (i/2) H0(kappa r) and
     f_r = -(i/2) kappa H1(kappa r) once per wavenumber on the D x B
-    distances, the only Hankel values of the cross blocks."""
-    jets_d, jets_b = jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes)
+    distances, the only Hankel values of the cross blocks. Nodes closer than
+    0.1 apart raise ValueError."""
     dx = jets_b.p[None, :, 0] - jets_d.p[:, None, 0]   # from D's node i to B's node j
     dy = jets_b.p[None, :, 1] - jets_d.p[:, None, 1]
     r = np.hypot(dx, dy)
+    if r.min() < _MIN_SEPARATION:
+        raise ValueError(
+            f"obstacle too close to the reference ball (separation {r.min():.3f} < "
+            f"{_MIN_SEPARATION}); the cross kernels would be nearly singular"
+        )
     S_db, S_bd = [], []
     for kappa in (params.kappa_p, params.kappa_s, params.kappa_a):
         z = kappa * r
         f, f_r = 0.5j * hankel1_0(z), -0.5j * kappa * hankel1_1(z)
         S_db.append(((np.pi / grid_b.n) * f, (np.pi / grid_b.n) * f_r))
         S_bd.append(((np.pi / grid_d.n) * f.T.copy(), (np.pi / grid_d.n) * f_r.T.copy()))
-    return CrossPair(params, jets_d,
+    return CrossPair(params,
                      _direction(jets_d, jets_b, dx, dy, r, S_db),
                      _direction(jets_b, jets_d, -dx.T, -dy.T, r.T.copy(), S_bd))
 
 
 def _direction_ops(d: _Direction, c: int) -> dict:
     """Density c's operators in direction d, by the plain trapezoid rule:
-    S and S_r of the pair, K = -a o S_r and H = -b o S_r, with no Kress or
-    Cauchy correction and no jump."""
+    S and S_r of the pair, K = -a o S_r and, where ``_TANGENTIAL`` asks for
+    it, H = -b o S_r, with no Kress or Cauchy correction and no jump."""
     S, S_r = d.S[c]
-    return {"S": S, "S_r": S_r, "K": -d.a * S_r, "H": -d.b * S_r}
+    ops = {"S": S, "S_r": S_r, "K": -d.a * S_r}
+    if _TANGENTIAL[c]:
+        ops["H"] = -d.b * S_r
+    return ops
 
 
 def cross_blocks(pair: CrossPair) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +203,7 @@ def cross_block_sensitivity(
     d_db = np.concatenate([
         tx[:, None] * dp[:, 0] + ty[:, None] * dp[:, 1] + ttheta[:, None] * dtheta
         for _, (tx, ty, ttheta) in _direction_parts(pair.db, pair.params, x_b)])
-    stacked = np.concatenate([dp[:, 0], dp[:, 1], motion.dG / pair.jets_d.G[:, None], dtheta,
+    stacked = np.concatenate([dp[:, 0], dp[:, 1], motion.dG / pair.db.targets.G[:, None], dtheta,
                               motion.dp_second[:, 0], motion.dp_second[:, 1]])
     d_bd = np.concatenate([
         _gemm(np.hstack(source), stacked[: len(source) * len(dp)])
@@ -199,40 +211,19 @@ def cross_block_sensitivity(
     return d_db, d_bd
 
 
-def assemble_two_body(
-    curve_d: StarlikeCurve,
-    curve_b: StarlikeCurve,
-    params: MaterialParams,
-    grid_d: NodeGrid,
-    grid_b: NodeGrid,
-    A_bb: np.ndarray,
-    keep: bool = False,
-) -> tuple:
-    """Block system for the coupled obstacle-ball scattering problem, and the
-    ``CrossPair`` its cross blocks came from.
+def assemble_two_body(pair: CrossPair, A_dd: np.ndarray, A_bb: np.ndarray) -> np.ndarray:
+    """Block system for the coupled obstacle-ball scattering problem, with the
+    unknowns ordered [on D, on B]: the self blocks A_dd and A_bb, the
+    single-body systems of the two bodies, and the cross blocks of ``pair``.
 
-    Unknowns are ordered [on D, on B]; the self-blocks are the single-body
-    system matrices. The ball's, A_bb = ``assemble_system(curve_b, params,
-    grid_b)``, is passed in: it does not depend on the obstacle, so a
-    reconstruction assembles it once. A_dd and both cross blocks are built
-    here, once the bodies are at least 0.1 apart; with ``keep``, the
-    operators that A_dd was built from follow the pair.
+    The ball's A_bb does not depend on the obstacle, so a reconstruction
+    assembles it once. Make the pair before A_dd: a reconstruction keeps it
+    past the system's temporaries, and built above them it left glibc's
+    heap so fragmented that a later n = 100 two-body solve raised the peak
+    resident size by 21 MB in about half the runs.
     """
-    sep = separation(curve_d, curve_b)
-    if sep < _MIN_SEPARATION:
-        raise ValueError(
-            f"obstacle too close to the reference ball (separation {sep:.3f} < "
-            f"{_MIN_SEPARATION}); the cross kernels would be nearly singular"
-        )
-    # the pair first: a reconstruction keeps it past the system's temporaries,
-    # and built above them it left glibc's heap so fragmented that a later
-    # n = 100 two-body solve raised the peak resident size by 21 MB in about
-    # half the runs
-    pair = cross_pair(curve_d, curve_b, params, grid_d, grid_b)
-    A_dd = assemble_system(curve_d, params, grid_d, keep)
-    A_dd, *kept = A_dd if keep else (A_dd,)
     A_db, A_bd = cross_blocks(pair)
-    return (np.block([[A_dd, A_db], [A_bd, A_bb]]), pair, *kept)
+    return np.block([[A_dd, A_db], [A_bd, A_bb]])
 
 
 def solve_two_body_forward(
@@ -246,8 +237,11 @@ def solve_two_body_forward(
     """Assemble and solve the two-body plane-wave scattering problem."""
     if grid_b is None:
         grid_b = NodeGrid(grid_d.n)
-    A = assemble_two_body(curve_d, curve_b, params, grid_d, grid_b,
-                          assemble_system(curve_b, params, grid_b))[0]
+    A_bb = assemble_system(curve_b, params, grid_b)
+    pair = cross_pair(jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes),
+                      params, grid_d, grid_b)
+    A = assemble_two_body(pair, assemble_system(curve_d, params, grid_d), A_bb)
+    del A_bb, pair  # in A now: held through the LU, they raised its peak by 22 MB at n=100
     b_d = np.concatenate(rhs_plane_wave(curve_d, params, wave, grid_d))
     b_b = np.concatenate(rhs_plane_wave(curve_b, params, wave, grid_b))
     if A.shape != (len(b_d) + len(b_b),) * 2:

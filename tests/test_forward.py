@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from aescatter import forward
+from aescatter import forward, multibody
 from aescatter.forward import (
     IncidentWave,
     MaterialParams,
     assemble_system,
     boundary_residual,
+    discretize,
     factor_system,
     far_field,
     far_field_matrix,
@@ -42,7 +43,7 @@ from aescatter.geometry import (
 from aescatter.inverse_phased import _boundary_motion
 from aescatter.kernels import grad_phi, hess_phi, pair_geometry
 from aescatter.kernels import phi as Phi
-from aescatter.multibody import assemble_two_body
+from aescatter.multibody import assemble_two_body, cross_pair
 from aescatter.quadrature import cauchy_weight_table, diff_matrix, log_weight_table
 from aescatter.specfun import EULER_GAMMA, hankel1_0, hankel1_1
 
@@ -351,7 +352,8 @@ class TestSharedGeometryAssembly:
 NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "_jacobian_at",
                          "cross_block_sensitivity", "far_field", "factor_system",
                          "system_sensitivity", "_sensitivity_parts", "_direction_ops",
-                         "_direction_parts", "_shared_tables")
+                         "_direction_parts", "_shared_tables", "discretize",
+                         "_density_ops", "_fill_system", "_far_field_on", "run_phased")
 
 
 class TestSolvePathProducts:
@@ -473,7 +475,7 @@ class TestSystemSensitivity:
         rng = np.random.default_rng(degree + grid.n)
         x = rng.standard_normal(3 * grid.size) + 1j * rng.standard_normal(3 * grid.size)
         motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, degree)
-        dAx = system_sensitivity(curve, params, grid, x, motion)
+        dAx = system_sensitivity(discretize(curve, params, grid), params, x, motion)
         assert dAx.shape == (3 * grid.size, 2 * degree + 3)
         assert np.all(dAx[:, :2] == 0.0)
         fd = np.column_stack([
@@ -486,19 +488,37 @@ class TestSystemSensitivity:
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("name", ["apple", "peanut"])
     def test_handed_over_operators(self, params, name, n):
-        """With the operators that assemble_system kept, d(A x) is bit for bit
-        the one that builds its own, and the operators are not changed: a
-        second call on them gives it again."""
+        """The system filled from a Discretization's operators is bit for bit
+        assemble_system's, and d(A x) does not change them: a second call on
+        the same Discretization gives it again."""
         curve, grid = SENSITIVITY_CURVES[name](), NodeGrid(n)
         rng = np.random.default_rng(n)
         x = rng.standard_normal(3 * grid.size) + 1j * rng.standard_normal(3 * grid.size)
         motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, 6)
-        A, operators = assemble_system(curve, params, grid, keep=True)
-        assert np.array_equal(A, assemble_system(curve, params, grid))
-        ref = system_sensitivity(curve, params, grid, x, motion)
-        for _ in range(2):
-            assert np.array_equal(
-                system_sensitivity(curve, params, grid, x, motion, operators), ref)
+        disc = discretize(curve, params, grid)
+        assert np.array_equal(forward._fill_system(disc.geom.jets, disc.ops, params),
+                              assemble_system(curve, params, grid))
+        ref = system_sensitivity(disc, params, x, motion)
+        assert np.array_equal(system_sensitivity(disc, params, x, motion), ref)
+
+    def test_kappa_a_has_no_tangential_operators(self, params):
+        """No row of the term table reads kappa_a's H, and none is built: not
+        in the Discretization, not among the derivatives of system_sensitivity
+        and not in either cross direction or its derivatives."""
+        assert [t for t in forward._terms(params) if t[2] == "H" and t[3] == 2] == []
+        curve, grid, ball_grid = make_apple(), NodeGrid(16), NodeGrid(11)
+        disc = discretize(curve, params, grid)
+        geom, kappa = disc.geom, params.kappa_a
+        assert ["H" in op for op in disc.ops] == [True, True, False]
+        assert not any("H" in d for d in forward._derivative_ops(
+            disc.ops[2], kappa, geom.r, geom.a, geom.b, disc.ops[2]["Q"]))
+        pair = cross_pair(disc.geom.jets, jet(make_circle((4.0, 0.0), 0.7), ball_grid.nodes),
+                          params, grid, ball_grid)
+        for d in (pair.db, pair.bd):
+            assert ["H" in multibody._direction_ops(d, c) for c in range(3)] == [
+                True, True, False]
+            op = multibody._direction_ops(d, 2)
+            assert not any("H" in o for o in forward._derivative_ops(op, kappa, d.r, d.a, d.b))
 
 
 class TestTermTable:
@@ -562,8 +582,9 @@ class TestFactorSystem:
         A = assemble_system(curve, params, grid)
         if system == "two-body":
             ball, ball_grid = make_circle((4.0, 0.0), 0.7), NodeGrid(16)
-            A = assemble_two_body(curve, ball, params, grid, ball_grid,
-                                  assemble_system(ball, params, ball_grid))[0]
+            pair = cross_pair(jet(curve, grid.nodes), jet(ball, ball_grid.nodes),
+                              params, grid, ball_grid)
+            A = assemble_two_body(pair, A, assemble_system(ball, params, ball_grid))
         norms, get = [], forward.get_lapack_funcs
 
         def spying(names, arrays):

@@ -395,3 +395,38 @@ class TestRunPhased:
         ff = far_field(dens, guess, params, OBS, grid)
         records = run_phased(ff, params, wave, cfg)
         assert records[0].Err_k is None
+
+    def test_jacobian_reads_the_prediction(self, params, wave, apple_far_field, monkeypatch):
+        """The Jacobian of a step takes the node jet and F of its prediction:
+        it evaluates neither ``jet`` nor a far-field matrix, and equals
+        ``frechet_columns`` plus the incident-phase patch bit for bit."""
+        from aescatter import forward, inverse_phased
+
+        *_, observed, grid = apple_far_field
+        cfg = InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4, epsilon=0.2,
+                            n_forward=grid.n)
+        loop = {}
+        monkeypatch.setattr(inverse_phased, "_newton_tikhonov",
+                            lambda values, predict, jacobian, config, truth:
+                            loop.update(predict=predict, jacobian=jacobian) or [])
+        run_phased(observed, params, wave, cfg)
+        curve = initial_curve(cfg)
+        predicted, state = loop["predict"](curve)
+        ref = frechet_columns(curve, solve_forward(curve, params, wave, grid), params,
+                              observed.angles, cfg.M, grid)
+        ref[:, :2] += 1j * params.kappa_a * wave.direction * predicted[:, None]
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (forward, inverse_phased):
+            for name in ("jet", "far_field_matrix", "_far_field_on"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        B = loop["jacobian"](curve, predicted, state)
+        assert calls == []
+        assert np.array_equal(B, ref)

@@ -294,23 +294,45 @@ class TestRunPhaseless:
 
     def test_ball_self_block_assembled_once(self, params, wave, peanut_scene, monkeypatch):
         """The ball never moves: one run assembles its self block once, and
-        the obstacle's at every prediction."""
+        discretizes the obstacle at every prediction."""
         *_, data, _ = peanut_scene
         ball = BALL.curve().to_dict()
         calls = {"ball": 0, "obstacle": 0}
-        assemble = forward.assemble_system
 
-        def counting(curve, *args, **kwargs):
-            calls["ball" if curve.to_dict() == ball else "obstacle"] += 1
-            return assemble(curve, *args, **kwargs)
+        def counting(fn):
+            def wrapper(curve, *args, **kwargs):
+                calls["ball" if curve.to_dict() == ball else "obstacle"] += 1
+                return fn(curve, *args, **kwargs)
+            return wrapper
 
-        for module in (forward, inverse_phaseless, multibody):
-            monkeypatch.setattr(module, "assemble_system", counting)
+        for name in ("assemble_system", "discretize"):
+            wrapped = counting(getattr(forward, name))
+            for module in (forward, inverse_phaseless, multibody):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
         cfg = InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
                             epsilon=1e-3, M=2, max_iter=2, n_forward=16)
         records = run_phaseless(data, BALL, params, wave, cfg)
         assert calls["ball"] == 1
         assert calls["obstacle"] >= len(records) == 3
+
+    def test_one_obstacle_jet_per_prediction(self, params, wave, monkeypatch):
+        """A prediction evaluates the obstacle's node jet once, for its
+        Discretization, and the ball's, which the fixed ball keeps, not at
+        all."""
+        grid, curve = NodeGrid(16), TestExactJacobian._curve()
+        ball = _ball(params, wave, grid)
+        calls = []
+
+        def counting(c, t):
+            calls.append("ball" if c.to_dict() == BALL.curve().to_dict() else "obstacle")
+            return jet(c, t)
+
+        for module in (forward, inverse_phased, inverse_phaseless, kernels, multibody):
+            if hasattr(module, "jet"):
+                monkeypatch.setattr(module, "jet", counting)
+        _predicted_modulus(curve, ball, params, wave, OBS, grid)
+        assert calls == ["obstacle"]
 
     def test_residual_strictly_decreases(self, params, wave, peanut_scene):
         *_, data, _ = peanut_scene
@@ -351,7 +373,7 @@ def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, st
 
     def moving_terms(curve):
         A_db, A_bd = multibody.cross_blocks(
-            multibody.cross_pair(curve, ball_curve, params, grid, ball.grid))
+            multibody.cross_pair(jet(curve, grid.nodes), ball.jets, params, grid, ball.grid))
         rows_d = (
             assemble_system(curve, params, grid) @ x_d
             + A_db @ x_b
@@ -447,8 +469,10 @@ class TestAnalyticJacobian:
         for name in ("hankel1_0", "hankel1_1"):
             monkeypatch.setattr(multibody, name, counting(name, getattr(multibody, name)))
         for module in (forward, inverse_phased, inverse_phaseless):
-            monkeypatch.setattr(module, "far_field_matrix",
-                                counting("far_field_matrix", module.far_field_matrix))
+            for name in ("far_field_matrix", "_far_field_on"):  # the matrix, or its core
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counting("far_field_matrix", getattr(module, name)))
         J = inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, degree, grid, scene)
         assert calls == {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
         assert np.array_equal(J, ref)

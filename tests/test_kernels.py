@@ -218,16 +218,17 @@ class TestAssemblyHankelCalls:
     def test_one_hankel_pair_per_wavenumber_in_the_shape_derivative(
         self, params, hankel_sizes
     ):
-        """system_sensitivity, which takes its operators and their r-derivatives
-        from the tables of assembly, evaluates H0 and H1 once per wavenumber,
-        each on the N(N-1)/2 distinct distances."""
+        """A Discretization and system_sensitivity on it, which takes its
+        operators and their r-derivatives from the Discretization's tables,
+        evaluate H0 and H1 once per wavenumber, each on the N(N-1)/2
+        distinct distances."""
         from aescatter import forward
         from aescatter.inverse_phased import _boundary_motion
 
         curve, grid = make_apple(), NodeGrid(16)
         motion = _boundary_motion(jet(curve, grid.nodes), grid.nodes, 3)
         x = np.random.default_rng(0).standard_normal(3 * grid.size).astype(complex)
-        forward.system_sensitivity(curve, params, grid, x, motion)
+        forward.system_sensitivity(forward.discretize(curve, params, grid), params, x, motion)
         N = grid.size
         assert hankel_sizes == {"hankel1_0": [N * (N - 1) // 2] * 3,
                                 "hankel1_1": [N * (N - 1) // 2] * 3}

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from test_forward import optical_gap
 
-from aescatter.forward import IncidentWave, assemble_system, far_field, solve_forward
+from aescatter.forward import (
+    IncidentWave,
+    _fill_system,
+    assemble_system,
+    discretize,
+    far_field,
+    solve_forward,
+)
 from aescatter.geometry import (
     NodeGrid,
     jet,
@@ -28,6 +35,12 @@ from aescatter.multibody import (
 OBS = 2.0 * np.pi * np.arange(64) / 64
 
 
+def _pair(curve_d, curve_b, params, grid_d, grid_b):
+    """The ``cross_pair`` of two curves, from their node jets."""
+    return cross_pair(jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes),
+                      params, grid_d, grid_b)
+
+
 class TestSeparation:
     def test_two_circles(self):
         a = make_circle((0, 0), 1.0)
@@ -39,7 +52,9 @@ class TestSeparation:
         b = make_circle((2.05, 0), 1.0)
         grid = NodeGrid(16)
         with pytest.raises(ValueError, match="too close"):
-            assemble_two_body(a, b, params, grid, grid, assemble_system(b, params, grid))
+            _pair(a, b, params, grid, grid)
+        with pytest.raises(ValueError, match="too close"):
+            solve_two_body_forward(a, b, params, IncidentWave(0.0), grid)
 
 
 class TestDecoupling:
@@ -189,7 +204,7 @@ class TestCrossBlocks:
         dens = solve_two_body_forward(curve, ball, params, wave, grid_d, grid_b)
         x_d, x_b = (np.concatenate([s.phi1_tilde, s.phi2_tilde, s.phi3_tilde])
                     for s in (dens.body_d, dens.body_b))
-        A_db, A_bd = cross_blocks(cross_pair(curve, ball, params, grid_d, grid_b))
+        A_db, A_bd = cross_blocks(_pair(curve, ball, params, grid_d, grid_b))
         for got, ref, x in (
             (A_db, _pointwise_cross_block(jets_d, jets_b, grid_b, params), x_b),
             (A_bd, _pointwise_cross_block(jets_b, jets_d, grid_d, params), x_d),
@@ -202,13 +217,16 @@ class TestAssembleTwoBody:
     @pytest.mark.parametrize("shape", [make_peanut, make_apple], ids=["peanut", "apple"])
     @pytest.mark.parametrize("n_d,n_b", [(16, 16), (32, 32), (32, 48)])
     def test_passed_ball_block_equals_fresh_blocks(self, params, shape, n_d, n_b):
-        """The system with the ball's self block passed in is, bit for bit,
-        the four blocks assembled afresh."""
+        """The system of a Newton step, with the obstacle's block filled from
+        its Discretization and the ball's passed in, is, bit for bit, the
+        four blocks assembled afresh."""
         curve, ball = shape(), make_circle((6.6, 0.0), 0.71)
         grid_d, grid_b = NodeGrid(n_d), NodeGrid(n_b)
-        A, _ = assemble_two_body(curve, ball, params, grid_d, grid_b,
-                                 assemble_system(ball, params, grid_b))
-        A_db, A_bd = cross_blocks(cross_pair(curve, ball, params, grid_d, grid_b))
+        disc = discretize(curve, params, grid_d)
+        pair = cross_pair(disc.geom.jets, jet(ball, grid_b.nodes), params, grid_d, grid_b)
+        A = assemble_two_body(pair, _fill_system(disc.geom.jets, disc.ops, params),
+                              assemble_system(ball, params, grid_b))
+        A_db, A_bd = cross_blocks(_pair(curve, ball, params, grid_d, grid_b))
         ref = np.block([[assemble_system(curve, params, grid_d), A_db],
                         [A_bd, assemble_system(ball, params, grid_b)]])
         assert np.array_equal(A, ref)
@@ -225,9 +243,10 @@ class TestCrossBlockSensitivity:
         x_d, x_b = (rng.standard_normal(3 * g.size) + 1j * rng.standard_normal(3 * g.size)
                     for g in (grid_d, grid_b))
         motion = _boundary_motion(jet(curve, grid_d.nodes), grid_d.nodes, 6)
-        _, shared = assemble_two_body(curve, ball, params, grid_d, grid_b,
-                                      assemble_system(ball, params, grid_b))
-        fresh = cross_pair(curve, ball, params, grid_d, grid_b)
+        shared = _pair(curve, ball, params, grid_d, grid_b)
+        assemble_two_body(shared, assemble_system(curve, params, grid_d),
+                          assemble_system(ball, params, grid_b))
+        fresh = _pair(curve, ball, params, grid_d, grid_b)
         for got, ref in zip(cross_block_sensitivity(shared, x_d, x_b, motion),
                             cross_block_sensitivity(fresh, x_d, x_b, motion)):
             assert np.array_equal(got, ref)
@@ -242,7 +261,7 @@ class TestCrossBlockSensitivity:
         x_d, x_b = (rng.standard_normal(3 * g.size) + 1j * rng.standard_normal(3 * g.size)
                     for g in (grid_d, grid_b))
         motion = _boundary_motion(jet(curve, grid_d.nodes), grid_d.nodes, degree)
-        d_db, d_bd = cross_block_sensitivity(cross_pair(curve, ball, params, grid_d, grid_b),
+        d_db, d_bd = cross_block_sensitivity(_pair(curve, ball, params, grid_d, grid_b),
                                              x_d, x_b, motion)
         n_par, h = 2 * degree + 3, 1e-6
         fd_db, fd_bd = np.empty_like(d_db), np.empty_like(d_bd)
@@ -251,7 +270,7 @@ class TestCrossBlockSensitivity:
             xi[i] = h
             bump = BoundaryUpdate(xi[:2], xi[2:3 + degree], xi[3 + degree:])
             (db_p, bd_p), (db_m, bd_m) = (
-                cross_blocks(cross_pair(apply_update(curve, b), ball, params, grid_d, grid_b))
+                cross_blocks(_pair(apply_update(curve, b), ball, params, grid_d, grid_b))
                 for b in (bump, bump.scaled(-1.0))
             )
             fd_db[:, i] = (db_p - db_m) @ x_b / (2.0 * h)
