@@ -2,30 +2,25 @@
 
 Times ``kernel_tables`` (the single-layer tables of one wavenumber, and of
 the three wavenumbers of one assembly, each with the pair geometry they need),
-``assemble_system``, ``factor_system`` and ``far_field`` on the apple at
-n in {32, 64, 100, 128}, with, on checkouts that have them, the
-``Discretization`` of a Newton step (``discretize``) and the system filled
-from it (``fill_system``), and at n in {64, 128} the four back to back as
-``aescatter forward`` runs them (``forward_sequence``: assemble, factor,
-solve, far field; the isolated layers cannot show one BLAS thread pool
-slowing another); the phased Frechet matrix (``frechet_columns``) at
-the criterion-8 initial guess with M = 6, n = 64 and 128 angles; and the
-two-body layers of the criterion-9 case at n = 64: ``cross_blocks`` of the
-peanut and the reference ball (with the Hankel values they share, the ball
-on its own grid on checkouts that give it one), and at the initial guess
+``assemble_system``, ``factor_system``, ``far_field``, the ``Discretization``
+of a Newton step (``discretize``) and the system filled from it
+(``fill_system``) on the apple at n in {32, 64, 100, 128}, and at n in
+{64, 128} the four back to back as ``aescatter forward`` runs them
+(``forward_sequence``: assemble, factor, solve, far field; the isolated
+layers cannot show one BLAS thread pool slowing another); the phased
+Frechet matrix (``frechet_columns``) at the criterion-8 initial guess with
+M = 6, n = 64 and 128 angles; and the two-body layers of the criterion-9
+case at n = 64: ``cross_blocks`` of the peanut and the reference ball on
+its own grid (with the Hankel values they share), and at the initial guess
 with M = 6 the cross-block shape derivative (``cross_block_sensitivity``,
-with the densities of that start's two-body solve, on checkouts that have
-it), one prediction of |u_inf|^2 as the line search makes it
-(``_predicted_modulus``: two-body assembly, LU, far field; with the ball's
-blocks built beforehand on checkouts that build them once per
-reconstruction), ``factor_system`` on that two-body system alone (516 x 516
-with the ball on its own 44 nodes, 768 x 768 with it on the obstacle's
-128), the curve-sampled separation check (``separation``), one
-phaseless Jacobian (``_jacobian_at``) and the self-block shape derivative
-inside it (``system_sensitivity``, on checkouts that have it), with its
-own operators (built by ``discretize`` first, on checkouts that have it)
-and, on checkouts that hand them over, as the Jacobian calls it, on the
-operators of the prediction's assembly or ``Discretization``;
+with the densities of that start's two-body solve), one prediction of
+|u_inf|^2 as the line search makes it (``_predicted_modulus``: two-body
+assembly, LU, far field, with the ball's blocks built once beforehand),
+``factor_system`` on that two-body system alone (516 x 516, the ball on its
+own 44 nodes), one phaseless Jacobian (``_jacobian_at``) and the self-block
+shape derivative inside it (``system_sensitivity``), with its own
+``Discretization`` (``discretize`` plus the derivative) and, as the
+Jacobian calls it, on the prediction's (``system_sensitivity_handed``);
 and the two whole reconstructions, ``run_phased`` on the
 criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
 made at n = 100. The two reconstructions are timed again with the thread
@@ -36,10 +31,15 @@ Each is timed with ``time.perf_counter`` and repeats, and the median and
 interquartile range of each go to a JSON file, with the thread counts of the
 two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_21.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_22.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
-checkout's), so two commits can be compared on the same machine.
+checkout's). The script calls the library's current API and nothing older.
+To compare with an earlier commit, time that commit with its own copy of
+this script, exported beside this checkout:
+
+    git archive <commit> | tar -x -C <dir>
+    python3 <dir>/bench/layers.py --src <dir>/src --out BENCH_<n>_parent.json
 """
 
 from __future__ import annotations
@@ -130,28 +130,25 @@ def layer_calls(n: int) -> dict:
     grid = geometry.NodeGrid(n)
     jets = geometry.jet(curve, grid.nodes)
     kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
-    if hasattr(kernels, "pair_geometry"):
-        def tables(ks):
-            geom = kernels.pair_geometry(jets, grid.nodes)
-            return [kernels.kernel_tables(geom, k) for k in ks]
-    else:  # before the pair geometry was shared: one full pass per wavenumber
-        def tables(ks):
-            return [kernels.kernel_tables(jets, grid, k) for k in ks]
+
+    def tables(ks):
+        geom = kernels.pair_geometry(jets, grid.nodes)
+        return [kernels.kernel_tables(geom, k) for k in ks]
+
     system = fw.assemble_system(curve, params, grid)
     wave = fw.IncidentWave(np.pi / 8)
     dens = fw.solve_densities(system, fw.rhs_plane_wave(curve, params, wave, grid))
     angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
+    disc = fw.discretize(curve, params, grid)  # a Newton step's one evaluation of the curve
     calls = {
         "kernel_tables": lambda: tables(kappas[:1]),
         "kernel_tables_3k": lambda: tables(kappas),
         "assemble_system": lambda: fw.assemble_system(curve, params, grid),
         "factor_system": lambda: fw.factor_system(system),
         "far_field": lambda: fw.far_field(dens, curve, params, angles, grid),
+        "discretize": lambda: fw.discretize(curve, params, grid),
+        "fill_system": lambda: fw._fill_system(disc.geom.jets, disc.ops, params),
     }
-    if hasattr(fw, "discretize"):  # a Newton step's one evaluation of the curve
-        disc = fw.discretize(curve, params, grid)
-        calls["discretize"] = lambda: fw.discretize(curve, params, grid)
-        calls["fill_system"] = lambda: fw._fill_system(disc.geom.jets, disc.ops, params)
     if n in SEQUENCE_SIZES:
         calls["forward_sequence"] = lambda: fw.far_field(
             fw.solve_forward(curve, params, wave, grid), curve, params, angles, grid)
@@ -188,65 +185,36 @@ def phaseless_calls() -> dict:
     start = initial_curve(InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
                                         epsilon=0.1, M=6, n_forward=INVERSE_N))
     angles = 2.0 * np.pi * np.arange(64) / 64
-    # the ball's part of the system, built once per reconstruction where it is
-    fixed = (inverse_phaseless._fixed_ball(ball, params, wave, angles, grid)
-             if hasattr(inverse_phaseless, "_fixed_ball") else ball)
-    ball_grid = getattr(fixed, "grid", grid)  # the obstacle's before the ball had its own
-    discretized = hasattr(fw, "discretize")
-    if discretized:  # the pair of the two node jets
-        def pair_of(curve):
-            return multibody.cross_pair(geometry.jet(curve, grid.nodes),
-                                        geometry.jet(ball, ball_grid.nodes),
-                                        params, grid, ball_grid)
-    else:
-        def pair_of(curve):
-            return multibody.cross_pair(curve, ball, params, grid, ball_grid)
-    if hasattr(multibody, "cross_pair"):
-        def cross():
-            return multibody.cross_blocks(pair_of(peanut))
-    else:  # before the pair data was shared with the Jacobian
-        def cross():
-            return multibody.cross_blocks(peanut, ball, params, grid, grid)
+    # the ball's part of the system, built once per reconstruction
+    fixed = inverse_phaseless._fixed_ball(ball, params, wave, angles, grid)
+
+    def pair_of(curve):  # the pair of the two node jets
+        return multibody.cross_pair(geometry.jet(curve, grid.nodes),
+                                    geometry.jet(ball, fixed.grid.nodes),
+                                    params, grid, fixed.grid)
 
     def predict():
         return inverse_phaseless._predicted_modulus(start, fixed, params, wave, angles, grid)
 
     _, scene = predict()
-    calls = {
-        "cross_blocks": cross,
+    system = multibody.assemble_two_body(
+        pair_of(start), fw.assemble_system(start, params, grid), fixed.A)
+    motion = inverse_phaseless._boundary_motion(geometry.jet(start, grid.nodes), grid.nodes, 6)
+    x_d, x_b = scene.x[: 3 * grid.size], scene.x[3 * grid.size :]
+    pair = pair_of(start)
+    return {
+        "cross_blocks": lambda: multibody.cross_blocks(pair_of(peanut)),
         "predicted_modulus": predict,
         "jacobian_at": lambda: inverse_phaseless._jacobian_at(
-            start, fixed, params, wave, angles, 6, grid, scene),
+            scene, fixed, params, wave, angles, 6),
+        "factor_system_two_body": lambda: fw.factor_system(system),
+        "system_sensitivity": lambda: fw.system_sensitivity(
+            fw.discretize(start, params, grid), params, x_d, motion),
+        "system_sensitivity_handed": lambda: fw.system_sensitivity(
+            scene.disc, params, x_d, motion),
+        "cross_block_sensitivity": lambda: multibody.cross_block_sensitivity(
+            pair, x_d, x_b, motion),
     }
-    if hasattr(multibody, "separation"):
-        calls["separation"] = lambda: multibody.separation(start, ball)
-    if discretized:  # the self blocks passed in
-        system = multibody.assemble_two_body(
-            pair_of(start), fw.assemble_system(start, params, grid), fixed.A)
-    elif hasattr(fixed, "A"):  # the ball's self block is built once
-        system = multibody.assemble_two_body(start, ball, params, grid, ball_grid, fixed.A)[0]
-    if hasattr(fixed, "A"):
-        calls["factor_system_two_body"] = lambda: fw.factor_system(system)
-    if hasattr(fw, "system_sensitivity"):  # before it, the self block was differenced
-        motion = inverse_phaseless._boundary_motion(
-            geometry.jet(start, grid.nodes), grid.nodes, 6)
-        x_d, x_b = scene[1][: 3 * grid.size], scene[1][3 * grid.size :]
-        if discretized:
-            calls["system_sensitivity"] = lambda: fw.system_sensitivity(
-                fw.discretize(start, params, grid), params, x_d, motion)
-            calls["system_sensitivity_handed"] = lambda: fw.system_sensitivity(
-                scene.disc, params, x_d, motion)
-        else:
-            calls["system_sensitivity"] = lambda: fw.system_sensitivity(
-                start, params, grid, x_d, motion)
-        if hasattr(scene, "operators"):  # the prediction's operators, handed over
-            calls["system_sensitivity_handed"] = lambda: fw.system_sensitivity(
-                start, params, grid, x_d, motion, scene.operators)
-        if hasattr(multibody, "cross_block_sensitivity"):
-            pair = pair_of(start)
-            calls["cross_block_sensitivity"] = lambda: multibody.cross_block_sensitivity(
-                pair, x_d, x_b, motion)
-    return calls
 
 
 def reconstruction_calls() -> dict:
@@ -281,7 +249,7 @@ def reconstruction_calls() -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_21.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_22.json")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import numpy

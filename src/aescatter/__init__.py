@@ -51,7 +51,6 @@ from .inverse_phaseless import (
 from .multibody import (
     TwoBodyDensities,
     far_field_sum,
-    separation,
     solve_two_body_forward,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "phaseless_columns",
     "run_phased",
     "run_phaseless",
-    "separation",
     "solve_forward",
     "solve_two_body_forward",
     "tikhonov_step",

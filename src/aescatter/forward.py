@@ -13,22 +13,21 @@ The system is stated once, as the term table ``_terms`` and the jump signs
 ``_JUMPS``, and its operators are built once per curve, by ``_ops`` on the
 wavenumber-free ``_shared_tables``, and kept in a Newton step's
 ``Discretization``. One loop (``_fill_system``) sums the rows into blocks
-(``_fill_column``), and ``system_sensitivity`` takes the same sums against
-x and D x as the feature weights it differentiates (``_sensitivity_parts``).
-``multibody``'s cross blocks and their derivative come from the same rows
-and routines.
+(``_fill_column``), and one routine (``_block_parts``) takes the same sums
+against x and D x as the feature weights it differentiates, for the self
+block in ``system_sensitivity`` and for ``multibody``'s cross blocks.
 
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
 scipy each load their own OpenBLAS, and the threads of each busy-wait for
 about 0.1 s after a threaded call, so a threaded numpy product made just
 before scipy's LU takes a core from it: on 2 cores a 768-row LU took 48 ms
-after such a product, 28-31 ms after a scipy product or alone. D is
-therefore applied by FFT, and the products next to the LU (the backward
-error, the far field and its phase, the shape derivative) go through
-``_gemm``, the gemm of scipy's BLAS. The (N x 2) @ (2 x N) frame products
-and the gemv of the right-hand side stay in numpy: they run on one thread
-while m n <= 131072.
+after such a product, 28-31 ms after a scipy product or alone. A Newton
+step therefore applies D only by FFT (``_times_d``), and the products next
+to the LU (the backward error, the far field and its phase, the shape
+derivative) go through ``_gemm``, the gemm of scipy's BLAS. The (N x 2) @
+(2 x N) frame products and the gemv of the right-hand side stay in numpy:
+they run on one thread while m n <= 131072.
 """
 
 from __future__ import annotations
@@ -254,16 +253,16 @@ def _shared_tables(geom, grid: NodeGrid) -> tuple[np.ndarray, np.ndarray]:
     return RL, Q
 
 
-def _ops(geom, grid: NodeGrid, kappa: float, tables=None, jump=0.0, tangential=True) -> dict:
+def _ops(geom, grid: NodeGrid, kappa: float, tables, jump, tangential) -> dict:
     """The one operator builder: quadrature matrices for one wavenumber on
     one grid, from the ``pair_geometry`` of its nodes, the single-layer
-    tables and the (RL, Q) of ``_shared_tables``, built here if not given:
-    S, its r-derivative S_r, K = -a o S_r with K's diagonal limit plus
-    jump/G, Q and, if ``tangential``, H = b o (Q - S_r). The chord's
-    unit-frame components a, b carry the 1/G of K and H. Times a frame
-    feature, S, K and H act on node samples of the scaled density."""
+    tables and the ``tables`` (RL, Q) of ``_shared_tables``: S, its
+    r-derivative S_r, K = -a o S_r with K's diagonal limit plus jump/G, Q
+    and, if ``tangential``, H = b o (Q - S_r). The chord's unit-frame
+    components a, b carry the 1/G of K and H. Times a frame feature, S, K
+    and H act on node samples of the scaled density."""
     pin, lim = np.pi / grid.n, geom.lim
-    RL, Q = _shared_tables(geom, grid) if tables is None else tables
+    RL, Q = tables
     tab = kernel_tables(geom, kappa)
     # Kress's rule on f = f1 ln(4 sin^2) + f2 is R o f1 + pin f2 = pin f + f1 o RL
     S, S_r = tab.f, tab.f_r   # built in the tables' memory
@@ -282,17 +281,18 @@ def _ops(geom, grid: NodeGrid, kappa: float, tables=None, jump=0.0, tangential=T
     return ops
 
 
-def _add_times_d(block: np.ndarray, W: np.ndarray) -> None:
-    """block += W @ D for the 2n x 2n differentiation matrix D = diff_matrix(n).
+def _times_d(W: np.ndarray) -> np.ndarray:
+    """W @ D for the 2n x 2n differentiation matrix D = diff_matrix(n).
 
     D is circulant, so W @ D is a circular convolution along the rows: its
     symbol is -i m on the Fourier modes m = -n+1..n-1, and 0 on the Nyquist
-    mode. O(N^2 log N) work, and no BLAS call.
+    mode. O(N^2 log N) work, and no BLAS call. D is skew, so the densities
+    x (one per row) have D x = ``_times_d(-x)``.
     """
     N = W.shape[1]
     symbol = -1j * np.fft.fftfreq(N, 1.0 / N)
     symbol[N // 2] = 0.0
-    block += np.fft.ifft(np.fft.fft(W, axis=1) * symbol, axis=1)
+    return np.fft.ifft(np.fft.fft(W, axis=1) * symbol, axis=1)
 
 
 def _fill_column(A: np.ndarray, c: int, ops: dict, features: dict, terms) -> None:
@@ -314,7 +314,7 @@ def _fill_column(A: np.ndarray, c: int, ops: dict, features: dict, terms) -> Non
                 W += term
             del term  # held through the FFT product, it raised forward-sweep's peak RSS 1.5 MB
         if W is not None:
-            _add_times_d(block, W)  # the rows through D, as one product
+            block += _times_d(W)  # the rows through D, as one product
 
 
 class Discretization(NamedTuple):
@@ -446,6 +446,22 @@ def _sensitivity_parts(f: dict, nu, tau, r, a, b, B, B_r, B_phi):
         yield [m for m in source if np.ndim(m)], target
 
 
+def _block_parts(f: dict, targets: CurveJet, r, a, b, ops, params: MaterialParams, x):
+    """The ``_sensitivity_parts`` of one block, self or cross, [target i,
+    source j]: its features f, target jet and chords r, a, b, the three
+    densities' operators ``ops`` (with the Cauchy part Q where they have
+    one) and the source densities x, with D x by FFT. The r- and
+    phi-derivatives of the operators (``_derivative_ops``) are let go once
+    their weights are formed."""
+    x = np.reshape(x, (3, -1))
+    y, terms = _times_d(-x[:2]), _terms(params)
+    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
+    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b, op.get("Q", 0.0))
+                           for op, kappa in zip(ops, kappas)))
+    weights = [_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi)]
+    return _sensitivity_parts(f, targets.nu, targets.tau, r, a, b, *weights)
+
+
 def system_sensitivity(
     disc: Discretization,
     params: MaterialParams,
@@ -466,39 +482,30 @@ def system_sensitivity(
     and H1 values.
 
     Each (W o a) @ D x is taken as (W o a) @ (D x), and each derivative is
-    split by ``_sensitivity_parts`` into a target part, moving with node i
+    split by ``_block_parts`` into a target part, moving with node i
     (row sums, then times the motion of node i), and a source part, moving
     with node j (one product with the motion per equation); the diagonal
     limits add to the target part. A depends on the positions only through
     p_j - p_i, so the mean node velocity is dropped: a translation gives
     exactly zero.
     """
-    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
     grid, geom, ops = disc
     jets, N, n, i = geom.jets, grid.size, grid.n, np.arange(grid.size)
-    x = np.reshape(x, (3, N))
-    y = _gemm(diff_matrix(n), x[:2].T).T
-    G, r, a, b = jets.G, geom.r, geom.a, geom.b
-
-    f, terms = _features(jets), _terms(params)
-    Dr, Di = f["Dr"], f["Di"]
+    x, G = np.reshape(x, (3, N)), jets.G
+    f, y, terms = _features(jets), _times_d(-x[:2]), _terms(params)
+    parts = _block_parts(f, jets, geom.r, geom.a, geom.b, ops, params, x)
+    f_ii = {k: v if v.ndim == 1 else v[i, i] for k, v in f.items()}
     # K's diagonal limit, (pi/n) k_limit/G, is Dr_ii lim_K; its derivatives
     # in log G, theta and p'' below are those of Dr_ii lim_K
     lim_K = 1.0 / (2 * n * G**2)
     # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
-    ops_G = [{"S": -1.0 / n, "K": -2.0 * Dr[i, i] * lim_K - jump / G} for jump in _JUMPS]
-    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b, op["Q"])
-                           for op, kappa in zip(ops, kappas)))
-
-    f_ii = {k: v if v.ndim == 1 else v[i, i] for k, v in f.items()}
+    ops_G = [{"S": -1.0 / n, "K": -2.0 * f_ii["Dr"] * lim_K - jump / G} for jump in _JUMPS]
 
     def diagonal(diag_ops):   # target part of the diagonal entries' derivatives
         return [_combine(f_ii, w) for w in _weights(diag_ops, x, y, terms)]
 
-    parts = _sensitivity_parts(f, jets.nu, jets.tau, r, a, b,
-                               *(_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi)))
     diag_G = diagonal(ops_G)
-    diag_theta = diagonal([{"K": -Di[i, i] * lim_K}] * 3)
+    diag_theta = diagonal([{"K": -f_ii["Di"] * lim_K}] * 3)
     diag_bend = [diagonal([{"K": jets.nu[:, k] * lim_K}] * 3) for k in (0, 1)]
 
     dp = motion.dp - motion.dp.mean(axis=0)
@@ -703,7 +710,7 @@ def jump_check(
     geom = pair_geometry(jets, grid.nodes)
     # The factor 1/2 turns the doubled boundary operators into plain
     # boundary integrals of theta = G * g.
-    ops = _ops(geom, grid, kappa)
+    ops = _ops(geom, grid, kappa, _shared_tables(geom, grid), 0.0, True)
     Smat, Kmat, Hmat = (0.5 * ops[k] for k in "SKH")
     D = diff_matrix(n)
 

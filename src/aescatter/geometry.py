@@ -46,12 +46,6 @@ class RadialProfile:
     def radius(self, t):
         return self.derivatives(t)[0]
 
-    def dradius(self, t):
-        return self.derivatives(t)[1]
-
-    def ddradius(self, t):
-        return self.derivatives(t)[2]
-
     def params(self) -> dict:
         raise NotImplementedError
 

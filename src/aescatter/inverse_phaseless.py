@@ -175,14 +175,16 @@ def _fixed_ball(ball_curve: StarlikeCurve, params: MaterialParams, wave: Inciden
 class _Scene(NamedTuple):
     """What a Jacobian at a predicted curve reuses from its prediction, and
     does not change: the checked solver of the two-body system, the densities
-    [x_d, x_b], the cross-pair data, the obstacle's far-field matrix F_d and
-    the obstacle's ``Discretization``."""
+    [x_d, x_b], the cross-pair data, the obstacle's far-field matrix F_d, the
+    obstacle's ``Discretization`` (with the grid of all of them) and the
+    complex total far field u at the angles."""
 
     solve: Callable[[np.ndarray], np.ndarray]
     x: np.ndarray
     pair: CrossPair
     F_d: np.ndarray
     disc: Discretization
+    u: np.ndarray
 
 
 def _predicted_modulus(
@@ -194,20 +196,21 @@ def _predicted_modulus(
     grid: NodeGrid,
 ) -> tuple[np.ndarray, _Scene]:
     """Predicted |u_inf|^2 at ``angles``, with the ``_Scene`` of the two-body
-    system it came from, for a Jacobian there. The obstacle is evaluated
-    once, as one ``Discretization``, and the ball not at all."""
-    disc = discretize(curve_d, params, grid)
-    jets = disc.geom.jets
-    near = jets.p - ball.curve.center
+    system it came from, for a Jacobian there. The clearance is checked on
+    the obstacle's nodes before anything is built; then the obstacle is
+    evaluated once, as one ``Discretization``, and the ball not at all."""
+    near = curve_d.point(grid.nodes) - ball.curve.center
     if np.min(np.hypot(near[:, 0], near[:, 1])) < ball.reach:
         raise ValueError(f"obstacle inside the reference ball's clearance ({ball.reach:.3f})")
+    disc = discretize(curve_d, params, grid)
+    jets = disc.geom.jets
     pair = cross_pair(jets, ball.jets, params, grid, ball.grid)
     solve = factor_system(assemble_two_body(pair, _fill_system(jets, disc.ops, params), ball.A))
     x = solve(np.concatenate([*_rhs_on(jets, params, wave), ball.b]))
     N = grid.size
     F_d = _far_field_on(jets, params, angles, grid)
     total = _gemm(F_d, x[2 * N : 3 * N]) + _gemm(ball.F, x[3 * N + 2 * ball.grid.size :])
-    return np.abs(total) ** 2, _Scene(solve, x, pair, F_d, disc)
+    return np.abs(total) ** 2, _Scene(solve, x, pair, F_d, disc, total)
 
 
 def exact_phaseless_jacobian(
@@ -240,7 +243,7 @@ def exact_phaseless_jacobian(
     """
     ball = _fixed_ball(ball_curve, params, wave, angles, grid)
     _, scene = _predicted_modulus(curve_d, ball, params, wave, angles, grid)
-    return _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene)
+    return _jacobian_at(scene, ball, params, wave, angles, M)
 
 
 def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
@@ -257,23 +260,21 @@ def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
     return np.concatenate([dw1, np.zeros_like(dw1), dw3])
 
 
-def _jacobian_at(curve_d, ball, params, wave, angles, M, grid, scene):
-    """``exact_phaseless_jacobian`` from the ``_FixedBall`` and the
-    ``_Scene`` of the two-body system at ``curve_d``, which the caller
-    already has: it evaluates no Hankel function, rebuilds no jet, pair
-    geometry, obstacle operator or F_D, and does not change the scene."""
-    solve, x, pair, F_d, disc = scene
+def _jacobian_at(scene: _Scene, ball, params, wave, angles, M):
+    """``exact_phaseless_jacobian`` from the ``_Scene`` of a prediction, on
+    its grid, and the ``_FixedBall``: it evaluates no Hankel function and no
+    far field, rebuilds no jet, pair geometry, obstacle operator or F_D, and
+    does not change the scene."""
+    solve, x, pair, F_d, disc, u = scene
+    grid, jets = disc.grid, disc.geom.jets
     N, b3 = grid.size, 3 * grid.size + 2 * ball.grid.size  # b3: where phi3 on B starts
     x_d, x_b = x[: 3 * N], x[3 * N :]
-    jets = disc.geom.jets
     motion = _boundary_motion(jets, grid.nodes, M)
 
     d_db, d_bd = cross_block_sensitivity(pair, x_d, x_b, motion)
     d_dd = system_sensitivity(disc, params, x_d, motion)
     dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
     dx = solve(-dR)
-
-    u = _gemm(F_d, x_d[2 * N :]) + _gemm(ball.F, x[b3:])
     # moving the nodes changes F_D x_d through the phase (the frozen-density
     # Frechet columns) and through the weight G^2, by 2 dG_i / G_i per node
     Fx = F_d * x_d[2 * N :]
@@ -310,6 +311,5 @@ def run_phaseless(
     return _newton_tikhonov(
         data.values,
         lambda curve: _predicted_modulus(curve, fixed, params, wave, data.angles, grid),
-        lambda curve, _, scene: _jacobian_at(
-            curve, fixed, params, wave, data.angles, config.M, grid, scene),
+        lambda curve, _, scene: _jacobian_at(scene, fixed, params, wave, data.angles, config.M),
         config, ground_truth)

@@ -9,8 +9,8 @@ derivatives through the source grid's D. The bodies are disjoint, so the
 cross operators are the plain trapezoid rule on the smooth kernels. One pair
 of Hankel evaluations per wavenumber (a ``CrossPair``, made from the two
 node jets) serves both cross blocks, and their derivatives when the obstacle
-moves, which ``forward._sensitivity_parts`` takes as it does for
-``system_sensitivity``.
+moves, which the derivative routine of the self block,
+``forward._block_parts``, forms for each direction.
 
 ``cross_block_sensitivity`` runs in every phaseless Newton step, so by the
 rule stated in ``inverse_phased`` its products with the node motion go
@@ -32,14 +32,11 @@ from .forward import (
     IncidentWave,
     MaterialParams,
     _TANGENTIAL,
-    _add_times_d,
-    _derivative_ops,
+    _block_parts,
     _features,
     _fill_column,
     _gemm,
-    _sensitivity_parts,
     _terms,
-    _weights,
     assemble_system,
     factor_system,
     far_field,
@@ -50,7 +47,6 @@ from .specfun import hankel1_0, hankel1_1
 
 __all__ = [
     "TwoBodyDensities",
-    "separation",
     "CrossPair",
     "cross_pair",
     "cross_blocks",
@@ -69,13 +65,6 @@ class TwoBodyDensities:
 
     body_d: DensitySet
     body_b: DensitySet
-
-
-def separation(curve_a: StarlikeCurve, curve_b: StarlikeCurve, samples: int = 256) -> float:
-    """Minimum point-to-point distance between two boundary curves."""
-    t = 2.0 * np.pi * np.arange(samples) / samples
-    pa, pb = curve_a.point(t), curve_b.point(t)
-    return float(np.min(np.hypot(pa[:, None, 0] - pb[:, 0], pa[:, None, 1] - pb[:, 1])))
 
 
 class _Direction(NamedTuple):
@@ -169,21 +158,6 @@ def cross_blocks(pair: CrossPair) -> tuple[np.ndarray, np.ndarray]:
     return blocks[0], blocks[1]
 
 
-def _direction_parts(d: _Direction, params: MaterialParams, x: np.ndarray):
-    """The ``forward._sensitivity_parts`` of direction d for the source
-    densities x. D x is taken by FFT as -(x^T D)^T (D is skew), so that no
-    table of the ball's grid enters the quadrature cache during a run."""
-    x = np.reshape(x, (3, -1))
-    y = np.zeros((2, x.shape[1]), dtype=complex)
-    _add_times_d(y, -x[:2])
-    ops = [_direction_ops(d, c) for c in range(3)]
-    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, d.r, d.a, d.b) for op, kappa
-                           in zip(ops, (params.kappa_p, params.kappa_s, params.kappa_a))))
-    weights = (_weights(o, x, y, _terms(params)) for o in (ops, ops_r, ops_phi))
-    return _sensitivity_parts(_features(d.targets, d.sources), d.targets.nu, d.targets.tau,
-                              d.r, d.a, d.b, *weights)
-
-
 def cross_block_sensitivity(
     pair: CrossPair,
     x_d: np.ndarray,
@@ -195,19 +169,25 @@ def cross_block_sensitivity(
     x_d, x_b stay fixed.
 
     No Hankel function is evaluated. The parts are those of
-    ``system_sensitivity``, with no diagonal and the raw motion (a
-    translation of D moves it against the ball): D holds the targets of
-    A_db and the sources of A_bd.
+    ``system_sensitivity`` (``forward._block_parts``), with no diagonal and
+    the raw motion (a translation of D moves it against the ball): D holds
+    the targets of A_db and the sources of A_bd. The ball's D is applied by
+    FFT, so no table of its grid enters the quadrature cache during a run.
     """
     dp, dtheta = motion.dp, motion.dtheta
+
+    def parts(d: _Direction, x: np.ndarray):   # for the source densities x
+        return _block_parts(_features(d.targets, d.sources), d.targets, d.r, d.a, d.b,
+                            [_direction_ops(d, c) for c in range(3)], pair.params, x)
+
     d_db = np.concatenate([
         tx[:, None] * dp[:, 0] + ty[:, None] * dp[:, 1] + ttheta[:, None] * dtheta
-        for _, (tx, ty, ttheta) in _direction_parts(pair.db, pair.params, x_b)])
+        for _, (tx, ty, ttheta) in parts(pair.db, x_b)])
     stacked = np.concatenate([dp[:, 0], dp[:, 1], motion.dG / pair.db.targets.G[:, None], dtheta,
                               motion.dp_second[:, 0], motion.dp_second[:, 1]])
     d_bd = np.concatenate([
         _gemm(np.hstack(source), stacked[: len(source) * len(dp)])
-        for source, _ in _direction_parts(pair.bd, pair.params, x_d)])
+        for source, _ in parts(pair.bd, x_d)])
     return d_db, d_bd
 
 

@@ -352,7 +352,7 @@ class TestSharedGeometryAssembly:
 NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "_jacobian_at",
                          "cross_block_sensitivity", "far_field", "factor_system",
                          "system_sensitivity", "_sensitivity_parts", "_direction_ops",
-                         "_direction_parts", "_shared_tables", "discretize",
+                         "_block_parts", "_times_d", "_shared_tables", "discretize",
                          "_density_ops", "_fill_system", "_far_field_on", "run_phased")
 
 
@@ -365,8 +365,7 @@ class TestSolvePathProducts:
     def test_fft_times_d_matches_dense(self, n):
         rng = np.random.default_rng(n)
         W = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
-        WD = np.zeros_like(W)
-        forward._add_times_d(WD, W)
+        WD = forward._times_d(W)
         dense = W @ diff_matrix(n)
         assert np.abs(WD - dense).max() <= 1e-13 * np.abs(dense).max()
 
@@ -534,11 +533,7 @@ class TestTermTable:
         two readers of the term table agree to rounding."""
         curve = SENSITIVITY_CURVES[name]()
         jets = jet(curve, grid.nodes)
-        geom = pair_geometry(jets, grid.nodes)
-        ops = [forward._ops(geom, grid, kappa)
-               for kappa in (params.kappa_p, params.kappa_s, params.kappa_a)]
-        for jump, op in zip(forward._JUMPS, ops):
-            op["K"][np.diag_indices(grid.size)] += jump / jets.G
+        ops = list(forward._density_ops(pair_geometry(jets, grid.nodes), grid, params))
         rng = np.random.default_rng(grid.n)
         x = rng.standard_normal((3, grid.size)) + 1j * rng.standard_normal((3, grid.size))
         y = x[:2] @ diff_matrix(grid.n).T

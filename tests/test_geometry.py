@@ -166,9 +166,6 @@ class TestDerivativesInOnePass:
         expected = separate_derivatives(curve.radial.kind, t, self.A, self.B)
         got = curve.radial.derivatives(t)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-        single = (curve.radial.radius(t), curve.radial.dradius(t),
-                  curve.radial.ddradius(t))
-        assert all(np.array_equal(g, e) for g, e in zip(single, expected))
         jets = jet(curve, t)
         assert np.array_equal(jets.G, np.sqrt(expected[1] ** 2 + expected[0] ** 2))
 

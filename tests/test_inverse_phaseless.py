@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aescatter import forward, inverse_phased, inverse_phaseless, kernels, multibody
+from aescatter import forward, inverse_phased, inverse_phaseless, kernels, multibody, quadrature
 from aescatter.forward import (
     IncidentWave,
     assemble_system,
@@ -445,8 +445,7 @@ class TestAnalyticJacobian:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         degree = 3
-        inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, degree,
-                                       grid, scene)
+        inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, degree)
         assert calls == {"assemble_system": 0, "cross_blocks": 0}
 
     def test_scene_values_reused(self, params, wave, monkeypatch):
@@ -473,7 +472,7 @@ class TestAnalyticJacobian:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name,
                                         counting("far_field_matrix", getattr(module, name)))
-        J = inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, degree, grid, scene)
+        J = inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, degree)
         assert calls == {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
         assert np.array_equal(J, ref)
 
@@ -495,16 +494,40 @@ class TestAnalyticJacobian:
             for name in ("jet", "pair_geometry", "_ops", "_shared_tables", "kernel_tables"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, 3, grid, scene)
+        inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, 3)
         assert calls == []
+
+    def test_no_dense_differentiation_matrix(self, params, wave, monkeypatch):
+        """A Newton step applies D only by FFT: the Jacobian never asks for
+        the dense differentiation matrix, under either module's name."""
+        grid, curve = NodeGrid(16), TestExactJacobian._curve()
+        ball = _ball(params, wave, grid)
+        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        calls, dense = [], quadrature.diff_matrix
+
+        def counting(n):
+            calls.append(n)
+            return dense(n)
+
+        for module in (forward, quadrature):
+            monkeypatch.setattr(module, "diff_matrix", counting)
+        inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, 3)
+        assert calls == []
+
+    def test_scene_holds_the_predicted_field(self, params, wave):
+        """The scene's complex far field is the one the prediction squared:
+        |u|^2 is the predicted modulus bit for bit."""
+        grid, ball = NodeGrid(16), _ball(params, wave, NodeGrid(16))
+        modulus, scene = _predicted_modulus(make_peanut(), ball, params, wave, OBS, grid)
+        assert np.array_equal(np.abs(scene.u) ** 2, modulus)
 
     def test_same_matrix_twice_on_one_scene(self, params, wave):
         """The Jacobian does not change the scene it reads: a second one on
         the same scene is bit for bit the first."""
         grid, curve, ball = NodeGrid(16), make_peanut(), _ball(params, wave, NodeGrid(16))
         scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
-        first, second = (inverse_phaseless._jacobian_at(curve, ball, params, wave, OBS, M,
-                                                        grid, scene) for _ in range(2))
+        first, second = (inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, M)
+                         for _ in range(2))
         assert np.array_equal(first, second)
 
     def test_peanut_against_differenced_solves(self, params, wave, bumped):
@@ -617,6 +640,27 @@ class TestClearance:
         assert refused and all("reference ball's clearance" in msg for msg in refused)
         nearest = min(_nearest_node(r.curve, BALL.curve(), NodeGrid(16)) for r in records)
         assert nearest >= 2.0 * BALL.radius
+
+    def test_refused_before_discretizing(self, params, wave, monkeypatch):
+        """A candidate inside the clearance is refused on its node points,
+        before its Discretization or any kernel table is built."""
+        grid = NodeGrid(16)
+        ball = _ball(params, wave, grid)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (forward, inverse_phaseless, kernels):
+            for name in ("discretize", "kernel_tables"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        with pytest.raises(ValueError, match="reference ball's clearance"):
+            _predicted_modulus(make_circle((4.9, 0.0), 0.3), ball, params, wave, OBS, grid)
+        assert calls == []
 
     def test_initial_guess_inside_raises(self, params, wave, peanut_scene):
         """Nodes 1.4 from the ball's center: 0.69 from the ball itself, so

@@ -28,7 +28,6 @@ from aescatter.multibody import (
     cross_blocks,
     cross_pair,
     far_field_sum,
-    separation,
     solve_two_body_forward,
 )
 
@@ -42,11 +41,6 @@ def _pair(curve_d, curve_b, params, grid_d, grid_b):
 
 
 class TestSeparation:
-    def test_two_circles(self):
-        a = make_circle((0, 0), 1.0)
-        b = make_circle((5, 0), 0.5)
-        assert separation(a, b) == pytest.approx(5.0 - 1.5, abs=1e-3)
-
     def test_close_bodies_rejected(self, params):
         a = make_circle((0, 0), 1.0)
         b = make_circle((2.05, 0), 1.0)
