@@ -31,15 +31,23 @@ Each is timed with ``time.perf_counter`` and repeats, and the median and
 interquartile range of each go to a JSON file, with the thread counts of the
 two OpenBLAS libraries that numpy and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_22.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_23.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
-checkout's). The script calls the library's current API and nothing older.
-To compare with an earlier commit, time that commit with its own copy of
-this script, exported beside this checkout:
+checkout's). The script calls the library's current API and nothing older,
+so an earlier commit is timed with its own copy of this script. Whole
+processes on a shared machine run 10-50% faster or slower than the next,
+so a comparison alternates fresh processes:
 
-    git archive <commit> | tar -x -C <dir>
-    python3 <dir>/bench/layers.py --src <dir>/src --out BENCH_<n>_parent.json
+    git clone --quiet . <dir> && git -C <dir> checkout --quiet <commit>
+    python3 bench/layers.py --pair <dir> [--rounds 10] [--out BENCH_<n>.json]
+
+runs, ``--rounds`` times, the commit's own script on its ``src`` and this
+script on ``--src``, the commit first in even rounds, and writes per layer
+each side's median and interquartile range of the per-process medians, the
+median of the paired ratios (this / commit) and the number of rounds in
+which this side was faster, with both commits (a ``git archive`` export
+has none, and reads "unknown").
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -246,11 +255,70 @@ def reconstruction_calls() -> dict:
     }
 
 
+def quartiles(values) -> dict:
+    import numpy as np
+
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median_ms": med, "iqr_ms": q3 - q1}
+
+
+def paired(parent: Path, src: Path, rounds: int) -> dict:
+    """The ``--pair`` report: ``rounds`` alternating fresh processes of the
+    parent's script on ``parent``'s ``src`` and of this script on ``src``."""
+    import numpy as np
+
+    sides = {"parent": [sys.executable, str(parent / "bench" / "layers.py"),
+                        "--src", str(parent / "src")],
+             "change": [sys.executable, str(Path(__file__).resolve()), "--src", str(src)]}
+    runs: dict = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(rounds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                out = Path(tmp) / f"{side}.json"
+                start = time.perf_counter()
+                subprocess.run(sides[side] + ["--out", str(out)], check=True,
+                               stdout=subprocess.DEVNULL)
+                runs[side].append(json.loads(out.read_text()))
+                print(f"round {i + 1}/{rounds} {side}: {time.perf_counter() - start:.0f} s")
+    layers: dict = {}
+    for name, by_n in runs["change"][0]["layers"].items():
+        for n in by_n:
+            if n not in runs["parent"][0]["layers"].get(name, {}):
+                continue
+            ms = {side: [run["layers"][name][n]["median_ms"] for run in runs[side]]
+                  for side in runs}
+            ratios = np.array(ms["change"]) / np.array(ms["parent"])
+            layers.setdefault(name, {})[n] = {
+                "parent": quartiles(ms["parent"]), "change": quartiles(ms["change"]),
+                "ratio_median": float(np.median(ratios)),
+                "change_faster": int((ratios < 1.0).sum()),
+                "parent_ms": ms["parent"], "change_ms": ms["change"]}
+    return {
+        "git_sha": {side: runs[side][0]["git_sha"] for side in runs},
+        "machine": runs["change"][0]["machine"],
+        "rounds": rounds,
+        "order": "fresh processes, the parent first in even rounds (from 0); per layer "
+                 "the median and IQR over the rounds of each process's median, the "
+                 "median of the per-round ratios change/parent and the number of rounds "
+                 "in which the change was faster",
+        "layers": layers,
+    }
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_22.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_23.json")
+    parser.add_argument("--pair", type=Path, default=None,
+                        help="checkout of the commit to compare with, alternated with this one")
+    parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.pair is not None:
+        if args.rounds < 1:
+            parser.error("--rounds must be at least 1")
+        report = paired(args.pair.resolve(), args.src.resolve(), args.rounds)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        return
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
     import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)

@@ -13,9 +13,9 @@ The system is stated once, as the term table ``_terms`` and the jump signs
 ``_JUMPS``, and its operators are built once per curve, by ``_ops`` on the
 wavenumber-free ``_shared_tables``, and kept in a Newton step's
 ``Discretization``. One loop (``_fill_system``) sums the rows into blocks
-(``_fill_column``), and one routine (``_block_parts``) takes the same sums
-against x and D x as the feature weights it differentiates, for the self
-block in ``system_sensitivity`` and for ``multibody``'s cross blocks.
+(``_fill_column``); one routine (``_block_sensitivity``) differentiates the
+sums against x and D x, contracted with the node motion, for the self block
+in ``system_sensitivity`` and for ``multibody``'s cross blocks.
 
 No numpy product on the solve path is large enough for OpenBLAS to run it
 on threads (gemm with m n k > 262144, gemv with m n > 9216). numpy and
@@ -403,12 +403,12 @@ def _combine(features, weights) -> np.ndarray:
     return sum(features[f] * w for f, w in weights.items() if f in features)
 
 
-def _derivative_ops(op: dict, kappa: float, r, a, b, Q=0.0) -> tuple[dict, dict]:
+def _derivative_ops(op: dict, kappa: float, r, a, b) -> tuple[dict, dict]:
     """The r- and phi-derivatives of one wavenumber's S, K = -a o S_r and,
-    if ``op`` has it, H = b o (Q - S_r), from the S and S_r of ``op``:
-    S_rr = -kappa^2 S - S_r/r by the radial Helmholtz equation, and the
-    Cauchy part Q goes as 1/r."""
-    S_r = op["S_r"]
+    if ``op`` has it, H = b o (Q - S_r), from the S, S_r and Cauchy part Q
+    (0 if ``op`` has none) of ``op``: S_rr = -kappa^2 S - S_r/r by the
+    radial Helmholtz equation, and Q goes as 1/r."""
+    S_r, Q = op["S_r"], op.get("Q", 0.0)
     S_rr = -kappa**2 * op["S"] - S_r / r   # a = b = 0 at the lim pairs
     d_r, d_phi = {"S": S_r, "K": -a * S_rr}, {"K": b * S_r}
     if "H" in op:
@@ -416,16 +416,37 @@ def _derivative_ops(op: dict, kappa: float, r, a, b, Q=0.0) -> tuple[dict, dict]
     return d_r, d_phi
 
 
-def _sensitivity_parts(f: dict, nu, tau, r, a, b, B, B_r, B_phi):
-    """Per equation, the off-diagonal parts (source, target) of d(A x), from
-    the ``_weights`` B, B_r and B_phi of the operators and of their r- and
-    phi-derivatives, the features f, the target frames nu, tau and the
-    chords r, a, b, [target i, source j]. ``source`` weighs the motion
-    (dp_x, dp_y, dG/G, dtheta, dp''_x, dp''_y) of node j, less the trailing
-    zeros; ``target``, summed over j, weighs (dp_x, dp_y, dtheta) of node i.
-    The features move with the relative rotation of the frames
-    (dtheta_i - dtheta_j), the target frame against p''_j (dtheta_i),
-    log G_j and p''_j."""
+def _motion_columns(motion: BoundaryMotion, G: np.ndarray) -> tuple:
+    """The motion of nodes with Jacobian G as the six N x P columns that the
+    shape derivative weighs: (dp_x, dp_y, dG/G, dtheta, dp''_x, dp''_y)."""
+    dp, ddp = motion.dp, motion.dp_second
+    return dp[:, 0], dp[:, 1], motion.dG / G[:, None], motion.dtheta, ddp[:, 0], ddp[:, 1]
+
+
+def _block_sensitivity(f: dict, targets: CurveJet, r, a, b, ops, params: MaterialParams, x,
+                       source, target) -> np.ndarray:
+    """d(A x), 3N_t x P, of one block, self or cross, off its diagonal, for
+    fixed source densities x: from its features f, target jet and chords r,
+    a, b, [target i, source j], and the three densities' operators ``ops``
+    (with the Cauchy part Q where they have one), with D x by FFT. ``source``
+    and ``target`` are the ``_motion_columns`` of the source and target
+    nodes; a side that does not move is None, and its part is not formed.
+
+    A x is linear in the operators, so the ``_weights`` B, B_r and B_phi of
+    the operators and of their r- and phi-derivatives (``_derivative_ops``,
+    let go once weighed) give the derivative. The features move with the
+    relative rotation of the frames (dtheta_i - dtheta_j), the target frame
+    against p''_j (dtheta_i), log G_j and p''_j. The source part moves with
+    node j, one product with its motion per equation, a part that is zero
+    dropped with its column; the target part moves with node i, row sums
+    times (dp_x, dp_y, dtheta) of node i."""
+    x = np.reshape(x, (3, -1))
+    y, terms = _times_d(-x[:2]), _terms(params)
+    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
+    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b) for op, kappa in zip(ops, kappas)))
+    B, B_r, B_phi = [_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi)]
+    del ops_r, ops_phi
+    nu, tau = targets.nu, targets.tau
     rx = a * nu[:, 0, None] + b * tau[:, 0, None]   # (p_j - p_i)/r
     ry = a * nu[:, 1, None] + b * tau[:, 1, None]
     C, Sg, Dr, Di = f["C"], f["Sg"], f["Dr"], f["Di"]
@@ -434,32 +455,25 @@ def _sensitivity_parts(f: dict, nu, tau, r, a, b, B, B_r, B_phi):
     stretch = {"C": C, "Sg": Sg, "G2": 2.0 * f["G2"], "C2": 2.0 * f["C2"],
                "SgC": 2.0 * f["SgC"]}
     bend = [{"Dr": nu[:, k, None], "Di": tau[:, k, None]} for k in (0, 1)]
+    rows = []
     for e in range(3):
         U, V = _combine(f, B_r[e]), _combine(f, B_phi[e])
         W_rot = _combine(rotation, B[e])
         Gx = U * rx - V * ry / r
         Gy = U * ry + V * rx / r
-        source = (Gx, Gy, _combine(stretch, B[e]), -W_rot,
-                  _combine(bend[0], B[e]), _combine(bend[1], B[e]))
-        target = (-Gx.sum(axis=1), -Gy.sum(axis=1),
-                  (V + W_rot + _combine(target_turn, B[e])).sum(axis=1))
-        yield [m for m in source if np.ndim(m)], target
-
-
-def _block_parts(f: dict, targets: CurveJet, r, a, b, ops, params: MaterialParams, x):
-    """The ``_sensitivity_parts`` of one block, self or cross, [target i,
-    source j]: its features f, target jet and chords r, a, b, the three
-    densities' operators ``ops`` (with the Cauchy part Q where they have
-    one) and the source densities x, with D x by FFT. The r- and
-    phi-derivatives of the operators (``_derivative_ops``) are let go once
-    their weights are formed."""
-    x = np.reshape(x, (3, -1))
-    y, terms = _times_d(-x[:2]), _terms(params)
-    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
-    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b, op.get("Q", 0.0))
-                           for op, kappa in zip(ops, kappas)))
-    weights = [_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi)]
-    return _sensitivity_parts(f, targets.nu, targets.tau, r, a, b, *weights)
+        row = []
+        if source is not None:
+            parts = (Gx, Gy, _combine(stretch, B[e]), -W_rot,
+                     _combine(bend[0], B[e]), _combine(bend[1], B[e]))
+            kept = [(part, m) for part, m in zip(parts, source) if np.ndim(part)]
+            row.append(_gemm(np.hstack([part for part, _ in kept]),
+                             np.concatenate([m for _, m in kept])))
+        if target is not None:
+            turn = (V + W_rot + _combine(target_turn, B[e])).sum(axis=1)
+            row.append(-Gx.sum(axis=1)[:, None] * target[0] - Gy.sum(axis=1)[:, None] * target[1]
+                       + turn[:, None] * target[3])
+        rows.append(sum(row[1:], row[0]))
+    return np.concatenate(rows)
 
 
 def system_sensitivity(
@@ -481,43 +495,32 @@ def system_sensitivity(
     ``_derivative_ops`` gives their r- and phi-derivatives from the same H0
     and H1 values.
 
-    Each (W o a) @ D x is taken as (W o a) @ (D x), and each derivative is
-    split by ``_block_parts`` into a target part, moving with node i
-    (row sums, then times the motion of node i), and a source part, moving
-    with node j (one product with the motion per equation); the diagonal
-    limits add to the target part. A depends on the positions only through
-    p_j - p_i, so the mean node velocity is dropped: a translation gives
-    exactly zero.
+    Each (W o a) @ D x is taken as (W o a) @ (D x). The off-diagonal part is
+    ``_block_sensitivity`` with the nodes as both sources and targets; the
+    diagonal limits add row weights times the motion of node i. A depends
+    on the positions only through p_j - p_i, so the mean node velocity is
+    dropped: a translation gives exactly zero.
     """
     grid, geom, ops = disc
     jets, N, n, i = geom.jets, grid.size, grid.n, np.arange(grid.size)
     x, G = np.reshape(x, (3, N)), jets.G
     f, y, terms = _features(jets), _times_d(-x[:2]), _terms(params)
-    parts = _block_parts(f, jets, geom.r, geom.a, geom.b, ops, params, x)
+    cols = _motion_columns(motion._replace(dp=motion.dp - motion.dp.mean(axis=0)), G)
+    dAx = _block_sensitivity(f, jets, geom.r, geom.a, geom.b, ops, params, x, cols, cols)
     f_ii = {k: v if v.ndim == 1 else v[i, i] for k, v in f.items()}
     # K's diagonal limit, (pi/n) k_limit/G, is Dr_ii lim_K; its derivatives
     # in log G, theta and p'' below are those of Dr_ii lim_K
     lim_K = 1.0 / (2 * n * G**2)
-    # the diagonal in log G: log G in m2, n . p''/G^2 and the jump in K
-    ops_G = [{"S": -1.0 / n, "K": -2.0 * f_ii["Dr"] * lim_K - jump / G} for jump in _JUMPS]
-
-    def diagonal(diag_ops):   # target part of the diagonal entries' derivatives
-        return [_combine(f_ii, w) for w in _weights(diag_ops, x, y, terms)]
-
-    diag_G = diagonal(ops_G)
-    diag_theta = diagonal([{"K": -f_ii["Di"] * lim_K}] * 3)
-    diag_bend = [diagonal([{"K": jets.nu[:, k] * lim_K}] * 3) for k in (0, 1)]
-
-    dp = motion.dp - motion.dp.mean(axis=0)
-    comps = (dp[:, 0], dp[:, 1], motion.dG / G[:, None], motion.dtheta,
-             motion.dp_second[:, 0], motion.dp_second[:, 1])
-    stacked = np.concatenate(comps)
-    rows = []
-    for e, (source, (tx, ty, ttheta)) in enumerate(parts):
-        target = (tx, ty, diag_G[e], ttheta + diag_theta[e], diag_bend[0][e], diag_bend[1][e])
-        rows.append(_gemm(np.hstack(source), stacked[: len(source) * N])
-                    + sum(tc[:, None] * c for tc, c in zip(target, comps)))
-    return np.concatenate(rows)
+    # per motion column (dG/G, dtheta, dp''_x, dp''_y), the diagonal's
+    # operators; in log G: log G in m2, n . p''/G^2 and the jump in K
+    diag_ops = ([{"S": -1.0 / n, "K": -2.0 * f_ii["Dr"] * lim_K - jump / G} for jump in _JUMPS],
+                [{"K": -f_ii["Di"] * lim_K}] * 3,
+                *([{"K": jets.nu[:, k] * lim_K}] * 3 for k in (0, 1)))
+    rows = dAx.reshape(3, N, -1)   # a view: the diagonal adds to each equation's rows
+    for d_ops, col in zip(diag_ops, cols[2:]):
+        diag = [_combine(f_ii, w) for w in _weights(d_ops, x, y, terms)]
+        rows += np.array(diag)[:, :, None] * col
+    return dAx
 
 
 def _gemm(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ derivatives through the source grid's D. The bodies are disjoint, so the
 cross operators are the plain trapezoid rule on the smooth kernels. One pair
 of Hankel evaluations per wavenumber (a ``CrossPair``, made from the two
 node jets) serves both cross blocks, and their derivatives when the obstacle
-moves, which the derivative routine of the self block,
-``forward._block_parts``, forms for each direction.
+moves: for each direction, the self block's derivative routine,
+``forward._block_sensitivity``, with the ball's side not formed.
 
 ``cross_block_sensitivity`` runs in every phaseless Newton step, so by the
 rule stated in ``inverse_phased`` its products with the node motion go
@@ -32,10 +32,10 @@ from .forward import (
     IncidentWave,
     MaterialParams,
     _TANGENTIAL,
-    _block_parts,
+    _block_sensitivity,
     _features,
     _fill_column,
-    _gemm,
+    _motion_columns,
     _terms,
     assemble_system,
     factor_system,
@@ -168,27 +168,17 @@ def cross_block_sensitivity(
     cross-block products when D moves by ``motion`` and the densities
     x_d, x_b stay fixed.
 
-    No Hankel function is evaluated. The parts are those of
-    ``system_sensitivity`` (``forward._block_parts``), with no diagonal and
-    the raw motion (a translation of D moves it against the ball): D holds
-    the targets of A_db and the sources of A_bd. The ball's D is applied by
-    FFT, so no table of its grid enters the quadrature cache during a run.
+    No Hankel function is evaluated. Each block's derivative is
+    ``forward._block_sensitivity``, as for ``system_sensitivity``'s self
+    block, with no diagonal and the raw motion (a translation of D moves it
+    against the ball): D holds the targets of A_db and the sources of A_bd,
+    and the ball's side, which does not move, is not formed.
     """
-    dp, dtheta = motion.dp, motion.dtheta
-
-    def parts(d: _Direction, x: np.ndarray):   # for the source densities x
-        return _block_parts(_features(d.targets, d.sources), d.targets, d.r, d.a, d.b,
-                            [_direction_ops(d, c) for c in range(3)], pair.params, x)
-
-    d_db = np.concatenate([
-        tx[:, None] * dp[:, 0] + ty[:, None] * dp[:, 1] + ttheta[:, None] * dtheta
-        for _, (tx, ty, ttheta) in parts(pair.db, x_b)])
-    stacked = np.concatenate([dp[:, 0], dp[:, 1], motion.dG / pair.db.targets.G[:, None], dtheta,
-                              motion.dp_second[:, 0], motion.dp_second[:, 1]])
-    d_bd = np.concatenate([
-        _gemm(np.hstack(source), stacked[: len(source) * len(dp)])
-        for source, _ in parts(pair.bd, x_d)])
-    return d_db, d_bd
+    moving = _motion_columns(motion, pair.db.targets.G)
+    return tuple(   # per direction: the source densities, and which side moves
+        _block_sensitivity(_features(d.targets, d.sources), d.targets, d.r, d.a, d.b,
+                           [_direction_ops(d, c) for c in range(3)], pair.params, x, source, target)
+        for d, x, source, target in ((pair.db, x_b, None, moving), (pair.bd, x_d, moving, None)))
 
 
 def assemble_two_body(pair: CrossPair, A_dd: np.ndarray, A_bb: np.ndarray) -> np.ndarray:

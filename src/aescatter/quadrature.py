@@ -10,8 +10,8 @@ Three rules drive the Nystrom discretization:
 
 All of them are exact on trigonometric polynomials of the appropriate
 degree, which is what makes the overall scheme spectrally accurate.
-Per-grid 2n x 2n tables are cached; assembly touches every node pair
-anyway, so O(n^2) memory is already paid by the dense matrix.
+The log and Cauchy weight tables are cached per grid, as O(n^2) memory is
+paid by the dense matrix anyway; D is not, as a Newton step applies it by FFT.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "cauchy_weights",
     "diff_weights",
     "diff_matrix",
-    "trapezoid",
     "log_weight_table",
     "cauchy_weight_table",
     "lagrange_basis_matrix",
@@ -92,7 +91,6 @@ def diff_weights(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=32)
 def diff_matrix(n: int) -> np.ndarray:
     """Differentiation matrix D with D[m, j] = d_{m-j}^(n).
 
@@ -102,14 +100,6 @@ def diff_matrix(n: int) -> np.ndarray:
     w = diff_weights(n)
     m, j = np.meshgrid(np.arange(2 * n), np.arange(2 * n), indexing="ij")
     return w[m - j + 2 * n - 1]
-
-
-def trapezoid(samples, n: int):
-    """(pi/n) sum of samples taken at the 2n grid nodes."""
-    samples = np.asarray(samples)
-    if samples.shape[-1] != 2 * n:
-        raise ValueError(f"expected 2n={2 * n} samples, got {samples.shape[-1]}")
-    return (np.pi / n) * samples.sum(axis=-1)
 
 
 @lru_cache(maxsize=32)

@@ -351,8 +351,8 @@ class TestSharedGeometryAssembly:
 # The functions of a Newton step that make products over the nodes.
 NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "_jacobian_at",
                          "cross_block_sensitivity", "far_field", "factor_system",
-                         "system_sensitivity", "_sensitivity_parts", "_direction_ops",
-                         "_block_parts", "_times_d", "_shared_tables", "discretize",
+                         "system_sensitivity", "_block_sensitivity", "_motion_columns",
+                         "_direction_ops", "_times_d", "_shared_tables", "discretize",
                          "_density_ops", "_fill_system", "_far_field_on", "run_phased")
 
 
@@ -510,7 +510,7 @@ class TestSystemSensitivity:
         geom, kappa = disc.geom, params.kappa_a
         assert ["H" in op for op in disc.ops] == [True, True, False]
         assert not any("H" in d for d in forward._derivative_ops(
-            disc.ops[2], kappa, geom.r, geom.a, geom.b, disc.ops[2]["Q"]))
+            disc.ops[2], kappa, geom.r, geom.a, geom.b))
         pair = cross_pair(disc.geom.jets, jet(make_circle((4.0, 0.0), 0.7), ball_grid.nodes),
                           params, grid, ball_grid)
         for d in (pair.db, pair.bd):
@@ -518,6 +518,41 @@ class TestSystemSensitivity:
                 True, True, False]
             op = multibody._direction_ops(d, 2)
             assert not any("H" in o for o in forward._derivative_ops(op, kappa, d.r, d.a, d.b))
+
+
+class TestBlockSensitivity:
+    @pytest.mark.parametrize("block", ["self", "db", "bd"])
+    @pytest.mark.parametrize("still", ["source", "target"])
+    def test_still_side_is_zero_motion(self, params, block, still):
+        """A side passed as None, whose part is not formed, gives bit for bit
+        the d(A x) of that side with zero motion columns, on the self block
+        and on both cross directions."""
+        curve, grid, ball_grid = make_peanut(), NodeGrid(32), NodeGrid(22)
+        disc = discretize(curve, params, grid)
+        jets, geom = disc.geom.jets, disc.geom
+        if block == "self":
+            args = (forward._features(jets), jets, geom.r, geom.a, geom.b, disc.ops)
+        else:
+            pair = cross_pair(jets, jet(make_circle((6.6, 0.0), 0.71), ball_grid.nodes),
+                              params, grid, ball_grid)
+            d = getattr(pair, block)
+            args = (forward._features(d.targets, d.sources), d.targets, d.r, d.a, d.b,
+                    [multibody._direction_ops(d, c) for c in range(3)])
+        rng = np.random.default_rng(4)
+        N_t, N_s = args[2].shape   # r is [target, source]
+        x = rng.standard_normal(3 * N_s) + 1j * rng.standard_normal(3 * N_s)
+        moving = {"source": tuple(rng.standard_normal((N_s, 5)) for _ in range(6)),
+                  "target": tuple(rng.standard_normal((N_t, 5)) for _ in range(6))}
+
+        def sensitivity(sides):
+            return forward._block_sensitivity(*args, params, x, sides["source"],
+                                              sides["target"])
+
+        got = sensitivity({**moving, still: None})
+        zero = tuple(np.zeros_like(c) for c in moving[still])
+        assert got.shape == (3 * N_t, 5)
+        assert np.array_equal(got, sensitivity({**moving, still: zero}))
+        assert np.abs(got).min() > 0.0
 
 
 class TestTermTable:

@@ -13,7 +13,6 @@ from aescatter.quadrature import (
     lagrange_basis_matrix,
     log_weight_table,
     log_weights,
-    trapezoid,
 )
 
 
@@ -112,16 +111,6 @@ class TestDifferentiation:
 
 
 class TestTrapezoidAndInterpolation:
-    def test_trapezoid_periodic_exactness(self):
-        n = 16
-        s = nodes(n)
-        assert abs(trapezoid(np.ones(2 * n), n) - 2.0 * np.pi) < 1e-13
-        assert abs(trapezoid(np.cos(3 * s), n)) < 1e-13
-
-    def test_trapezoid_shape_check(self):
-        with pytest.raises(ValueError):
-            trapezoid(np.ones(7), 16)
-
     def test_lagrange_interpolation(self):
         n = 16
         s = nodes(n)
