@@ -113,19 +113,24 @@ def numpy_pool(lib: ctypes.CDLL, size: int):
         lib.scipy_openblas_set_num_threads64_(before)
 
 
+def quartiles(values) -> dict:
+    """Median and interquartile range of ``values``, taken as ms."""
+    import numpy as np
+
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median_ms": med, "iqr_ms": q3 - q1}
+
+
 def timings(fn) -> dict:
     """Median and interquartile range in ms of ``REPEATS`` calls after one
     warm-up call."""
-    import numpy as np
-
     fn()
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(1e3 * (time.perf_counter() - start))
-    q1, med, q3 = np.percentile(times, [25, 50, 75])
-    return {"median_ms": med, "iqr_ms": q3 - q1, "repeats": REPEATS}
+    return {**quartiles(times), "repeats": REPEATS}
 
 
 def layer_calls(n: int) -> dict:
@@ -253,13 +258,6 @@ def reconstruction_calls() -> dict:
         "run_phased": lambda: ae.run_phased(phased, params, wave8, cfg8),
         "run_phaseless": lambda: ae.run_phaseless(phaseless, ball, params, wave9, cfg9),
     }
-
-
-def quartiles(values) -> dict:
-    import numpy as np
-
-    q1, med, q3 = np.percentile(values, [25, 50, 75])
-    return {"median_ms": med, "iqr_ms": q3 - q1}
 
 
 def paired(parent: Path, src: Path, rounds: int) -> dict:
