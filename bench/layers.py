@@ -28,10 +28,12 @@ pool of numpy's OpenBLAS at 1 and at 2 threads (set in this process only,
 and restored afterwards): equal medians show that no numpy product in
 either Newton loop runs on threads that would compete with scipy's LU.
 Each is timed with ``time.perf_counter`` and repeats, and the median and
-interquartile range of each go to a JSON file, with the thread counts of the
-two OpenBLAS libraries that numpy and scipy load:
+interquartile range of each go to a JSON file, with the median number of
+minor page faults per call (``ru_minflt`` of this process, read around each
+timed call) and the thread counts of the two OpenBLAS libraries that numpy
+and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_23.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_24.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's). The script calls the library's current API and nothing older,
@@ -45,9 +47,10 @@ so a comparison alternates fresh processes:
 runs, ``--rounds`` times, the commit's own script on its ``src`` and this
 script on ``--src``, the commit first in even rounds, and writes per layer
 each side's median and interquartile range of the per-process medians, the
-median of the paired ratios (this / commit) and the number of rounds in
-which this side was faster, with both commits (a ``git archive`` export
-has none, and reads "unknown").
+median of the paired ratios (this / commit), the number of rounds in
+which this side was faster and each side's per-round median page faults
+(null from a commit whose script does not count them), with both commits
+(a ``git archive`` export has none, and reads "unknown").
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ import ctypes
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -121,16 +125,24 @@ def quartiles(values) -> dict:
     return {"median_ms": med, "iqr_ms": q3 - q1}
 
 
+def minor_faults() -> int:
+    """The minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def timings(fn) -> dict:
     """Median and interquartile range in ms of ``REPEATS`` calls after one
-    warm-up call."""
+    warm-up call, and the median number of minor page faults per call."""
+    import numpy as np
+
     fn()
-    times = []
+    times, faults = [], []
     for _ in range(REPEATS):
-        start = time.perf_counter()
+        before, start = minor_faults(), time.perf_counter()
         fn()
         times.append(1e3 * (time.perf_counter() - start))
-    return {**quartiles(times), "repeats": REPEATS}
+        faults.append(minor_faults() - before)
+    return {**quartiles(times), "minflt_median": float(np.median(faults)), "repeats": REPEATS}
 
 
 def layer_calls(n: int) -> dict:
@@ -290,15 +302,18 @@ def paired(parent: Path, src: Path, rounds: int) -> dict:
                 "parent": quartiles(ms["parent"]), "change": quartiles(ms["change"]),
                 "ratio_median": float(np.median(ratios)),
                 "change_faster": int((ratios < 1.0).sum()),
-                "parent_ms": ms["parent"], "change_ms": ms["change"]}
+                "parent_ms": ms["parent"], "change_ms": ms["change"],
+                **{f"{side}_minflt": [run["layers"][name][n].get("minflt_median")
+                                      for run in runs[side]] for side in runs}}
     return {
         "git_sha": {side: runs[side][0]["git_sha"] for side in runs},
         "machine": runs["change"][0]["machine"],
         "rounds": rounds,
         "order": "fresh processes, the parent first in even rounds (from 0); per layer "
                  "the median and IQR over the rounds of each process's median, the "
-                 "median of the per-round ratios change/parent and the number of rounds "
-                 "in which the change was faster",
+                 "median of the per-round ratios change/parent, the number of rounds "
+                 "in which the change was faster and each round's median minor page "
+                 "faults per call (null from a harness that does not count them)",
         "layers": layers,
     }
 
@@ -306,7 +321,7 @@ def paired(parent: Path, src: Path, rounds: int) -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_23.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_24.json")
     parser.add_argument("--pair", type=Path, default=None,
                         help="checkout of the commit to compare with, alternated with this one")
     parser.add_argument("--rounds", type=int, default=10)
@@ -325,7 +340,8 @@ def main(argv=None) -> None:
     for n in SIZES:
         for name, fn in layer_calls(n).items():
             layers.setdefault(name, {})[str(n)] = timings(fn)
-            print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms")
+            print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms "
+                  f"{layers[name][str(n)]['minflt_median']:7.0f} faults")
     reconstructions = reconstruction_calls()
     for name, fn in {**phased_calls(), **phaseless_calls(), **reconstructions}.items():
         layers[name] = {str(INVERSE_N): timings(fn)}

@@ -347,19 +347,22 @@ def discretize(curve: StarlikeCurve, params: MaterialParams, grid: NodeGrid) -> 
     return Discretization(grid, geom, tuple(_density_ops(geom, grid, params)))
 
 
-def _fill_system(jets: CurveJet, ops: Iterable[dict], params: MaterialParams) -> np.ndarray:
-    """The 3N x 3N system on the nodes of ``jets`` from ``ops``, the three
-    densities' operators in order. Each is let go before the next is taken,
-    so a generator's are freed one by one (enumerate's tuple would hold them)."""
-    N, terms, A, c = len(jets.G), _terms(params), None, 0
+def _fill_system(jets: CurveJet, ops: Iterable[dict], params: MaterialParams,
+                 source: CurveJet | None = None) -> np.ndarray:
+    """The 3N_t x 3N_s block, self or cross, with targets at the nodes of
+    ``jets`` and sources at those of ``source`` (by default the same), from
+    ``ops``, the three densities' operators in order. Each is let go before
+    the next is taken, so a generator's are freed one by one (enumerate's
+    tuple would hold them)."""
+    terms, A, c = _terms(params), None, 0
     for op in ops:
         if A is None:
             # Allocated after the first operators, so that A can take the
             # memory of their freed temporaries: allocated first, it raised
             # the peak resident size of a two-body set-up at n=100 by about
             # 8% (glibc malloc). The features follow for the same reason.
-            A = np.zeros((3 * N, 3 * N), dtype=complex)
-            features = _features(jets)
+            A = np.zeros((3 * len(jets.G), 3 * op["S"].shape[1]), dtype=complex)
+            features = _features(jets, source)
         _fill_column(A, c, op, features, terms)
         c += 1
         del op

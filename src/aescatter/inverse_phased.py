@@ -307,7 +307,8 @@ def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
 
     ``predict(curve)`` gives the predicted data and a state, and raises
     ValueError on a collision or FloatingPointError on a failed solve;
-    ``jacobian(curve, predicted, state)`` gives the data's derivative B. One
+    ``jacobian(curve, predicted, state)`` gives the data's derivative B, and
+    a FloatingPointError from it stops the loop as stagnation does. One
     state is alive at a time, so no two-body factorization is held twice.
     """
     curve = initial_curve(config)
@@ -321,7 +322,10 @@ def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
         records.append(IterationRecord(k=k, E_k=E_k, Err_k=err, curve=curve))
         if E_k <= config.epsilon or k == config.max_iter:
             break
-        B = jacobian(curve, predicted, state)
+        try:
+            B = jacobian(curve, predicted, state)
+        except FloatingPointError:
+            break  # the Jacobian's solve failed: keep the records so far
         state = None  # only an accepted candidate's state is needed next
         update = tikhonov_step(B, values - predicted, residual, config.M, config.rho)
         for scale in _STEP_SCALES:
@@ -359,10 +363,10 @@ def run_phased(
         densities = solve_forward(curve, params, wave, grid)
         jets = jet(curve, grid.nodes)
         F = _far_field_on(jets, params, angles, grid)
-        return _gemm(F, densities.phi3_tilde), (jets, F, densities.phi3_tilde)
+        return _gemm(F, densities.phi3_tilde), (grid, jets, F, densities.phi3_tilde)
 
     def jacobian(curve, predicted, state):
-        jets, F, phi3 = state
+        grid, jets, F, phi3 = state
         B = _phase_columns(F * phi3, angles, _boundary_motion(jets, grid.nodes, config.M),
                            params.kappa_a)
         # a shift h multiplies u_inf by exp(i kappa_a (d - x^) . h); the

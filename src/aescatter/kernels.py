@@ -140,22 +140,30 @@ class PairGeometry:
     b: np.ndarray
 
 
+def _chords(targets: CurveJet, sources: CurveJet, diag=False):
+    """The chords p_j - p_i from the target nodes i to the source nodes j,
+    [target, source]: their length r, set to 1 where ``diag`` is, and their
+    components a = nu_i . (p_j - p_i)/r and b = tau_i . (p_j - p_i)/r in the
+    target's frame. The one chord routine of the self and cross blocks."""
+    dx = sources.p[None, :, 0] - targets.p[:, None, 0]
+    dy = sources.p[None, :, 1] - targets.p[:, None, 1]
+    r = np.where(diag, 1.0, np.hypot(dx, dy))
+    a, b = ((e[:, 0, None] * dx + e[:, 1, None] * dy) / r for e in (targets.nu, targets.tau))
+    return r, a, b
+
+
 def pair_geometry(jets: CurveJet, t) -> PairGeometry:
     """Pair geometry of the parameters ``t``; ``jets`` holds the curve at t."""
     t = np.asarray(t, dtype=float)
     idx = np.arange(len(t))
-    dx = jets.p[None, :, 0] - jets.p[:, None, 0]      # p(ς_j) - p(t_i)
-    dy = jets.p[None, :, 1] - jets.p[:, None, 1]
     dt = t[:, None] - t[None, :]
     diag = np.abs((dt + np.pi) % (2.0 * np.pi) - np.pi) < _DIAGONAL_SWITCH
     diag |= diag.T
-    r = np.where(diag, 1.0, np.hypot(dx, dy))
+    r, a, b = _chords(jets, jets, diag)
     iu, ju = np.nonzero(idx[:, None] < idx)
     upper, lower = iu * len(t) + ju, ju * len(t) + iu
 
     logsin = np.log(4.0 * np.sin(dt / 2.0) ** 2 + diag)  # 0 at the lim pairs
-    a = (jets.nu[:, 0, None] * dx + jets.nu[:, 1, None] * dy) / r
-    b = (jets.tau[:, 0, None] * dx + jets.tau[:, 1, None] * dy) / r
     lim = np.nonzero(diag)
     a[lim] = b[lim] = 0.0
     return PairGeometry(jets=jets, lim=lim, upper=upper, lower=lower, r=r,

@@ -4,11 +4,12 @@ The coupled system is the single-body system of ``forward`` on and between
 the two bodies: the self blocks are the single-body systems, passed in by
 the caller (``assemble_system``'s, or a Newton step's filled from its
 ``Discretization``), and the two cross blocks are filled from the same term
-table by the same routine, ``forward._fill_column``, with the tangential
-derivatives through the source grid's D. The bodies are disjoint, so the
-cross operators are the plain trapezoid rule on the smooth kernels. One pair
-of Hankel evaluations per wavenumber (a ``CrossPair``, made from the two
-node jets) serves both cross blocks, and their derivatives when the obstacle
+table by the same loop, ``forward._fill_system``, with the tangential
+derivatives through the source grid's D, on the chords of the self blocks'
+routine, ``kernels._chords``. The bodies are disjoint, so the cross
+operators are the plain trapezoid rule on the smooth kernels. One pair of
+Hankel evaluations per wavenumber (a ``CrossPair``, made from the two node
+jets) serves both cross blocks, and their derivatives when the obstacle
 moves: for each direction, the self block's derivative routine,
 ``forward._block_sensitivity``, with the ball's side not formed.
 
@@ -34,15 +35,15 @@ from .forward import (
     _TANGENTIAL,
     _block_sensitivity,
     _features,
-    _fill_column,
+    _fill_system,
     _motion_columns,
-    _terms,
     assemble_system,
     factor_system,
     far_field,
     rhs_plane_wave,
 )
 from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
+from .kernels import _chords
 from .specfun import hankel1_0, hankel1_1
 
 __all__ = [
@@ -69,9 +70,8 @@ class TwoBodyDensities:
 
 class _Direction(NamedTuple):
     """One cross block's targets and sources, and, [target i, source j], the
-    distances r, the chord components a = nu_i . (p_j - p_i)/r and
-    b = tau_i . (p_j - p_i)/r, and per wavenumber S = (pi/n_s) f and
-    S_r = (pi/n_s) f_r on the source grid."""
+    ``kernels._chords`` r, a and b from target to source, and per wavenumber
+    S = (pi/n_s) f and S_r = (pi/n_s) f_r on the source grid."""
 
     targets: CurveJet
     sources: CurveJet
@@ -79,12 +79,6 @@ class _Direction(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     S: list
-
-
-def _direction(targets: CurveJet, sources: CurveJet, dx, dy, r, S) -> _Direction:
-    """The ``_Direction`` of the chords (dx, dy) = p_j - p_i of length r."""
-    a, b = ((e[:, 0, None] * dx + e[:, 1, None] * dy) / r for e in (targets.nu, targets.tau))
-    return _Direction(targets, sources, r, a, b, S)
 
 
 @dataclass(frozen=True)
@@ -110,9 +104,7 @@ def cross_pair(
     f_r = -(i/2) kappa H1(kappa r) once per wavenumber on the D x B
     distances, the only Hankel values of the cross blocks. Nodes closer than
     0.1 apart raise ValueError."""
-    dx = jets_b.p[None, :, 0] - jets_d.p[:, None, 0]   # from D's node i to B's node j
-    dy = jets_b.p[None, :, 1] - jets_d.p[:, None, 1]
-    r = np.hypot(dx, dy)
+    r, a, b = _chords(jets_d, jets_b)   # from D's node i to B's node j
     if r.min() < _MIN_SEPARATION:
         raise ValueError(
             f"obstacle too close to the reference ball (separation {r.min():.3f} < "
@@ -124,9 +116,8 @@ def cross_pair(
         f, f_r = 0.5j * hankel1_0(z), -0.5j * kappa * hankel1_1(z)
         S_db.append(((np.pi / grid_b.n) * f, (np.pi / grid_b.n) * f_r))
         S_bd.append(((np.pi / grid_d.n) * f.T.copy(), (np.pi / grid_d.n) * f_r.T.copy()))
-    return CrossPair(params,
-                     _direction(jets_d, jets_b, dx, dy, r, S_db),
-                     _direction(jets_b, jets_d, -dx.T, -dy.T, r.T.copy(), S_bd))
+    return CrossPair(params, _Direction(jets_d, jets_b, r, a, b, S_db),
+                     _Direction(jets_b, jets_d, *_chords(jets_b, jets_d), S_bd))
 
 
 def _direction_ops(d: _Direction, c: int) -> dict:
@@ -144,18 +135,11 @@ def cross_blocks(pair: CrossPair) -> tuple[np.ndarray, np.ndarray]:
     """Both cross-interaction blocks of two disjoint bodies, (A_db, A_bd).
 
     A_db has the equations at D's nodes as rows and B's densities as
-    columns; A_bd the reverse. Each is filled as ``assemble_system`` fills
-    a self block, one wavenumber's ``_direction_ops`` at a time.
+    columns; A_bd the reverse. Each is filled by ``assemble_system``'s loop,
+    one wavenumber's ``_direction_ops`` at a time.
     """
-    terms = _terms(pair.params)
-    blocks = []
-    for d in (pair.db, pair.bd):
-        A = np.zeros((3 * len(d.targets.G), 3 * len(d.sources.G)), dtype=complex)
-        features = _features(d.targets, d.sources)
-        for c in range(3):
-            _fill_column(A, c, _direction_ops(d, c), features, terms)
-        blocks.append(A)
-    return blocks[0], blocks[1]
+    return tuple(_fill_system(d.targets, (_direction_ops(d, c) for c in range(3)), pair.params,
+                              d.sources) for d in (pair.db, pair.bd))
 
 
 def cross_block_sensitivity(
@@ -214,8 +198,6 @@ def solve_two_body_forward(
     del A_bb, pair  # in A now: held through the LU, they raised its peak by 22 MB at n=100
     b_d = np.concatenate(rhs_plane_wave(curve_d, params, wave, grid_d))
     b_b = np.concatenate(rhs_plane_wave(curve_b, params, wave, grid_b))
-    if A.shape != (len(b_d) + len(b_b),) * 2:
-        raise ValueError("system and right-hand side sizes do not match")
     x = factor_system(A)(np.concatenate([b_d, b_b]))
     Nd, Nb = grid_d.size, grid_b.size
     xd, xb = x[: 3 * Nd], x[3 * Nd :]

@@ -342,6 +342,28 @@ class TestRunPhaseless:
         assert len(E) == 5
         assert all(b < a for a, b in zip(E, E[1:]))
 
+    def test_failed_jacobian_keeps_the_history(self, params, wave, peanut_scene, monkeypatch):
+        """A Jacobian whose solve fails stops the loop as stagnation does: the
+        records of the iterates visited so far are returned, not lost."""
+        curve, *_, data, _ = peanut_scene
+        cfg = InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
+                            epsilon=1e-3, M=2, max_iter=3, n_forward=16)
+        full = run_phaseless(data, BALL, params, wave, cfg, ground_truth=curve)
+        assert len(full) >= 3
+        jacobian, calls = inverse_phaseless._jacobian_at, []
+
+        def failing_second(*args, **kwargs):
+            calls.append(True)
+            if len(calls) == 2:
+                raise FloatingPointError("backward error gate")
+            return jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(inverse_phaseless, "_jacobian_at", failing_second)
+        records = run_phaseless(data, BALL, params, wave, cfg, ground_truth=curve)
+        assert len(calls) == 2
+        assert [(r.k, r.E_k, r.Err_k, r.curve.to_dict()) for r in records] == [
+            (r.k, r.E_k, r.Err_k, r.curve.to_dict()) for r in full[:2]]
+
     def test_fixed_point_exit(self, params, wave):
         cfg = InverseConfig(initial_center=(0.0, 0.1), initial_radius=0.5,
                             epsilon=0.05, n_forward=32)
