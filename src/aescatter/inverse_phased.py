@@ -9,8 +9,8 @@ trig coefficients. The step is scaled by rho, then halved up to four times
 (``_STEP_SCALES``); the first candidate that lowers the residual is taken,
 skipping those that pinch, are too thin for the grid (``_strip_width``),
 collide with a fixed body or break the forward solve. The loop stops at
-E_k <= epsilon, at the iteration cap or when no candidate is taken, and
-returns every visited iterate's record in each case.
+E_k <= epsilon, at the iteration cap, when no candidate is taken or when a
+Jacobian's solve fails, and returns every visited iterate's record.
 
 Every step factors a Nystrom system, so the rule of ``forward`` holds for
 the whole step, here and in ``inverse_phaseless`` and ``multibody``: no
