@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +64,14 @@ from .specfun import bessel_j0, bessel_j1, bessel_y0, bessel_y1
 __all__ = ["load_config", "dump_config", "cmd_forward", "cmd_invert", "cmd_verify", "main"]
 
 _DEFAULTS = {
-    "material": {"lam": 3.88, "mu": 2.56, "rho_e": 1.0, "rho_a": 1.0,
-                 "omega": 0.7 * np.pi, "c": 1.0},
+    "material": asdict(MaterialParams.default()),
     "wave": {"theta": np.pi / 8},
     "obstacle": {"kind": "apple"},
     "ball": None,
-    "grids": {"n_data": 100, "n_forward": 64, "observation_points": 128},
-    "inversion": {"initial_center": [-0.6, -0.3], "initial_radius": 0.4,
-                  "epsilon": 0.2, "M": 6, "rho": 0.9, "max_iter": 50},
+    "grids": {"n_data": 100, "n_forward": InverseConfig.n_forward, "observation_points": 128},
+    "inversion": {"initial_center": [-0.6, -0.3], "initial_radius": 0.4, "epsilon": 0.2,
+                  "M": InverseConfig.M, "rho": InverseConfig.rho,
+                  "max_iter": InverseConfig.max_iter},
     "noise": {"delta": 0.0, "model": "uniform"},
     "seed": 0,
 }
@@ -103,12 +104,6 @@ def dump_config(cfg: dict, path) -> None:
         f.write("\n")
 
 
-def _material(cfg: dict) -> MaterialParams:
-    m = cfg["material"]
-    return MaterialParams(lam=m["lam"], mu=m["mu"], rho_e=m["rho_e"],
-                          rho_a=m["rho_a"], omega=m["omega"], c=m["c"])
-
-
 def _obstacle(cfg: dict) -> StarlikeCurve:
     spec = {"center": [0.0, 0.0], "b": [], **cfg["obstacle"]}
     return StarlikeCurve.from_dict(
@@ -123,16 +118,8 @@ def _ball(cfg: dict) -> ReferenceBallSpec | None:
 
 
 def _inverse_config(cfg: dict) -> InverseConfig:
-    inv = cfg["inversion"]
-    return InverseConfig(
-        initial_center=tuple(inv["initial_center"]),
-        initial_radius=inv["initial_radius"],
-        epsilon=inv["epsilon"],
-        M=inv["M"],
-        rho=inv["rho"],
-        max_iter=inv["max_iter"],
-        n_forward=cfg["grids"]["n_forward"],
-    )
+    inv = dict(cfg["inversion"], initial_center=tuple(cfg["inversion"]["initial_center"]))
+    return InverseConfig(**inv, n_forward=cfg["grids"]["n_forward"])
 
 
 def _out_dir() -> Path:
@@ -149,7 +136,7 @@ def _obs_angles(cfg: dict) -> np.ndarray:
 def cmd_forward(config_path) -> list[Path]:
     """Generate far-field data files from a config; returns written paths."""
     cfg = load_config(config_path)
-    params = _material(cfg)
+    params = MaterialParams(**cfg["material"])
     wave = IncidentWave(cfg["wave"]["theta"])
     curve = _obstacle(cfg)
     ball = _ball(cfg)
@@ -209,13 +196,16 @@ def _write_curve(path: Path, curve: StarlikeCurve, samples: int = 256) -> None:
 def cmd_invert(config_path, data_path, phaseless: bool = False) -> int:
     """Run a reconstruction against a data file; 0 on convergence, 2 otherwise."""
     cfg = load_config(config_path)
-    params = _material(cfg)
+    params = MaterialParams(**cfg["material"])
     wave = IncidentWave(cfg["wave"]["theta"])
     inv_cfg = _inverse_config(cfg)
     truth = _obstacle(cfg) if cfg["obstacle"]["kind"] in ("apple", "peanut") else None
     out = _out_dir()
     stem = Path(data_path).stem
-    table = np.loadtxt(data_path)
+    table = np.loadtxt(data_path, ndmin=2)
+    header = "angle abs2" if phaseless else "angle re im"
+    if table.shape[1] != len(header.split()):
+        raise ValueError(f"{data_path} has {table.shape[1]} columns; expected '{header}'")
 
     if phaseless:
         ball = _ball(cfg)

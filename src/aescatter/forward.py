@@ -622,12 +622,10 @@ def far_field(
     curve: StarlikeCurve,
     params: MaterialParams,
     obs_angles,
-    grid: NodeGrid | None = None,
+    grid: NodeGrid,
 ) -> FarField:
-    """Far-field pattern from the acoustic density by the trapezoidal rule."""
+    """Far-field pattern by the trapezoidal rule from the acoustic density solved on ``grid``."""
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
-    if grid is None:
-        grid = NodeGrid(len(densities.phi3_tilde) // 2)
     vals = _gemm(far_field_matrix(curve, params, obs_angles, grid), densities.phi3_tilde)
     return FarField(angles=obs_angles, values=vals)
 
@@ -646,18 +644,16 @@ def near_field(
     curve: StarlikeCurve,
     params: MaterialParams,
     x,
-    grid: NodeGrid | None = None,
+    grid: NodeGrid,
 ) -> NearField:
     """Potentials and elastic displacement at a point off the boundary.
 
-    Plain trapezoid on the smooth integrands; accuracy degrades when x
-    approaches the boundary, so points closer than 1e-3 are rejected.
-    The displacement is grad(phi) + curl(psi), differentiated under the
-    integral sign.
+    ``grid`` is the grid the densities were solved on. Plain trapezoid on
+    the smooth integrands; accuracy degrades when x approaches the
+    boundary, so points closer than 1e-3 are rejected. The displacement is
+    grad(phi) + curl(psi), differentiated under the integral sign.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    if grid is None:
-        grid = NodeGrid(len(densities.phi3_tilde) // 2)
     jets = jet(curve, grid.nodes)
     dist = np.min(np.linalg.norm(jets.p - x, axis=-1))
     if dist < _NEAR_FIELD_CLEARANCE:
@@ -792,18 +788,17 @@ def boundary_residual(
     curve: StarlikeCurve,
     params: MaterialParams,
     wave: IncidentWave,
-    grid: NodeGrid | None = None,
+    grid: NodeGrid,
     offset: float | None = None,
 ) -> np.ndarray:
     """Max-norm residuals of the three boundary equations at offset nodes.
 
-    The solved densities are trigonometrically interpolated onto a grid
-    shifted by half a node spacing, the system is re-assembled there (the
-    Cauchy rule needs on-grid targets, so collocation moves with the
-    nodes), and the residual against the incident-wave data is measured.
+    The solved densities are trigonometrically interpolated from ``grid``,
+    the grid they were solved on, onto a grid shifted by half a node
+    spacing, the system is re-assembled there (the Cauchy rule needs
+    on-grid targets, so collocation moves with the nodes), and the residual
+    against the incident-wave data is measured.
     """
-    if grid is None:
-        grid = NodeGrid(len(densities.phi3_tilde) // 2)
     if offset is None:
         offset = 0.5 * np.pi / grid.n
     shifted = NodeGrid(grid.n, offset=grid.offset + offset)

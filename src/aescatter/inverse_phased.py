@@ -214,19 +214,17 @@ def frechet_columns(
     params: MaterialParams,
     obs_angles,
     M: int,
-    grid: NodeGrid | None = None,
+    grid: NodeGrid,
 ) -> np.ndarray:
     """Frechet-derivative matrix of the far-field operator, 2n~ x (2M+3).
 
     Columns follow the update ordering (dc1, dc2, a_0..a_M, b_1..b_M) of
     ``_boundary_motion``; the acoustic density (times the Jacobian) is held
-    fixed while the nodes move, so only the phase e^{-i kappa_a x^ . p}
-    changes: each column is -i kappa_a x^ . dp summed against the far-field
-    quadrature.
+    fixed while the nodes of ``grid``, the grid it was solved on, move, so
+    only the phase e^{-i kappa_a x^ . p} changes: each column is
+    -i kappa_a x^ . dp summed against the far-field quadrature.
     """
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
-    if grid is None:
-        grid = NodeGrid(len(densities.phi3_tilde) // 2)
     jets = jet(curve, grid.nodes)
     Fx = _far_field_on(jets, params, obs_angles, grid) * densities.phi3_tilde
     return _phase_columns(Fx, obs_angles, _boundary_motion(jets, grid.nodes, M), params.kappa_a)

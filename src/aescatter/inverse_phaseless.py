@@ -118,13 +118,14 @@ def phaseless_columns(
     total_values: np.ndarray,
     obs_angles,
     M: int,
-    grid: NodeGrid | None = None,
+    grid: NodeGrid,
 ) -> np.ndarray:
     """Real sensitivity matrix of |u_inf|^2 to the obstacle parameters.
 
     Only the obstacle boundary moves; the chain rule through the squared
     modulus gives 2 Re{conj(total) * dS_inf,D}, where dS_inf,D are the
-    phased Frechet columns built from the obstacle's acoustic density.
+    phased Frechet columns built from the obstacle's acoustic density on
+    ``grid``, the obstacle's grid in the two-body solve.
     """
     B = frechet_columns(curve_d, densities.body_d, params, obs_angles, M, grid)
     return 2.0 * (np.conj(total_values)[:, None] * B).real

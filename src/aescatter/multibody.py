@@ -213,10 +213,11 @@ def far_field_sum(
     curve_b: StarlikeCurve,
     params: MaterialParams,
     obs_angles,
-    grid_d: NodeGrid | None = None,
-    grid_b: NodeGrid | None = None,
+    grid_d: NodeGrid,
+    grid_b: NodeGrid,
 ) -> FarField:
-    """Total far field: sum of the two single-layer far-field quadratures."""
+    """Total far field: sum of the two single-layer far-field quadratures, on
+    ``grid_d`` and ``grid_b``, the grids the two bodies were solved on."""
     ff_d = far_field(densities.body_d, curve_d, params, obs_angles, grid_d)
     ff_b = far_field(densities.body_b, curve_b, params, obs_angles, grid_b)
     return FarField(angles=ff_d.angles, values=ff_d.values + ff_b.values)

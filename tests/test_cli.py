@@ -55,6 +55,13 @@ class TestConfig:
         assert cfg["inversion"]["M"] == 6
         assert cfg["ball"] is None
 
+    @pytest.mark.parametrize("section, key", [("material", "lamda"), ("inversion", "max_iters")])
+    def test_unknown_key_raises(self, tmp_path, outdir, section, key):
+        # a misspelt field must not fall back silently to its default
+        p = write_config(tmp_path / "typo.json", **{section: {key: 3}})
+        with pytest.raises(TypeError, match=key):
+            cmd_invert(p, tmp_path / "never_read.dat")
+
 
 class TestForwardCommand:
     def test_phased_file_shape(self, tmp_path, outdir):
@@ -122,6 +129,37 @@ class TestInvertCommand:
         hist = np.atleast_2d(hist)
         assert hist.shape[1] == 2 + 2 + 7 + 6  # no Err column
         assert not (outdir / f"{data.stem}_truth.dat").exists()
+
+
+    def test_phased_run_on_phaseless_table_raises(self, tmp_path, outdir):
+        p = write_config(tmp_path / "apple.json")
+        data = tmp_path / "apple_phaseless.dat"
+        np.savetxt(data, np.column_stack([np.arange(8.0), np.ones(8)]), header="angle abs2")
+        with pytest.raises(ValueError, match="angle re im"):
+            cmd_invert(p, data)
+
+    def test_phaseless_run_on_phased_table_raises(self, tmp_path, outdir):
+        # Re u >= 0 everywhere, so the table would pass as squared moduli
+        p = write_config(tmp_path / "peanut.json", obstacle={"kind": "peanut"},
+                         ball={"center": [6.6, 0.0], "radius": 0.71},
+                         grids={"n_data": 32, "n_forward": 16, "observation_points": 8},
+                         inversion={"max_iter": 1})
+        data = tmp_path / "peanut_phased.dat"
+        np.savetxt(data, np.column_stack([np.arange(8.0), np.ones(8), np.ones(8)]),
+                   header="angle re im")
+        with pytest.raises(ValueError, match="angle abs2"):
+            cmd_invert(p, data, phaseless=True)
+
+    def test_phaseless_run_through_main(self, tmp_path, outdir):
+        p = write_config(tmp_path / "peanut.json", obstacle={"kind": "peanut"},
+                         ball={"center": [6.6, 0.0], "radius": 0.71},
+                         grids={"n_data": 32, "n_forward": 16, "observation_points": 128},
+                         inversion={"max_iter": 1})
+        assert main(["forward", str(p)]) == 0
+        data = outdir / "peanut_phaseless.dat"
+        assert main(["invert", str(p), str(data), "--phaseless"]) == 2
+        history = (outdir / "peanut_phaseless_history.dat").read_text().splitlines()
+        assert history[0] == "# reference ball: center=(6.6, 0.0) radius=0.71"
 
 
 class TestVerifyCommand:

@@ -4,6 +4,7 @@ residuals on a shifted grid, translation covariance, far-field
 reciprocity, and the shape derivative of the system matrix."""
 
 import ast
+import inspect
 import warnings
 from pathlib import Path
 
@@ -40,7 +41,8 @@ from aescatter.geometry import (
     make_peanut,
     translate,
 )
-from aescatter.inverse_phased import _boundary_motion
+from aescatter.inverse_phased import _boundary_motion, frechet_columns
+from aescatter.inverse_phaseless import phaseless_columns
 from aescatter.kernels import grad_phi, hess_phi, pair_geometry
 from aescatter.kernels import phi as Phi
 from aescatter.multibody import assemble_two_body, cross_pair
@@ -112,17 +114,17 @@ class TestSeriesOracle:
         assert np.abs(uinf - series).max() < 1e-11
 
     def test_exterior_near_field(self, setup):
-        params, curve, dens, coeffs, _ = setup
+        params, curve, dens, coeffs, grid = setup
         ka = params.kappa_a
         x = np.array([1.7, 0.4])
         r, th = np.hypot(*x), np.arctan2(x[1], x[0])
         series = sum(coeffs[m][2] * special.hankel1(m, ka * r) * np.exp(1j * m * th)
                      for m in coeffs)
-        nf = near_field(dens, curve, params, x)
+        nf = near_field(dens, curve, params, x, grid)
         assert abs(nf.u_s - series) < 1e-11
 
     def test_interior_displacement(self, setup):
-        params, curve, dens, coeffs, _ = setup
+        params, curve, dens, coeffs, grid = setup
         kp, ks = params.kappa_p, params.kappa_s
         xi = np.array([0.3, -0.2])
         r, th = np.hypot(*xi), np.arctan2(xi[1], xi[0])
@@ -135,7 +137,7 @@ class TestSeriesOracle:
         e_r = np.array([np.cos(th), np.sin(th)])
         e_t = np.array([-np.sin(th), np.cos(th)])
         series = Ur * e_r + Ut * e_t
-        nf = near_field(dens, curve, params, xi)
+        nf = near_field(dens, curve, params, xi, grid)
         assert np.abs(nf.displacement - series).max() < 1e-11
 
 
@@ -207,17 +209,41 @@ class TestBoundaryResidual:
         # the peanut is free of the apple's near-null density mode, so the
         # off-collocation residual reflects pure quadrature error
         curve = make_peanut()
-        dens = solve_forward(curve, params, wave, NodeGrid(64))
-        res = boundary_residual(dens, curve, params, wave)
+        grid = NodeGrid(64)
+        dens = solve_forward(curve, params, wave, grid)
+        res = boundary_residual(dens, curve, params, wave, grid)
         assert res.max() < 1e-1
 
     def test_residual_decreases_with_n(self, params, wave):
         curve = make_peanut()
-        res32 = boundary_residual(solve_forward(curve, params, wave, NodeGrid(32)),
-                                  curve, params, wave).max()
-        res64 = boundary_residual(solve_forward(curve, params, wave, NodeGrid(64)),
-                                  curve, params, wave).max()
+        g32, g64 = NodeGrid(32), NodeGrid(64)
+        res32 = boundary_residual(solve_forward(curve, params, wave, g32),
+                                  curve, params, wave, g32).max()
+        res64 = boundary_residual(solve_forward(curve, params, wave, g64),
+                                  curve, params, wave, g64).max()
         assert res64 < res32
+
+
+class TestGridsArePassed:
+    """A density means nothing without the grid it was solved on, so no
+    function that reads densities guesses that grid from their length."""
+
+    def test_no_function_defaults_its_grid(self):
+        for fn in (far_field, near_field, boundary_residual, frechet_columns,
+                   phaseless_columns, multibody.far_field_sum):
+            grids = [p for name, p in inspect.signature(fn).parameters.items()
+                     if name.startswith("grid")]
+            assert grids, fn.__name__
+            assert all(p.default is inspect.Parameter.empty for p in grids), fn.__name__
+
+    def test_shifted_grid_far_field(self, params, wave):
+        # a half-step shift leaves the density's length unchanged; only the
+        # grid that is passed places its nodes
+        curve = make_peanut()
+        plain, shifted = NodeGrid(64), NodeGrid(64, offset=0.5 * np.pi / 64)
+        ff = [far_field(solve_forward(curve, params, wave, g), curve, params, OBS, g).values
+              for g in (plain, shifted)]
+        assert np.abs(ff[1] - ff[0]).max() < 1e-10
 
 
 class TestTranslationCovariance:
