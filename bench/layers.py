@@ -23,7 +23,10 @@ shape derivative inside it (``system_sensitivity``), with its own
 Jacobian calls it, on the prediction's (``system_sensitivity_handed``);
 and the two whole reconstructions, ``run_phased`` on the
 criterion-8 case and ``run_phaseless`` on the criterion-9 case, from data
-made at n = 100. The two reconstructions are timed again with the thread
+made at n = 100, each with the histogram of the grid n its predictions
+were solved on (``grids``: a count per n, from one untimed run, as
+``InverseConfig.n_forward`` is only the cap of each iterate's grid). The
+two reconstructions are timed again with the thread
 pool of numpy's OpenBLAS at 1 and at 2 threads (set in this process only,
 and restored afterwards): equal medians show that no numpy product in
 either Newton loop runs on threads that would compete with scipy's LU.
@@ -33,7 +36,7 @@ minor page faults per call (``ru_minflt`` of this process, read around each
 timed call) and the thread counts of the two OpenBLAS libraries that numpy
 and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_24.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_26.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's). The script calls the library's current API and nothing older,
@@ -48,14 +51,16 @@ runs, ``--rounds`` times, the commit's own script on its ``src`` and this
 script on ``--src``, the commit first in even rounds, and writes per layer
 each side's median and interquartile range of the per-process medians, the
 median of the paired ratios (this / commit), the number of rounds in
-which this side was faster and each side's per-round median page faults
-(null from a commit whose script does not count them), with both commits
+which this side was faster, each side's per-round median page faults
+(null from a commit whose script does not count them) and each side's
+``grids`` histogram (null where there is none), with both commits
 (a ``git archive`` export has none, and reads "unknown").
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import ctypes
 import json
@@ -143,6 +148,32 @@ def timings(fn) -> dict:
         times.append(1e3 * (time.perf_counter() - start))
         faults.append(minor_faults() - before)
     return {**quartiles(times), "minflt_median": float(np.median(faults)), "repeats": REPEATS}
+
+
+def grid_histogram(fn) -> dict:
+    """How many predictions one call of ``fn``, a reconstruction, solves on
+    each grid n: the grid is the last positional argument of the phased
+    prediction's ``solve_forward`` and of ``_predicted_modulus``."""
+    from aescatter import inverse_phased, inverse_phaseless
+
+    counts: collections.Counter = collections.Counter()
+    patched = [(inverse_phased, "solve_forward"), (inverse_phaseless, "_predicted_modulus")]
+    originals = [getattr(module, name) for module, name in patched]
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            counts[args[-1].n] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for (module, name), original in zip(patched, originals):
+        setattr(module, name, counting(original))
+    try:
+        fn()
+    finally:
+        for (module, name), original in zip(patched, originals):
+            setattr(module, name, original)
+    return {str(n): counts[n] for n in sorted(counts)}
 
 
 def layer_calls(n: int) -> dict:
@@ -304,7 +335,9 @@ def paired(parent: Path, src: Path, rounds: int) -> dict:
                 "change_faster": int((ratios < 1.0).sum()),
                 "parent_ms": ms["parent"], "change_ms": ms["change"],
                 **{f"{side}_minflt": [run["layers"][name][n].get("minflt_median")
-                                      for run in runs[side]] for side in runs}}
+                                      for run in runs[side]] for side in runs},
+                **{f"{side}_grids": runs[side][0]["layers"][name][n].get("grids")
+                   for side in runs}}
     return {
         "git_sha": {side: runs[side][0]["git_sha"] for side in runs},
         "machine": runs["change"][0]["machine"],
@@ -321,7 +354,7 @@ def paired(parent: Path, src: Path, rounds: int) -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_24.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_26.json")
     parser.add_argument("--pair", type=Path, default=None,
                         help="checkout of the commit to compare with, alternated with this one")
     parser.add_argument("--rounds", type=int, default=10)
@@ -344,9 +377,11 @@ def main(argv=None) -> None:
                   f"{layers[name][str(n)]['minflt_median']:7.0f} faults")
     reconstructions = reconstruction_calls()
     for name, fn in {**phased_calls(), **phaseless_calls(), **reconstructions}.items():
-        layers[name] = {str(INVERSE_N): timings(fn)}
-        print(f"{name:18s} n={INVERSE_N:4d} "
-              f"{layers[name][str(INVERSE_N)]['median_ms']:9.2f} ms")
+        row = layers[name] = {str(INVERSE_N): timings(fn)}
+        if name in reconstructions:
+            row[str(INVERSE_N)]["grids"] = grid_histogram(fn)
+        print(f"{name:18s} n={INVERSE_N:4d} {row[str(INVERSE_N)]['median_ms']:9.2f} ms"
+              + (f"  grids {row[str(INVERSE_N)]['grids']}" if name in reconstructions else ""))
     numpy_blas, pool = openblas(numpy, NUMPY_OPENBLAS), {}
     if numpy_blas is not None:
         for name, fn in reconstructions.items():
@@ -373,7 +408,9 @@ def main(argv=None) -> None:
                     "M = 6, 64 angles",
         "reconstructions": "run_phased on criterion 8 (apple, pi/8, 128 angles, 1% noise "
                            "seed 3) and run_phaseless on criterion 9 (peanut and the ball, "
-                           "pi/6, 64 angles, 1% noise seed 7), M = 6, n_forward = 64",
+                           "pi/6, 64 angles, 1% noise seed 7), M = 6, n_forward = 64 as "
+                           "the cap of each iterate's grid; 'grids' counts their "
+                           "predictions per grid n",
         "layers": layers,
         "numpy_pool": "the two reconstructions with numpy's OpenBLAS pool at 1 and at 2 "
                       "threads, keyed by pool size (empty when numpy's OpenBLAS is not "

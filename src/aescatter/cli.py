@@ -81,10 +81,17 @@ def load_config(path) -> dict:
     """Parse a JSON config file and fill in all defaults.
 
     The result is fully populated, so dumping and re-loading it is
-    idempotent.
+    idempotent. An unknown section, or key of ``wave``, ``grids`` or
+    ``noise``, raises ValueError (the dataclasses check the others).
     """
     with open(path) as f:
         raw = json.load(f)
+    checks = [("section", raw, _DEFAULTS)] + [
+        (f"{key} key", raw.get(key) or {}, _DEFAULTS[key]) for key in ("wave", "grids", "noise")]
+    for what, given, known in checks:
+        unknown = sorted(set(given) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config {what}: {', '.join(unknown)}")
     cfg = {}
     for key, default in _DEFAULTS.items():
         if isinstance(default, dict):

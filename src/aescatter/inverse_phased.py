@@ -7,10 +7,14 @@ held fixed) and solves a Tikhonov problem with an H^2 penalty and lambda_k
 equal to the residual norm for an update of the center and of the radial
 trig coefficients. The step is scaled by rho, then halved up to four times
 (``_STEP_SCALES``); the first candidate that lowers the residual is taken,
-skipping those that pinch, are too thin for the grid (``_strip_width``),
-collide with a fixed body or break the forward solve. The loop stops at
-E_k <= epsilon, at the iteration cap, when no candidate is taken or when a
-Jacobian's solve fails, and returns every visited iterate's record.
+skipping those that pinch, are too thin for the grid, collide with a fixed
+body or break the forward solve. The Nystrom far field converges like
+exp(-2n sigma) on 2n nodes (Kress, Linear Integral Equations, 3rd ed.,
+2014), so each candidate is predicted, and its Jacobian taken, on the grid
+its strip width sigma asks for (``_iterate_grid``), with
+``InverseConfig.n_forward`` as the cap. The loop stops at E_k <= epsilon,
+at the iteration cap, when no candidate is taken or when a Jacobian's
+solve fails, and returns every visited iterate's record.
 
 Every step factors a Nystrom system, so the rule of ``forward`` holds for
 the whole step, here and in ``inverse_phaseless`` and ``multibody``: no
@@ -68,7 +72,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InverseConfig:
-    """Knobs of the iterative reconstruction."""
+    """Knobs of the iterative reconstruction. ``n_forward`` is the cap of
+    the grid each iterate chooses from its strip width (``_iterate_grid``)."""
 
     initial_center: tuple[float, float]
     initial_radius: float
@@ -153,12 +158,14 @@ def _boundary_motion(jets: CurveJet, t: np.ndarray, M: int) -> BoundaryMotion:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Snapshot of one reconstruction step."""
+    """Snapshot of one reconstruction step, with its grid n and sigma."""
 
     k: int
     E_k: float
     Err_k: float | None
     curve: StarlikeCurve
+    n: int
+    sigma: float
 
 
 def trapezoid_norm(values) -> float:
@@ -283,6 +290,7 @@ _STEP_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 # Least 2n * sigma (``_strip_width``) of an accepted iterate on a 2n-node
 # grid: far fields then agree with a fine grid's to about 1e-6.
 _RESOLVED = 20.0
+_GRID_TARGET, _GRID_STEP, _GRID_FLOOR = 34.0, 8, 24  # of ``_iterate_grid``
 
 
 def _strip_width(curve: StarlikeCurve) -> float:
@@ -300,11 +308,23 @@ def _strip_width(curve: StarlikeCurve) -> float:
     return float(np.min(np.abs(np.log(np.abs(roots[roots != 0]))), initial=np.inf))
 
 
+def _iterate_grid(curve: StarlikeCurve, cap: int) -> tuple[NodeGrid, float]:
+    """The grid of a prediction of ``curve``, the least multiple of 8 n with
+    2n sigma >= 34, at least 24 (>= the ball's n_b = 22) and at most ``cap``,
+    and the curve's sigma; a ValueError when 2 cap sigma < _RESOLVED."""
+    sigma = _strip_width(curve)
+    if 2 * cap * sigma < _RESOLVED:
+        raise ValueError(f"curve too thin for n = {cap}: sigma = {sigma:.3g}")
+    n = _GRID_STEP * np.ceil(_GRID_TARGET / (2 * _GRID_STEP * sigma))
+    return NodeGrid(int(min(cap, max(_GRID_FLOOR, n)))), sigma
+
+
 def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
     """The loop of both drivers, from the initial circle of ``config``.
 
-    ``predict(curve)`` gives the predicted data and a state, and raises
-    ValueError on a collision or FloatingPointError on a failed solve;
+    ``predict(curve)`` gives the predicted data and a state, on the grid
+    ``_iterate_grid`` chooses, and raises ValueError on a curve too thin for
+    it, on a collision, or FloatingPointError on a failed solve;
     ``jacobian(curve, predicted, state)`` gives the data's derivative B, and
     a FloatingPointError from it stops the loop as stagnation does. One
     state is alive at a time, so no two-body factorization is held twice.
@@ -317,7 +337,8 @@ def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
     for k in range(config.max_iter + 1):
         E_k = residual / obs_norm
         err = boundary_error(curve, ground_truth) if ground_truth is not None else None
-        records.append(IterationRecord(k=k, E_k=E_k, Err_k=err, curve=curve))
+        grid, sigma = _iterate_grid(curve, config.n_forward)
+        records.append(IterationRecord(k, E_k, err, curve, grid.n, sigma))
         if E_k <= config.epsilon or k == config.max_iter:
             break
         try:
@@ -329,11 +350,9 @@ def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
         for scale in _STEP_SCALES:
             try:
                 candidate = apply_update(curve, update.scaled(scale))
-                if 2 * config.n_forward * _strip_width(candidate) < _RESOLVED:
-                    continue  # nearly pinched: the grid cannot resolve it
                 cand_pred, state = predict(candidate)
             except (ValueError, FloatingPointError):
-                continue  # pinched, collided or the solve failed
+                continue  # pinched, too thin, collided or the solve failed
             cand_res = trapezoid_norm(values - cand_pred)
             if cand_res < residual:
                 curve, predicted, residual = candidate, cand_pred, cand_res
@@ -353,11 +372,13 @@ def run_phased(
 ) -> list[IterationRecord]:
     """Full reconstruction loop from phased far-field data: the records of
     every visited iterate, with Err_k when the exact boundary is supplied.
-    A prediction evaluates the node jet and F once more, for the far field,
-    and its Jacobian, the columns of ``frechet_columns``, reads them."""
-    grid, angles = NodeGrid(config.n_forward), observed.angles
+    A prediction solves on the grid ``_iterate_grid`` chooses, evaluates the
+    node jet and F once more, for the far field, and its Jacobian, the
+    columns of ``frechet_columns``, reads them with the grid."""
+    angles = observed.angles
 
     def predict(curve):
+        grid, _ = _iterate_grid(curve, config.n_forward)
         densities = solve_forward(curve, params, wave, grid)
         jets = jet(curve, grid.nodes)
         F = _far_field_on(jets, params, angles, grid)

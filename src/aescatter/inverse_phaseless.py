@@ -41,6 +41,7 @@ from .inverse_phased import (
     InverseConfig,
     IterationRecord,
     _boundary_motion,
+    _iterate_grid,
     _newton_tikhonov,
     _phase_columns,
     frechet_columns,
@@ -297,20 +298,21 @@ def run_phaseless(
 
     Only the obstacle moves; the ball is trusted as given, and its self
     block, right-hand side and far-field matrix are built once per run, on
-    a grid of its own (``_ball_grid``: n_b = 22 for n_forward = 64, 516
-    rows in place of 768). Each step of ``_newton_tikhonov`` uses the exact
-    Jacobian of |u_inf|^2 on the factorization, Hankel values,
+    a grid of its own (``_ball_grid``: n_b = 22 for the cap n_forward = 64),
+    and the obstacle on the n_k of ``_iterate_grid``: 6 (n_k + n_b) rows,
+    276 at criterion 9's n_k = 24. Each step of ``_newton_tikhonov`` uses
+    the exact Jacobian of |u_inf|^2 on the factorization, Hankel values,
     ``Discretization`` and F_D that the line search made at the iterate. A
     candidate with a node within one ball radius of the ball (the clearance
     that sizes n_b) is skipped as a collision; an initial guess that close
     raises that ``ValueError``.
     """
     ball_curve = ball.curve()
-    grid = NodeGrid(config.n_forward)
-    fixed = _fixed_ball(ball_curve, params, wave, data.angles, grid)
+    fixed = _fixed_ball(ball_curve, params, wave, data.angles, NodeGrid(config.n_forward))
     # the module attributes are read at each call, so that they can be patched
     return _newton_tikhonov(
         data.values,
-        lambda curve: _predicted_modulus(curve, fixed, params, wave, data.angles, grid),
+        lambda curve: _predicted_modulus(curve, fixed, params, wave, data.angles,
+                                         _iterate_grid(curve, config.n_forward)[0]),
         lambda curve, _, scene: _jacobian_at(scene, fixed, params, wave, data.angles, config.M),
         config, ground_truth)

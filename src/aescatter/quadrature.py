@@ -10,8 +10,9 @@ Three rules drive the Nystrom discretization:
 
 All of them are exact on trigonometric polynomials of the appropriate
 degree, which is what makes the overall scheme spectrally accurate.
-The log and Cauchy weight tables are cached per grid, as O(n^2) memory is
-paid by the dense matrix anyway; D is not, as a Newton step applies it by FFT.
+The assembly reads the circulant log and Cauchy weight tables as views of
+their first rows (``weight_tables``), uncached, as Newton iterates change
+grids; D is not tabled, as a Newton step applies it by FFT.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "log_weights",
@@ -27,6 +29,7 @@ __all__ = [
     "diff_matrix",
     "log_weight_table",
     "cauchy_weight_table",
+    "weight_tables",
     "lagrange_basis_matrix",
 ]
 
@@ -121,6 +124,15 @@ def cauchy_weight_table(n: int) -> np.ndarray:
     row0 = cauchy_weights(0.0, n)
     idx = (np.arange(2 * n)[None, :] - np.arange(2 * n)[:, None]) % (2 * n)
     return row0[idx]
+
+
+def weight_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """R and T of ``log_weight_table`` and ``cauchy_weight_table``, equal to
+    them bit for bit, as read-only views of their first rows: with the row
+    repeated twice, a, R[i, j] = a[2n + i - j] and T[i, j] = a[2n + j - i]."""
+    R, T = (sliding_window_view(np.tile(row, 2), 2 * n)
+            for row in (log_weights(0.0, n), cauchy_weights(0.0, n)))
+    return R[1:, ::-1], T[2 * n : 0 : -1]
 
 
 def lagrange_basis_matrix(n: int, targets) -> np.ndarray:

@@ -62,6 +62,19 @@ class TestConfig:
         with pytest.raises(TypeError, match=key):
             cmd_invert(p, tmp_path / "never_read.dat")
 
+    @pytest.mark.parametrize("section, key", [("grids", "n_forwad"), ("noise", "delat"),
+                                              ("wave", "thetta")])
+    def test_unknown_section_key_raises(self, tmp_path, section, key):
+        # before the check these loaded with the key's default in its place
+        p = write_config(tmp_path / "typo.json", **{section: {key: 16}})
+        with pytest.raises(ValueError, match=f"{section} key: {key}"):
+            load_config(p)
+
+    def test_unknown_section_raises(self, tmp_path):
+        p = write_config(tmp_path / "typo.json", inversions={"M": 3})
+        with pytest.raises(ValueError, match="section: inversions"):
+            load_config(p)
+
 
 class TestForwardCommand:
     def test_phased_file_shape(self, tmp_path, outdir):

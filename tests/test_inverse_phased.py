@@ -11,6 +11,7 @@ from aescatter.inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
     _boundary_motion,
+    _iterate_grid,
     _strip_width,
     add_noise_phased,
     apply_update,
@@ -293,6 +294,40 @@ class TestStripWidth:
         assert _strip_width(make_fourier((0.0, 0.0), [0.4, 0.0, 0.0], [0.0, 0.0])) == np.inf
 
 
+def _shifted_cosine(sigma):
+    """r = 1 + e cos t with e = exp(-sigma): a curve of strip width sigma."""
+    return make_fourier((0.3, -0.2), [1.0, np.exp(-sigma)], [0.0])
+
+
+class TestIterateGrid:
+    def test_circle_takes_the_floor(self):
+        grid, sigma = _iterate_grid(make_fourier((0.0, 0.0), [0.4, 0.0], [0.0]), 64)
+        assert grid.n == 24 and sigma == np.inf
+
+    @pytest.mark.parametrize("sigma", [0.2, 0.3, 0.45, 0.6, 0.9, 2.0])
+    def test_least_multiple_of_8_in_floor_to_cap(self, sigma):
+        grid, got = _iterate_grid(_shifted_cosine(sigma), 64)
+        n = grid.n
+        assert got == pytest.approx(sigma, rel=1e-8)
+        assert n % 8 == 0 and 24 <= n <= 64
+        assert 2 * n * got >= 34 or n == 64
+        assert 2 * (n - 8) * got < 34 or n == 24
+
+    @pytest.mark.parametrize("cap, sigma", [(16, 0.7), (32, 0.45)])  # they ask for 32, 40
+    def test_small_cap_is_honoured(self, cap, sigma):
+        circle = make_fourier((0.0, 0.0), [0.4, 0.0], [0.0])
+        assert _iterate_grid(circle, cap)[0].n == min(cap, 24)
+        assert _iterate_grid(_shifted_cosine(sigma), 64)[0].n > cap
+        assert _iterate_grid(_shifted_cosine(sigma), cap)[0].n == cap
+
+    @pytest.mark.parametrize("cap", [16, 32, 64])
+    def test_thin_curve_skipped_only_below_the_resolved_width(self, cap):
+        edge = 20.0 / (2 * cap)
+        assert _iterate_grid(_shifted_cosine(1.01 * edge), cap)[0].n == cap
+        with pytest.raises(ValueError, match="too thin"):
+            _iterate_grid(_shifted_cosine(0.99 * edge), cap)
+
+
 class TestConfig:
     def test_validation(self):
         kw = dict(initial_center=(0, 0), initial_radius=0.5, epsilon=0.1)
@@ -386,6 +421,28 @@ class TestRunPhased:
         E_fine = trapezoid_norm(noisy.values - pred.values) / trapezoid_norm(noisy.values)
         assert abs(E_fine - last.E_k) < 1e-5
 
+    def test_chosen_grids_keep_the_records_of_the_cap(self, params, wave, monkeypatch):
+        """Criterion 8's run, on the grids ``_iterate_grid`` chooses and with
+        every prediction on the cap's grid: the same k, with E_k and Err_k
+        within 1e-11, and each record carries its grid and sigma."""
+        from aescatter import inverse_phased
+
+        truth, grid = make_apple(), NodeGrid(100)
+        ff = far_field(solve_forward(truth, params, wave, grid), truth, params, OBS, grid)
+        noisy = add_noise_phased(ff, 0.01, seed=3)
+        cfg = InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4, epsilon=0.2)
+        chosen = run_phased(noisy, params, wave, cfg, ground_truth=truth)
+        rule = inverse_phased._iterate_grid
+        monkeypatch.setattr(inverse_phased, "_iterate_grid",
+                            lambda curve, cap: (NodeGrid(cap), rule(curve, cap)[1]))
+        capped = run_phased(noisy, params, wave, cfg, ground_truth=truth)
+        assert [r.k for r in chosen] == [r.k for r in capped]
+        np.testing.assert_allclose([(r.E_k, r.Err_k, r.sigma) for r in chosen],
+                                   [(r.E_k, r.Err_k, r.sigma) for r in capped],
+                                   rtol=1e-11, atol=0)
+        assert chosen[0].n == 24 and chosen[0].sigma == np.inf
+        assert all(r.n < cfg.n_forward for r in chosen) and {r.n for r in capped} == {64}
+
     def test_err_column_none_without_truth(self, params, wave):
         cfg = InverseConfig(initial_center=(0.0, 0.0), initial_radius=0.5,
                             epsilon=10.0)
@@ -397,9 +454,10 @@ class TestRunPhased:
         assert records[0].Err_k is None
 
     def test_jacobian_reads_the_prediction(self, params, wave, apple_far_field, monkeypatch):
-        """The Jacobian of a step takes the node jet and F of its prediction:
-        it evaluates neither ``jet`` nor a far-field matrix, and equals
-        ``frechet_columns`` plus the incident-phase patch bit for bit."""
+        """The Jacobian of a step takes the grid, node jet and F of its
+        prediction: it evaluates neither ``jet`` nor a far-field matrix, and
+        equals ``frechet_columns`` on the prediction's grid plus the
+        incident-phase patch bit for bit."""
         from aescatter import forward, inverse_phased
 
         *_, observed, grid = apple_far_field
@@ -412,6 +470,7 @@ class TestRunPhased:
         run_phased(observed, params, wave, cfg)
         curve = initial_curve(cfg)
         predicted, state = loop["predict"](curve)
+        grid = state[0]
         ref = frechet_columns(curve, solve_forward(curve, params, wave, grid), params,
                               observed.angles, cfg.M, grid)
         ref[:, :2] += 1j * params.kappa_a * wave.direction * predicted[:, None]

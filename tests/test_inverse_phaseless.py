@@ -292,6 +292,26 @@ class TestRunPhaseless:
         assert counts["assemble_two_body"] == counts["predictions"] > counts["jacobians"]
         assert counts["in_jacobian"] == 0
 
+    def test_chosen_grids_keep_the_records_of_the_cap(self, params, monkeypatch):
+        """Criterion 9's run, on the grids ``_iterate_grid`` chooses and with
+        every prediction on the cap's grid: the same k, with E_k and Err_k
+        within 1e-11."""
+        truth, wave6, grid = make_peanut(), IncidentWave(np.pi / 6), NodeGrid(100)
+        dens = solve_two_body_forward(truth, BALL.curve(), params, wave6, grid)
+        total = far_field_sum(dens, truth, BALL.curve(), params, OBS, grid, grid)
+        noisy = add_noise_phaseless(PhaselessData(OBS, np.abs(total.values) ** 2), 0.01, seed=7)
+        cfg = InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3, epsilon=0.1)
+        chosen = run_phaseless(noisy, BALL, params, wave6, cfg, ground_truth=truth)
+        rule = inverse_phased._iterate_grid
+        for module in (inverse_phased, inverse_phaseless):
+            monkeypatch.setattr(module, "_iterate_grid",
+                                lambda curve, cap: (NodeGrid(cap), rule(curve, cap)[1]))
+        capped = run_phaseless(noisy, BALL, params, wave6, cfg, ground_truth=truth)
+        assert [r.k for r in chosen] == [r.k for r in capped]
+        np.testing.assert_allclose([(r.E_k, r.Err_k) for r in chosen],
+                                   [(r.E_k, r.Err_k) for r in capped], rtol=1e-11, atol=0)
+        assert all(r.n < cfg.n_forward for r in chosen) and {r.n for r in capped} == {64}
+
     def test_ball_self_block_assembled_once(self, params, wave, peanut_scene, monkeypatch):
         """The ball never moves: one run assembles its self block once, and
         discretizes the obstacle at every prediction."""

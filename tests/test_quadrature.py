@@ -13,6 +13,7 @@ from aescatter.quadrature import (
     lagrange_basis_matrix,
     log_weight_table,
     log_weights,
+    weight_tables,
 )
 
 
@@ -124,3 +125,16 @@ class TestTrapezoidAndInterpolation:
         n = 8
         P = lagrange_basis_matrix(n, nodes(n))
         np.testing.assert_allclose(P, np.eye(2 * n), atol=1e-12)
+
+
+class TestWeightTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 11, 24, 31, 32, 64])
+    def test_views_equal_the_cached_tables(self, n):
+        # even and odd n: the Cauchy weights have an odd-n branch
+        R, T = weight_tables(n)
+        assert np.array_equal(R, log_weight_table(n))
+        assert np.array_equal(T, cauchy_weight_table(n))
+
+    def test_views_are_read_only(self):
+        R, T = weight_tables(8)
+        assert not R.flags.writeable and not T.flags.writeable
