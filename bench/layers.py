@@ -377,11 +377,11 @@ def main(argv=None) -> None:
                   f"{layers[name][str(n)]['minflt_median']:7.0f} faults")
     reconstructions = reconstruction_calls()
     for name, fn in {**phased_calls(), **phaseless_calls(), **reconstructions}.items():
-        row = layers[name] = {str(INVERSE_N): timings(fn)}
+        row = timings(fn)
         if name in reconstructions:
-            row[str(INVERSE_N)]["grids"] = grid_histogram(fn)
-        print(f"{name:18s} n={INVERSE_N:4d} {row[str(INVERSE_N)]['median_ms']:9.2f} ms"
-              + (f"  grids {row[str(INVERSE_N)]['grids']}" if name in reconstructions else ""))
+            row["grids"] = grid_histogram(fn)
+        layers[name] = {str(INVERSE_N): row}
+        print(f"{name:18s} n={INVERSE_N:4d} {row['median_ms']:9.2f} ms {row.get('grids', '')}")
     numpy_blas, pool = openblas(numpy, NUMPY_OPENBLAS), {}
     if numpy_blas is not None:
         for name, fn in reconstructions.items():
