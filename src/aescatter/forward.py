@@ -49,7 +49,12 @@ from .kernels import (
     pair_geometry,
     phi,
 )
-from .quadrature import diff_matrix, lagrange_basis_matrix, weight_tables
+from .quadrature import (
+    cauchy_weight_table,
+    diff_matrix,
+    lagrange_basis_matrix,
+    log_weight_table,
+)
 
 __all__ = [
     "MaterialParams",
@@ -238,7 +243,8 @@ def _shared_tables(geom, grid: NodeGrid) -> tuple[np.ndarray, np.ndarray]:
     """The tables of ``_ops`` on ``geom`` that have no wavenumber: Kress's
     RL = R - (pi/n) logsin and the Cauchy part Q = (T o sin(ς_j - t_i) - pi/n)/(pi r)."""
     pin, t = np.pi / grid.n, grid.nodes
-    R, T = weight_tables(grid.n)
+    # uncached, as each Newton iterate may take a grid of its own
+    R, T = log_weight_table.__wrapped__(grid.n), cauchy_weight_table.__wrapped__(grid.n)
     RL = pin * geom.logsin
     np.subtract(R, RL, out=RL)
     Q = np.sin(t[None, :] - t[:, None])

@@ -10,11 +10,12 @@ trig coefficients. The step is scaled by rho, then halved up to four times
 skipping those that pinch, are too thin for the grid, collide with a fixed
 body or break the forward solve. The Nystrom far field converges like
 exp(-2n sigma) on 2n nodes (Kress, Linear Integral Equations, 3rd ed.,
-2014), so each candidate is predicted, and its Jacobian taken, on the grid
-its strip width sigma asks for (``_iterate_grid``), with
-``InverseConfig.n_forward`` as the cap. The loop stops at E_k <= epsilon,
-at the iteration cap, when no candidate is taken or when a Jacobian's
-solve fails, and returns every visited iterate's record.
+2014), so the loop predicts each candidate, and takes its Jacobian, on the
+grid ``_iterate_grid`` chooses from its strip width sigma, the wavenumbers
+and its distance from a fixed body, with ``InverseConfig.n_forward`` as the
+cap. The loop stops at E_k <= epsilon, at the iteration cap, when no
+candidate is taken or when a Jacobian's solve fails, and returns every
+visited iterate's record.
 
 Every step factors a Nystrom system, so the rule of ``forward`` holds for
 the whole step, here and in ``inverse_phaseless`` and ``multibody``: no
@@ -73,7 +74,7 @@ __all__ = [
 @dataclass(frozen=True)
 class InverseConfig:
     """Knobs of the iterative reconstruction. ``n_forward`` is the cap of
-    the grid each iterate chooses from its strip width (``_iterate_grid``)."""
+    the grid each iterate chooses (``_iterate_grid``)."""
 
     initial_center: tuple[float, float]
     initial_radius: float
@@ -290,7 +291,14 @@ _STEP_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 # Least 2n * sigma (``_strip_width``) of an accepted iterate on a 2n-node
 # grid: far fields then agree with a fine grid's to about 1e-6.
 _RESOLVED = 20.0
-_GRID_TARGET, _GRID_STEP, _GRID_FLOOR = 34.0, 8, 24  # of ``_iterate_grid``
+# Of ``_iterate_grid``: the least 2n * width, the grid's step and floor, and
+# the tolerance of the wave band. Measured against far fields on 2n = 320
+# nodes, at omega up to 6 times the default and with a ball of radius 0.3 or
+# 0.71 at 0.3 to 3 from the curve: on every curve tried, the far field on
+# the chosen n agreed with them to their 1e-13 floor. With the ball's 1e-13
+# as the band's tolerance, n fell one step of 8 short from
+# max(kappa) max|p'| = 9 on. Outside that range the rule is unchecked.
+_GRID_TARGET, _GRID_STEP, _GRID_FLOOR, _WAVE_TOL = 34.0, 8, 24, 1e-17
 
 
 def _strip_width(curve: StarlikeCurve) -> float:
@@ -308,36 +316,61 @@ def _strip_width(curve: StarlikeCurve) -> float:
     return float(np.min(np.abs(np.log(np.abs(roots[roots != 0]))), initial=np.inf))
 
 
-def _iterate_grid(curve: StarlikeCurve, cap: int) -> tuple[NodeGrid, float]:
-    """The grid of a prediction of ``curve``, the least multiple of 8 n with
-    2n sigma >= 34, at least 24 (>= the ball's n_b = 22) and at most ``cap``,
-    and the curve's sigma; a ValueError when 2 cap sigma < _RESOLVED."""
+def _wave_band(kr: float, tol: float) -> int:
+    """Least m past which (kr/2)^m / m!, a bound on |J_m(kr)|, stays below
+    ``tol``: the modes a wave of wavenumber k puts on a curve of speed r
+    (Jacobi-Anger)."""
+    m = np.arange(1, int(np.e * kr) + 64)  # from m = e kr on, the bound is below 2^-m
+    return 1 + int(np.count_nonzero(np.cumsum(np.log(kr / 2.0 / m)) > np.log(tol)))
+
+
+def _iterate_grid(curve: StarlikeCurve, cap: int, params: MaterialParams,
+                  near=None) -> tuple[NodeGrid, float]:
+    """The grid of a prediction of ``curve``, and the curve's sigma; a
+    ValueError when 2 cap sigma < _RESOLVED.
+
+    n is the least multiple of 8 with 2n w >= 34 that is at least 24 and at
+    least the wave band of max(kappa) max|p'|, and at most ``cap``. w is
+    sigma; with ``near``, the (center, radius) of a disc the curve's
+    potentials are evaluated on, w is at most half the disc's distance over
+    max|p'|, as a target at distance d from the curve is a singularity about
+    d/|p'| off the real t axis.
+    """
     sigma = _strip_width(curve)
     if 2 * cap * sigma < _RESOLVED:
         raise ValueError(f"curve too thin for n = {cap}: sigma = {sigma:.3g}")
-    n = _GRID_STEP * np.ceil(_GRID_TARGET / (2 * _GRID_STEP * sigma))
-    return NodeGrid(int(min(cap, max(_GRID_FLOOR, n)))), sigma
+    t = NodeGrid(cap).nodes
+    r, dr, _ = curve.radial.derivatives(t)
+    speed, width = float(np.max(np.hypot(r, dr))), sigma
+    if near is not None:
+        center, radius = near
+        gap = np.min(np.linalg.norm(curve.point(t) - center, axis=1)) - radius
+        width = min(width, 0.5 * gap / speed)
+    kappa = max(params.kappa_p, params.kappa_s, params.kappa_a)
+    n = max(_GRID_FLOOR, _wave_band(kappa * speed, _WAVE_TOL),
+            _GRID_TARGET / (2 * width) if width > 0 else cap)
+    return NodeGrid(min(cap, _GRID_STEP * int(np.ceil(n / _GRID_STEP)))), sigma
 
 
-def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
+def _newton_tikhonov(values, predict, jacobian, config, ground_truth, params, near=None):
     """The loop of both drivers, from the initial circle of ``config``.
 
-    ``predict(curve)`` gives the predicted data and a state, on the grid
-    ``_iterate_grid`` chooses, and raises ValueError on a curve too thin for
-    it, on a collision, or FloatingPointError on a failed solve;
-    ``jacobian(curve, predicted, state)`` gives the data's derivative B, and
-    a FloatingPointError from it stops the loop as stagnation does. One
-    state is alive at a time, so no two-body factorization is held twice.
+    ``predict(curve, grid)`` gives the predicted data on the grid that
+    ``_iterate_grid`` chooses (with ``params`` and ``near``) and a state, and
+    raises ValueError on a collision or FloatingPointError on a failed
+    solve; ``jacobian(curve, predicted, state)`` gives the data's derivative
+    B, and a FloatingPointError from it stops the loop as stagnation does.
+    One state is alive at a time, so no two-body factorization is held twice.
     """
     curve = initial_curve(config)
+    grid, sigma = _iterate_grid(curve, config.n_forward, params, near)
     obs_norm = trapezoid_norm(values)
-    predicted, state = predict(curve)
+    predicted, state = predict(curve, grid)
     residual = trapezoid_norm(values - predicted)
     records: list[IterationRecord] = []
     for k in range(config.max_iter + 1):
         E_k = residual / obs_norm
         err = boundary_error(curve, ground_truth) if ground_truth is not None else None
-        grid, sigma = _iterate_grid(curve, config.n_forward)
         records.append(IterationRecord(k, E_k, err, curve, grid.n, sigma))
         if E_k <= config.epsilon or k == config.max_iter:
             break
@@ -350,12 +383,14 @@ def _newton_tikhonov(values, predict, jacobian, config, ground_truth):
         for scale in _STEP_SCALES:
             try:
                 candidate = apply_update(curve, update.scaled(scale))
-                cand_pred, state = predict(candidate)
+                cand_grid, cand_sigma = _iterate_grid(candidate, config.n_forward, params, near)
+                cand_pred, state = predict(candidate, cand_grid)
             except (ValueError, FloatingPointError):
                 continue  # pinched, too thin, collided or the solve failed
             cand_res = trapezoid_norm(values - cand_pred)
             if cand_res < residual:
                 curve, predicted, residual = candidate, cand_pred, cand_res
+                grid, sigma = cand_grid, cand_sigma
                 break
             state = None  # free it before the next candidate's solve
         else:
@@ -372,13 +407,12 @@ def run_phased(
 ) -> list[IterationRecord]:
     """Full reconstruction loop from phased far-field data: the records of
     every visited iterate, with Err_k when the exact boundary is supplied.
-    A prediction solves on the grid ``_iterate_grid`` chooses, evaluates the
-    node jet and F once more, for the far field, and its Jacobian, the
-    columns of ``frechet_columns``, reads them with the grid."""
+    A prediction solves on the grid the loop chooses, evaluates the node jet
+    and F once more, for the far field, and its Jacobian, the columns of
+    ``frechet_columns``, reads them with the grid."""
     angles = observed.angles
 
-    def predict(curve):
-        grid, _ = _iterate_grid(curve, config.n_forward)
+    def predict(curve, grid):
         densities = solve_forward(curve, params, wave, grid)
         jets = jet(curve, grid.nodes)
         F = _far_field_on(jets, params, angles, grid)
@@ -393,4 +427,4 @@ def run_phased(
         B[:, :2] += 1j * params.kappa_a * wave.direction * predicted[:, None]
         return B
 
-    return _newton_tikhonov(observed.values, predict, jacobian, config, ground_truth)
+    return _newton_tikhonov(observed.values, predict, jacobian, config, ground_truth, params)

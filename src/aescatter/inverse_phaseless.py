@@ -41,9 +41,9 @@ from .inverse_phased import (
     InverseConfig,
     IterationRecord,
     _boundary_motion,
-    _iterate_grid,
     _newton_tikhonov,
     _phase_columns,
+    _wave_band,
     frechet_columns,
     noise_samples,
 )
@@ -143,9 +143,7 @@ _BALL_TOL = 1e-13
 def _ball_grid(radius: float, params: MaterialParams, n_d: int) -> NodeGrid:
     """The ball's grid: the least n_b the rule above allows, at most n_d."""
     n_b = int(np.ceil(np.log(_BALL_TOL) / (-2.0 * np.log1p(_BALL_CLEARANCE))))
-    half_kr = max(params.kappa_p, params.kappa_s, params.kappa_a) * radius / 2.0
-    m = np.arange(1, n_d + 1)  # the log of that bound rises, then falls
-    band = 1 + int(np.count_nonzero(np.cumsum(np.log(half_kr / m)) > np.log(_BALL_TOL)))
+    band = _wave_band(max(params.kappa_p, params.kappa_s, params.kappa_a) * radius, _BALL_TOL)
     return NodeGrid(min(n_d, max(n_b, band)))
 
 
@@ -299,9 +297,10 @@ def run_phaseless(
     Only the obstacle moves; the ball is trusted as given, and its self
     block, right-hand side and far-field matrix are built once per run, on
     a grid of its own (``_ball_grid``: n_b = 22 for the cap n_forward = 64),
-    and the obstacle on the n_k of ``_iterate_grid``: 6 (n_k + n_b) rows,
-    276 at criterion 9's n_k = 24. Each step of ``_newton_tikhonov`` uses
-    the exact Jacobian of |u_inf|^2 on the factorization, Hankel values,
+    and the obstacle on the n_k the loop chooses, fine enough for its
+    quadrature at the ball too (``_iterate_grid``'s ``near``): 6 (n_k + n_b)
+    rows, 276 at criterion 9's n_k = 24. Each step of ``_newton_tikhonov``
+    uses the exact Jacobian of |u_inf|^2 on the factorization, Hankel values,
     ``Discretization`` and F_D that the line search made at the iterate. A
     candidate with a node within one ball radius of the ball (the clearance
     that sizes n_b) is skipped as a collision; an initial guess that close
@@ -312,7 +311,6 @@ def run_phaseless(
     # the module attributes are read at each call, so that they can be patched
     return _newton_tikhonov(
         data.values,
-        lambda curve: _predicted_modulus(curve, fixed, params, wave, data.angles,
-                                         _iterate_grid(curve, config.n_forward)[0]),
+        lambda curve, grid: _predicted_modulus(curve, fixed, params, wave, data.angles, grid),
         lambda curve, _, scene: _jacobian_at(scene, fixed, params, wave, data.angles, config.M),
-        config, ground_truth)
+        config, ground_truth, params, near=(ball.center, ball.radius))

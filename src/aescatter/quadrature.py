@@ -10,9 +10,9 @@ Three rules drive the Nystrom discretization:
 
 All of them are exact on trigonometric polynomials of the appropriate
 degree, which is what makes the overall scheme spectrally accurate.
-The assembly reads the circulant log and Cauchy weight tables as views of
-their first rows (``weight_tables``), uncached, as Newton iterates change
-grids; D is not tabled, as a Newton step applies it by FFT.
+The log and Cauchy weight tables are circulant, gathered from their first
+rows. The assembly builds them uncached (``__wrapped__``), as Newton iterates
+change grids; D is not tabled, as a Newton step applies it by FFT.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "log_weights",
@@ -29,7 +28,6 @@ __all__ = [
     "diff_matrix",
     "log_weight_table",
     "cauchy_weight_table",
-    "weight_tables",
     "lagrange_basis_matrix",
 ]
 
@@ -108,31 +106,20 @@ def diff_matrix(n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def log_weight_table(n: int) -> np.ndarray:
     """Table R[i, j] = R_j^(n)(ς_i); depends only on (i - j) mod 2n."""
-    row0 = log_weights(0.0, n)
-    idx = (np.arange(2 * n)[:, None] - np.arange(2 * n)[None, :]) % (2 * n)
-    return row0[idx]
+    i = np.arange(2 * n)  # the row twice over: 2n + i - j is (i - j) mod 2n
+    return np.tile(log_weights(0.0, n), 2)[2 * n + i[:, None] - i[None, :]]
 
 
 @lru_cache(maxsize=32)
 def cauchy_weight_table(n: int) -> np.ndarray:
     """Table T[i, j] = T_j^(n)(ς_i).
 
-    row0[k] holds the weight for target-node offset t - ς = -ς_k, and the
-    weights are odd in that offset, so the table is indexed by (j - i)
+    The first row's weight k is for the target-node offset t - ς = -ς_k,
+    and the weights are odd in that offset, so the table is indexed by (j - i)
     rather than (i - j) as in the even log-weight table.
     """
-    row0 = cauchy_weights(0.0, n)
-    idx = (np.arange(2 * n)[None, :] - np.arange(2 * n)[:, None]) % (2 * n)
-    return row0[idx]
-
-
-def weight_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """R and T of ``log_weight_table`` and ``cauchy_weight_table``, equal to
-    them bit for bit, as read-only views of their first rows: with the row
-    repeated twice, a, R[i, j] = a[2n + i - j] and T[i, j] = a[2n + j - i]."""
-    R, T = (sliding_window_view(np.tile(row, 2), 2 * n)
-            for row in (log_weights(0.0, n), cauchy_weights(0.0, n)))
-    return R[1:, ::-1], T[2 * n : 0 : -1]
+    i = np.arange(2 * n)
+    return np.tile(cauchy_weights(0.0, n), 2)[2 * n + i[None, :] - i[:, None]]
 
 
 def lagrange_basis_matrix(n: int, targets) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Phased reconstruction building blocks and full loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,18 +297,24 @@ class TestStripWidth:
 
 
 def _shifted_cosine(sigma):
-    """r = 1 + e cos t with e = exp(-sigma): a curve of strip width sigma."""
-    return make_fourier((0.3, -0.2), [1.0, np.exp(-sigma)], [0.0])
+    """r = (1 + e cos t) / 2 with e = exp(-sigma): a curve of strip width
+    sigma, small enough that the default wavenumbers ask for no more than
+    the floor."""
+    return make_fourier((0.3, -0.2), [0.5, 0.5 * np.exp(-sigma)], [0.0])
+
+
+def _faster(params, factor):
+    return dataclasses.replace(params, omega=factor * params.omega)
 
 
 class TestIterateGrid:
-    def test_circle_takes_the_floor(self):
-        grid, sigma = _iterate_grid(make_fourier((0.0, 0.0), [0.4, 0.0], [0.0]), 64)
+    def test_circle_takes_the_floor(self, params):
+        grid, sigma = _iterate_grid(make_fourier((0.0, 0.0), [0.4, 0.0], [0.0]), 64, params)
         assert grid.n == 24 and sigma == np.inf
 
     @pytest.mark.parametrize("sigma", [0.2, 0.3, 0.45, 0.6, 0.9, 2.0])
-    def test_least_multiple_of_8_in_floor_to_cap(self, sigma):
-        grid, got = _iterate_grid(_shifted_cosine(sigma), 64)
+    def test_least_multiple_of_8_in_floor_to_cap(self, params, sigma):
+        grid, got = _iterate_grid(_shifted_cosine(sigma), 64, params)
         n = grid.n
         assert got == pytest.approx(sigma, rel=1e-8)
         assert n % 8 == 0 and 24 <= n <= 64
@@ -314,18 +322,35 @@ class TestIterateGrid:
         assert 2 * (n - 8) * got < 34 or n == 24
 
     @pytest.mark.parametrize("cap, sigma", [(16, 0.7), (32, 0.45)])  # they ask for 32, 40
-    def test_small_cap_is_honoured(self, cap, sigma):
+    def test_small_cap_is_honoured(self, params, cap, sigma):
         circle = make_fourier((0.0, 0.0), [0.4, 0.0], [0.0])
-        assert _iterate_grid(circle, cap)[0].n == min(cap, 24)
-        assert _iterate_grid(_shifted_cosine(sigma), 64)[0].n > cap
-        assert _iterate_grid(_shifted_cosine(sigma), cap)[0].n == cap
+        assert _iterate_grid(circle, cap, params)[0].n == min(cap, 24)
+        assert _iterate_grid(_shifted_cosine(sigma), 64, params)[0].n > cap
+        assert _iterate_grid(_shifted_cosine(sigma), cap, params)[0].n == cap
 
     @pytest.mark.parametrize("cap", [16, 32, 64])
-    def test_thin_curve_skipped_only_below_the_resolved_width(self, cap):
+    def test_thin_curve_skipped_only_below_the_resolved_width(self, params, cap):
         edge = 20.0 / (2 * cap)
-        assert _iterate_grid(_shifted_cosine(1.01 * edge), cap)[0].n == cap
+        assert _iterate_grid(_shifted_cosine(1.01 * edge), cap, params)[0].n == cap
         with pytest.raises(ValueError, match="too thin"):
-            _iterate_grid(_shifted_cosine(0.99 * edge), cap)
+            _iterate_grid(_shifted_cosine(0.99 * edge), cap, params)
+
+    @pytest.mark.parametrize("factor, n", [(1, 24), (3, 32), (4, 40), (6, 48)])
+    def test_wave_band_raises_the_grid(self, params, factor, n):
+        """A unit circle, where sigma asks for nothing: at 4 times the default
+        omega, max(kappa) = 8.8 puts modes on it that n = 32 resolves to
+        1e-13 of the far field; the band asks for 40."""
+        circle = make_fourier((0.0, 0.0), [1.0], [])
+        assert _iterate_grid(circle, 64, _faster(params, factor))[0].n == n
+        assert _iterate_grid(circle, 32, _faster(params, factor))[0].n == min(n, 32)
+
+    @pytest.mark.parametrize("center, n", [((3.0, 0.0), 24), ((1.3, 0.0), 40),
+                                           ((1.1, 0.0), 64), ((0.5, 0.0), 64)])
+    def test_near_disc_raises_the_grid(self, params, center, n):
+        """A circle of radius 0.5 (speed 0.5) and a disc of radius 0.3 at a
+        gap of 2.2, 0.5, 0.3 and none: w = gap / (2 * 0.5), so n >= 34 / (2 w)."""
+        circle = make_fourier((0.0, 0.0), [0.5], [])
+        assert _iterate_grid(circle, 64, params, near=(center, 0.3))[0].n == n
 
 
 class TestConfig:
@@ -433,8 +458,8 @@ class TestRunPhased:
         cfg = InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4, epsilon=0.2)
         chosen = run_phased(noisy, params, wave, cfg, ground_truth=truth)
         rule = inverse_phased._iterate_grid
-        monkeypatch.setattr(inverse_phased, "_iterate_grid",
-                            lambda curve, cap: (NodeGrid(cap), rule(curve, cap)[1]))
+        monkeypatch.setattr(inverse_phased, "_iterate_grid", lambda curve, cap, *rest:
+                            (NodeGrid(cap), rule(curve, cap, *rest)[1]))
         capped = run_phased(noisy, params, wave, cfg, ground_truth=truth)
         assert [r.k for r in chosen] == [r.k for r in capped]
         np.testing.assert_allclose([(r.E_k, r.Err_k, r.sigma) for r in chosen],
@@ -442,6 +467,29 @@ class TestRunPhased:
                                    rtol=1e-11, atol=0)
         assert chosen[0].n == 24 and chosen[0].sigma == np.inf
         assert all(r.n < cfg.n_forward for r in chosen) and {r.n for r in capped} == {64}
+
+    def test_chosen_grids_keep_the_records_of_the_cap_at_4_omega(self, params, monkeypatch):
+        """At 4 times the default omega the wave band, not sigma, sets the
+        grid of these nearly round iterates (n = 40 where sigma asks for 24
+        or 32): the same k as on the cap's grid, with E_k and Err_k within
+        1e-11 (sigma alone leaves them 4e-7 apart)."""
+        from aescatter import inverse_phased
+
+        fast, wave6 = _faster(params, 4), IncidentWave(np.pi / 6)
+        truth, grid = make_fourier((0.1, 0.0), [1.0, 0.0, 0.03], [0.0, 0.012]), NodeGrid(100)
+        ff = far_field(solve_forward(truth, fast, wave6, grid), truth, fast, OBS, grid)
+        noisy = add_noise_phased(ff, 0.01, seed=3)
+        cfg = InverseConfig(initial_center=(0.0, 0.0), initial_radius=0.95, epsilon=0.01,
+                            max_iter=8)
+        chosen = run_phased(noisy, fast, wave6, cfg, ground_truth=truth)
+        rule = inverse_phased._iterate_grid
+        monkeypatch.setattr(inverse_phased, "_iterate_grid", lambda curve, cap, *rest:
+                            (NodeGrid(cap), rule(curve, cap, *rest)[1]))
+        capped = run_phased(noisy, fast, wave6, cfg, ground_truth=truth)
+        assert [r.k for r in chosen] == [r.k for r in capped] and len(chosen) > 3
+        np.testing.assert_allclose([(r.E_k, r.Err_k) for r in chosen],
+                                   [(r.E_k, r.Err_k) for r in capped], rtol=1e-11, atol=0)
+        assert all(32 < r.n < cfg.n_forward for r in chosen)
 
     def test_err_column_none_without_truth(self, params, wave):
         cfg = InverseConfig(initial_center=(0.0, 0.0), initial_radius=0.5,
@@ -465,11 +513,11 @@ class TestRunPhased:
                             n_forward=grid.n)
         loop = {}
         monkeypatch.setattr(inverse_phased, "_newton_tikhonov",
-                            lambda values, predict, jacobian, config, truth:
+                            lambda values, predict, jacobian, *rest:
                             loop.update(predict=predict, jacobian=jacobian) or [])
         run_phased(observed, params, wave, cfg)
         curve = initial_curve(cfg)
-        predicted, state = loop["predict"](curve)
+        predicted, state = loop["predict"](curve, _iterate_grid(curve, cfg.n_forward, params)[0])
         grid = state[0]
         ref = frechet_columns(curve, solve_forward(curve, params, wave, grid), params,
                               observed.angles, cfg.M, grid)

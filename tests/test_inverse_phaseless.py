@@ -1,5 +1,7 @@
 """Phaseless reconstruction building blocks and full loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -303,14 +305,42 @@ class TestRunPhaseless:
         cfg = InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3, epsilon=0.1)
         chosen = run_phaseless(noisy, BALL, params, wave6, cfg, ground_truth=truth)
         rule = inverse_phased._iterate_grid
-        for module in (inverse_phased, inverse_phaseless):
-            monkeypatch.setattr(module, "_iterate_grid",
-                                lambda curve, cap: (NodeGrid(cap), rule(curve, cap)[1]))
+        monkeypatch.setattr(inverse_phased, "_iterate_grid", lambda curve, cap, *rest:
+                            (NodeGrid(cap), rule(curve, cap, *rest)[1]))
         capped = run_phaseless(noisy, BALL, params, wave6, cfg, ground_truth=truth)
         assert [r.k for r in chosen] == [r.k for r in capped]
         np.testing.assert_allclose([(r.E_k, r.Err_k) for r in chosen],
                                    [(r.E_k, r.Err_k) for r in capped], rtol=1e-11, atol=0)
         assert all(r.n < cfg.n_forward for r in chosen) and {r.n for r in capped} == {64}
+
+    @pytest.mark.parametrize("factor, scale, a2, center, radius0", [
+        (1, 0.6, 0.12, (1.3, 0.0), 0.8),    # sigma alone changes k
+        (4, 1.0, 0.03, (1.9, 0.0), 0.95),   # sigma alone: 2e-4 apart
+    ])
+    def test_chosen_grids_keep_the_records_near_a_small_ball(self, params, monkeypatch, factor,
+                                                             scale, a2, center, radius0):
+        """A ball of radius 0.3 at a gap of about 0.3 to 0.65 from the
+        obstacle, at the default omega and at 4 times it: the obstacle's grid
+        is set by its distance from the ball, and the run keeps the k of the
+        cap's grid, with E_k and Err_k within 1e-11."""
+        fast = dataclasses.replace(params, omega=factor * params.omega)
+        wave6 = IncidentWave(np.pi / 6)
+        ball, grid = ReferenceBallSpec(center, 0.3), NodeGrid(100)
+        truth = make_fourier((0.1 * scale, 0.0), [scale, 0.0, a2 * scale], [0.0, 0.4 * a2 * scale])
+        dens = solve_two_body_forward(truth, ball.curve(), fast, wave6, grid)
+        total = far_field_sum(dens, truth, ball.curve(), fast, OBS, grid, grid)
+        noisy = add_noise_phaseless(PhaselessData(OBS, np.abs(total.values) ** 2), 0.01, seed=7)
+        cfg = InverseConfig(initial_center=(0.0, 0.0), initial_radius=radius0 * scale,
+                            epsilon=0.01, max_iter=8)
+        chosen = run_phaseless(noisy, ball, fast, wave6, cfg, ground_truth=truth)
+        rule = inverse_phased._iterate_grid
+        monkeypatch.setattr(inverse_phased, "_iterate_grid", lambda curve, cap, *rest:
+                            (NodeGrid(cap), rule(curve, cap, *rest)[1]))
+        capped = run_phaseless(noisy, ball, fast, wave6, cfg, ground_truth=truth)
+        assert [r.k for r in chosen] == [r.k for r in capped] and len(chosen) > 3
+        np.testing.assert_allclose([(r.E_k, r.Err_k) for r in chosen],
+                                   [(r.E_k, r.Err_k) for r in capped], rtol=1e-11, atol=0)
+        assert 24 < chosen[0].n < cfg.n_forward
 
     def test_ball_self_block_assembled_once(self, params, wave, peanut_scene, monkeypatch):
         """The ball never moves: one run assembles its self block once, and

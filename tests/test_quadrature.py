@@ -13,7 +13,6 @@ from aescatter.quadrature import (
     lagrange_basis_matrix,
     log_weight_table,
     log_weights,
-    weight_tables,
 )
 
 
@@ -129,12 +128,9 @@ class TestTrapezoidAndInterpolation:
 
 class TestWeightTables:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 11, 24, 31, 32, 64])
-    def test_views_equal_the_cached_tables(self, n):
+    def test_circulant_of_the_first_row(self, n):
         # even and odd n: the Cauchy weights have an odd-n branch
-        R, T = weight_tables(n)
-        assert np.array_equal(R, log_weight_table(n))
-        assert np.array_equal(T, cauchy_weight_table(n))
-
-    def test_views_are_read_only(self):
-        R, T = weight_tables(8)
-        assert not R.flags.writeable and not T.flags.writeable
+        i = np.arange(2 * n)
+        offset = (i[:, None] - i[None, :]) % (2 * n)
+        assert np.array_equal(log_weight_table(n), log_weights(0.0, n)[offset])
+        assert np.array_equal(cauchy_weight_table(n), cauchy_weights(0.0, n)[offset.T])
