@@ -9,15 +9,17 @@ of a Newton step (``discretize``) and the system filled from it
 (``forward_sequence``: assemble, factor, solve, far field; the isolated
 layers cannot show one BLAS thread pool slowing another); the phased
 Frechet matrix (``frechet_columns``) at the criterion-8 initial guess with
-M = 6, n = 64 and 128 angles; and the two-body layers of the criterion-9
-case at n = 64: ``cross_blocks`` of the peanut and the reference ball on
-its own grid (with the Hankel values they share), and at the initial guess
+M = 6 and 128 angles, at n in {24, 32, 40}, the grids criterion 8's
+predictions solve on; and the two-body layers of the criterion-9 case at
+n = 24, the grid its predictions solve on, with the reference ball on the
+44 nodes its cap n_forward = 64 gives it: ``cross_blocks`` of the peanut
+and the ball (with the Hankel values they share), and at the initial guess
 with M = 6 the cross-block shape derivative (``cross_block_sensitivity``,
 with the densities of that start's two-body solve), one prediction of
 |u_inf|^2 as the line search makes it (``_predicted_modulus``: two-body
 assembly, LU, far field, with the ball's blocks built once beforehand),
-``factor_system`` on that two-body system alone (516 x 516, the ball on its
-own 44 nodes), one phaseless Jacobian (``_jacobian_at``) and the self-block
+``factor_system`` on that two-body system alone (276 x 276), one phaseless
+Jacobian (``_jacobian_at``) and the self-block
 shape derivative inside it (``system_sensitivity``), with its own
 ``Discretization`` (``discretize`` plus the derivative) and, as the
 Jacobian calls it, on the prediction's (``system_sensitivity_handed``);
@@ -36,7 +38,7 @@ minor page faults per call (``ru_minflt`` of this process, read around each
 timed call) and the thread counts of the two OpenBLAS libraries that numpy
 and scipy load:
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_26.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_27.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's). The script calls the library's current API and nothing older,
@@ -77,7 +79,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (32, 64, 100, 128)
 SEQUENCE_SIZES = (64, 128)
 N_ANGLES = 128
-INVERSE_N = 64
+CAP = 64  # InverseConfig.n_forward, the reconstructions' cap; it sizes the ball's grid
+PHASED_GRIDS = (24, 32, 40)  # the grids of criterion 8's predictions
+PHASELESS_GRIDS = (24,)  # those of criterion 9's
 REPEATS = 15
 NUMPY_OPENBLAS = "*scipy_openblas64_*"
 POOL_SIZES = (1, 2)
@@ -212,38 +216,39 @@ def layer_calls(n: int) -> dict:
     return calls
 
 
-def phased_calls() -> dict:
-    """The Frechet matrix at the criterion-8 initial guess, n = INVERSE_N."""
+def phased_calls(n: int) -> dict:
+    """The Frechet matrix at the criterion-8 initial guess on grid n."""
     import numpy as np
 
     from aescatter import forward as fw
     from aescatter import geometry
     from aescatter.inverse_phased import InverseConfig, frechet_columns, initial_curve
 
-    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(INVERSE_N)
+    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(n)
     start = initial_curve(InverseConfig(initial_center=(-0.6, -0.3), initial_radius=0.4,
-                                        epsilon=0.2, M=6, n_forward=INVERSE_N))
+                                        epsilon=0.2, M=6))
     dens = fw.solve_forward(start, params, fw.IncidentWave(np.pi / 8), grid)
     angles = 2.0 * np.pi * np.arange(N_ANGLES) / N_ANGLES
     return {"frechet_columns": lambda: frechet_columns(start, dens, params, angles, 6, grid)}
 
 
-def phaseless_calls() -> dict:
-    """The timed two-body calls of the criterion-9 case at n = INVERSE_N."""
+def phaseless_calls(n: int) -> dict:
+    """The timed two-body calls of the criterion-9 case with the obstacle on
+    grid n and the ball on the grid of the cap, as ``run_phaseless`` makes them."""
     import numpy as np
 
     from aescatter import forward as fw
     from aescatter import geometry, inverse_phaseless, multibody
     from aescatter.inverse_phased import InverseConfig, initial_curve
 
-    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(INVERSE_N)
+    params, grid = fw.MaterialParams.default(), geometry.NodeGrid(n)
     ball = inverse_phaseless.ReferenceBallSpec((6.6, 0.0), 0.71).curve()
     peanut, wave = geometry.make_peanut(), fw.IncidentWave(np.pi / 6)
     start = initial_curve(InverseConfig(initial_center=(-0.7, 0.2), initial_radius=0.3,
-                                        epsilon=0.1, M=6, n_forward=INVERSE_N))
+                                        epsilon=0.1, M=6))
     angles = 2.0 * np.pi * np.arange(64) / 64
     # the ball's part of the system, built once per reconstruction
-    fixed = inverse_phaseless._fixed_ball(ball, params, wave, angles, grid)
+    fixed = inverse_phaseless._fixed_ball(ball, params, wave, angles, geometry.NodeGrid(CAP))
 
     def pair_of(curve):  # the pair of the two node jets
         return multibody.cross_pair(geometry.jet(curve, grid.nodes),
@@ -354,7 +359,7 @@ def paired(parent: Path, src: Path, rounds: int) -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_26.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_27.json")
     parser.add_argument("--pair", type=Path, default=None,
                         help="checkout of the commit to compare with, alternated with this one")
     parser.add_argument("--rounds", type=int, default=10)
@@ -376,12 +381,15 @@ def main(argv=None) -> None:
             print(f"{name:18s} n={n:4d} {layers[name][str(n)]['median_ms']:9.2f} ms "
                   f"{layers[name][str(n)]['minflt_median']:7.0f} faults")
     reconstructions = reconstruction_calls()
-    for name, fn in {**phased_calls(), **phaseless_calls(), **reconstructions}.items():
-        row = timings(fn)
-        if name in reconstructions:
-            row["grids"] = grid_histogram(fn)
-        layers[name] = {str(INVERSE_N): row}
-        print(f"{name:18s} n={INVERSE_N:4d} {row['median_ms']:9.2f} ms {row.get('grids', '')}")
+    inversions = ([(n, phased_calls(n)) for n in PHASED_GRIDS]
+                  + [(n, phaseless_calls(n)) for n in PHASELESS_GRIDS] + [(CAP, reconstructions)])
+    for n, calls in inversions:
+        for name, fn in calls.items():
+            row = timings(fn)
+            if name in reconstructions:
+                row["grids"] = grid_histogram(fn)
+            layers.setdefault(name, {})[str(n)] = row
+            print(f"{name:18s} n={n:4d} {row['median_ms']:9.2f} ms {row.get('grids', '')}")
     numpy_blas, pool = openblas(numpy, NUMPY_OPENBLAS), {}
     if numpy_blas is not None:
         for name, fn in reconstructions.items():
@@ -402,15 +410,15 @@ def main(argv=None) -> None:
                         scipy, "*scipy_openblas-*", "scipy_openblas_get_num_threads")},
         "curve": "apple", "far_field_angles": N_ANGLES,
         "phased": "the criterion-8 initial circle, incident angle pi/8; Frechet "
-                  "matrix M = 6, 128 angles",
-        "two_body": "peanut or the criterion-9 initial circle, with the ball "
-                    "((6.6, 0), 0.71); prediction, Jacobian and self-block derivative "
-                    "M = 6, 64 angles",
+                  "matrix M = 6, 128 angles, keyed by the grid n",
+        "two_body": "peanut or the criterion-9 initial circle on grid n, with the ball "
+                    "((6.6, 0), 0.71) on the grid of the cap n_forward = 64; prediction, "
+                    "Jacobian and self-block derivative M = 6, 64 angles",
         "reconstructions": "run_phased on criterion 8 (apple, pi/8, 128 angles, 1% noise "
                            "seed 3) and run_phaseless on criterion 9 (peanut and the ball, "
                            "pi/6, 64 angles, 1% noise seed 7), M = 6, n_forward = 64 as "
-                           "the cap of each iterate's grid; 'grids' counts their "
-                           "predictions per grid n",
+                           "the cap of each iterate's grid, and keyed by it; 'grids' "
+                           "counts their predictions per grid n",
         "layers": layers,
         "numpy_pool": "the two reconstructions with numpy's OpenBLAS pool at 1 and at 2 "
                       "threads, keyed by pool size (empty when numpy's OpenBLAS is not "

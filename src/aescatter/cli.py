@@ -10,7 +10,7 @@ Commands
     the iteration history and plot-ready boundary samples, also when the
     run stops short (iteration cap, or every step pinches or fails). Exit
     code 0 when the stopping tolerance was reached, 2 otherwise.
-``aescatter verify [--quick]``
+``aescatter verify``
     Run the analytic self-checks (quadrature identities, special-function
     identity, translation covariance, Frechet finite differences, seeded
     noise reproducibility) and report measured errors.
@@ -39,18 +39,11 @@ from .forward import (
     MaterialParams,
     _times_d,
     far_field,
-    far_field_matrix,
     solve_forward,
+    translation_errors,
 )
-from .geometry import NodeGrid, StarlikeCurve, jet, make_apple, make_fourier, translate
-from .inverse_phased import (
-    BoundaryUpdate,
-    InverseConfig,
-    add_noise_phased,
-    apply_update,
-    frechet_columns,
-    run_phased,
-)
+from .geometry import NodeGrid, StarlikeCurve, make_apple, make_fourier
+from .inverse_phased import InverseConfig, add_noise_phased, frechet_fd_error, run_phased
 from .inverse_phaseless import (
     PhaselessData,
     ReferenceBallSpec,
@@ -58,8 +51,8 @@ from .inverse_phaseless import (
     run_phaseless,
 )
 from .multibody import far_field_sum, solve_two_body_forward
-from .quadrature import cauchy_weights, diff_matrix, log_weights
-from .specfun import bessel_j0, bessel_j1, bessel_y0, bessel_y1
+from .quadrature import diff_matrix, identity_errors
+from .specfun import wronskian_error
 
 __all__ = ["load_config", "dump_config", "cmd_forward", "cmd_invert", "cmd_verify", "main"]
 
@@ -75,34 +68,32 @@ _DEFAULTS = {
     "noise": {"delta": 0.0, "model": "uniform"},
     "seed": 0,
 }
+# The keys of each obstacle kind besides ``kind`` and ``center``.
+_SHAPE_KEYS = {"apple": [], "peanut": [], "circle": ["radius"], "fourier": ["a", "b"]}
 
 
 def load_config(path) -> dict:
     """Parse a JSON config file and fill in all defaults.
 
     The result is fully populated, so dumping and re-loading it is
-    idempotent. An unknown section, or key of ``wave``, ``grids`` or
-    ``noise``, raises ValueError (the dataclasses check the others).
+    idempotent. An unknown section, obstacle kind, or key of ``wave``,
+    ``grids``, ``noise``, ``obstacle`` (per kind) or ``ball`` raises
+    ValueError (the dataclasses check the others).
     """
     with open(path) as f:
         raw = json.load(f)
-    checks = [("section", raw, _DEFAULTS)] + [
-        (f"{key} key", raw.get(key) or {}, _DEFAULTS[key]) for key in ("wave", "grids", "noise")]
-    for what, given, known in checks:
+    kind = (raw.get("obstacle") or {}).get("kind", "apple")
+    if kind not in _SHAPE_KEYS:
+        raise ValueError(f"unknown obstacle kind {kind!r}")
+    fields = {key: _DEFAULTS[key] for key in ("wave", "grids", "noise")}
+    fields.update(obstacle=["kind", "center", *_SHAPE_KEYS[kind]], ball=["center", "radius"])
+    for what, given, known in [("section", raw, _DEFAULTS)] + [
+            (f"{key} key", raw.get(key) or {}, known) for key, known in fields.items()]:
         unknown = sorted(set(given) - set(known))
         if unknown:
             raise ValueError(f"unknown config {what}: {', '.join(unknown)}")
-    cfg = {}
-    for key, default in _DEFAULTS.items():
-        if isinstance(default, dict):
-            merged = dict(default)
-            merged.update(raw.get(key) or {})
-            cfg[key] = merged
-        else:
-            cfg[key] = raw.get(key, default)
-    if raw.get("ball") is not None:
-        cfg["ball"] = dict(raw["ball"])
-    return cfg
+    return {key: {**default, **(raw.get(key) or {})} if isinstance(default, dict)
+            else raw.get(key, default) for key, default in _DEFAULTS.items()}
 
 
 def dump_config(cfg: dict, path) -> None:
@@ -235,93 +226,35 @@ def cmd_invert(config_path, data_path, phaseless: bool = False) -> int:
     return 0 if final.E_k <= inv_cfg.epsilon else 2
 
 
-def _check(name: str, measured: float, tol: float, lines: list[str]) -> bool:
-    ok = measured <= tol
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: {measured:.3e} (tol {tol:.0e})")
-    return ok
-
-
-def cmd_verify(quick: bool = False) -> tuple[bool, str]:
+def cmd_verify() -> tuple[bool, str]:
     """Run the analytic self-checks; returns (all_passed, report text)."""
-    lines: list[str] = []
-    ok = True
-    params = MaterialParams.default()
-
-    # Quadrature identities.
-    n = 16
-    t = np.pi * 5 / n
-    nodes = np.pi * np.arange(2 * n) / n
-    ok &= _check("log weights sum to zero", abs(log_weights(t, n).sum()), 1e-12, lines)
-    R = log_weights(t, n)
-    worst = max(
-        abs(R @ np.cos(m * nodes) + (2 * np.pi / m) * np.cos(m * t))
-        for m in range(1, 9)
-    )
-    ok &= _check("log weights Fourier modes", worst, 1e-12, lines)
-    T = cauchy_weights(t, n)
-    ok &= _check("cauchy weights identity",
-                 abs(T @ np.sin(nodes - t) - 2 * np.pi), 1e-12, lines)
-    ok &= _check("differentiation weights",
-                 np.abs(diff_matrix(n) @ np.cos(3 * nodes) + 3 * np.sin(3 * nodes)).max(),
-                 1e-12, lines)
-    # Assembly applies D along the rows by FFT; the dense matrix is the reference.
-    n_d = 32 if quick else 64
-    rng = np.random.default_rng(11)
-    W = rng.standard_normal((2 * n_d, 2 * n_d)) + 1j * rng.standard_normal((2 * n_d, 2 * n_d))
-    WD = _times_d(W)
-    dense = W @ diff_matrix(n_d)
-    ok &= _check("differentiation by FFT",
-                 np.abs(WD - dense).max() / np.abs(dense).max(), 1e-13, lines)
-
-    # Special-function identity (Wronskian).
-    x = np.linspace(1e-3, 50.0, 2000)
-    wron = bessel_j1(x) * bessel_y0(x) - bessel_j0(x) * bessel_y1(x)
-    ok &= _check("Bessel Wronskian", np.abs(wron - 2.0 / (np.pi * x)).max(), 1e-11, lines)
-
-    # Translation covariance of the far field.
-    curve = make_apple()
-    h = np.array([0.5, 0.3])
-    wave = IncidentWave(np.pi / 8)
-    grid = NodeGrid(32 if quick else 64)
+    params, wave, grid = MaterialParams.default(), IncidentWave(np.pi / 8), NodeGrid(64)
     angles = 2.0 * np.pi * np.arange(64) / 64
-    ff = far_field(solve_forward(curve, params, wave, grid), curve, params, angles, grid)
-    moved = translate(curve, h)
-    ff_h = far_field(solve_forward(moved, params, wave, grid), moved, params, angles, grid)
-    xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-    factor = np.exp(1j * params.kappa_a * (wave.direction - xhat) @ h)
-    ok &= _check("translation covariance (phase)",
-                 np.abs(ff_h.values - factor * ff.values).max(), 1e-6, lines)
-    ok &= _check("translation covariance (modulus)",
-                 np.abs(np.abs(ff_h.values) - np.abs(ff.values)).max(), 1e-6, lines)
-
-    # Frechet columns vs central differences of the far-field quadrature on
-    # updated Fourier curves, with the density times G^2 held fixed.
-    M, eps = 6, 1e-5
+    quadrature = identity_errors(16, 5)
+    # Assembly applies D along the rows by FFT; the dense matrix is the reference.
+    re, im = np.random.default_rng(11).standard_normal((2, 2 * grid.n, 2 * grid.n))
+    W = re + 1j * im
+    dense = W @ diff_matrix(grid.n)
+    phase, modulus = translation_errors(make_apple(), (0.5, 0.3), params, wave, grid, angles)
     fourier = make_fourier((0.1, -0.2), [0.55, 0.06, -0.04, 0.03], [0.05, -0.02, 0.01])
-    dens_f = solve_forward(fourier, params, wave, grid)
-    vartheta = dens_f.phi3_tilde * jet(fourier, grid.nodes).G ** 2
-    B = frechet_columns(fourier, dens_f, params, angles, M, grid)
-    rng = np.random.default_rng(5)
-    worst_fd = 0.0
-    for _ in range(2 if quick else 5):
-        upd = BoundaryUpdate(rng.standard_normal(2), rng.standard_normal(M + 1),
-                             rng.standard_normal(M))
-        upd = upd.scaled(1.0 / np.linalg.norm(upd.xi))
-        plus, minus = (
-            far_field_matrix(c, params, angles, grid) @ (vartheta / jet(c, grid.nodes).G ** 2)
-            for c in (apply_update(fourier, upd.scaled(s)) for s in (eps, -eps)))
-        fd = (plus - minus) / (2.0 * eps)
-        worst_fd = max(worst_fd, np.abs(fd - B @ upd.xi).max() / np.abs(fd).max())
-    ok &= _check("Frechet finite-difference", worst_fd, 1e-4, lines)
-
-    # Seeded noise reproducibility.
-    ff2 = add_noise_phased(ff, 0.01, seed=42)
-    ff3 = add_noise_phased(ff, 0.01, seed=42)
-    ok &= _check("seeded noise reproducibility",
-                 np.abs(ff2.values - ff3.values).max(), 0.0, lines)
-
-    report = "\n".join(lines)
-    return ok, report
+    frechet = frechet_fd_error(fourier, solve_forward(fourier, params, wave, grid), params,
+                               angles, 6, grid, np.random.default_rng(5))
+    noisy = [add_noise_phased(FarField(angles, np.exp(1j * angles)), 0.01, seed=42).values
+             for _ in range(2)]
+    rows = [("log weights sum to zero", quadrature["log sum"], 1e-12),
+            ("log weights Fourier modes", quadrature["log modes"], 1e-12),
+            ("cauchy weights identity", quadrature["cauchy"], 1e-12),
+            ("differentiation weights", quadrature["diff"], 1e-12),
+            ("differentiation by FFT", np.abs(_times_d(W) - dense).max() / np.abs(dense).max(),
+             1e-13),
+            ("Bessel Wronskian", wronskian_error(np.linspace(1e-3, 50.0, 2000)), 1e-11),
+            ("translation covariance (phase)", phase, 1e-6),
+            ("translation covariance (modulus)", modulus, 1e-6),
+            ("Frechet finite-difference", frechet, 1e-4),
+            ("seeded noise reproducibility", np.abs(noisy[0] - noisy[1]).max(), 0.0)]
+    report = "\n".join(f"{'PASS' if err <= tol else 'FAIL'}  {label}: {err:.3e} (tol {tol:.0e})"
+                       for label, err, tol in rows)
+    return all(err <= tol for _, err, tol in rows), report
 
 
 def main(argv=None) -> int:
@@ -333,8 +266,7 @@ def main(argv=None) -> int:
     p_inv.add_argument("config")
     p_inv.add_argument("data")
     p_inv.add_argument("--phaseless", action="store_true")
-    p_ver = sub.add_parser("verify", help="run analytic self-checks")
-    p_ver.add_argument("--quick", action="store_true")
+    sub.add_parser("verify", help="run analytic self-checks")
     args = parser.parse_args(argv)
 
     if args.command == "forward":
@@ -345,7 +277,7 @@ def main(argv=None) -> int:
     if args.command == "invert":
         return cmd_invert(args.config, args.data, phaseless=args.phaseless)
     if args.command == "verify":
-        ok, report = cmd_verify(quick=args.quick)
+        ok, report = cmd_verify()
         print(report)
         return 0 if ok else 1
     return 1

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
 
-from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet
+from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet, translate
 from .kernels import (
     PairGeometry,
     grad_phi,
@@ -72,6 +72,7 @@ __all__ = [
     "solve_forward",
     "far_field_matrix",
     "far_field",
+    "translation_errors",
     "near_field",
     "NearField",
     "jump_check",
@@ -547,7 +548,9 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     returned ``solve(b)`` takes one right-hand side or a matrix of them as
     columns, and raises FloatingPointError when the backward error of any
     column exceeds ``_BACKWARD_GATE`` or is not a number (a zero pivot gives
-    NaN densities); unlike a relative residual it does not grow with kappa.
+    NaN densities, as does a non-finite entry of the system, which
+    ``_fill_system`` alone scans for, so LAPACK is not asked to check); unlike
+    a relative residual it does not grow with kappa.
 
     The LU is that of system.T, the F-ordered view of the C-ordered matrix
     that assembly builds, so LAPACK gets it without a transposing copy; the
@@ -556,7 +559,7 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     is freed before the LU's copy of the matrix is made.
     """
     norm = np.abs(system).sum(axis=0).max()
-    lu, piv = lu_factor(system.T)
+    lu, piv = lu_factor(system.T, check_finite=False)
     rcond, _ = get_lapack_funcs("gecon", (system,))(lu, norm, norm="I")
     if rcond < _COND_WARN_RCOND:
         warnings.warn(
@@ -566,7 +569,7 @@ def factor_system(system: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         )
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = lu_solve((lu, piv), b, trans=1)
+        x = lu_solve((lu, piv), b, trans=1, check_finite=False)
         scale = norm * np.abs(x).sum(axis=0) + np.abs(b).sum(axis=0)
         eta = np.max(np.abs(_gemm(system, x) - b).sum(axis=0)
                      / np.where(scale > 0, scale, 1.0))
@@ -582,9 +585,7 @@ def solve_densities(system: np.ndarray, rhs) -> DensitySet:
     b = np.concatenate([np.asarray(r, dtype=complex) for r in rhs])
     if system.shape[0] != system.shape[1] or system.shape[0] != len(b):
         raise ValueError("system and right-hand side sizes do not match")
-    x = factor_system(system)(b)
-    N = len(b) // 3
-    return DensitySet(x[:N], x[N : 2 * N], x[2 * N :])
+    return DensitySet(*np.split(factor_system(system)(b), 3))
 
 
 def solve_forward(
@@ -784,6 +785,17 @@ def jump_check(
     return report
 
 
+def translation_errors(curve: StarlikeCurve, h, params: MaterialParams, wave: IncidentWave,
+                       grid: NodeGrid, obs_angles) -> tuple[float, float]:
+    """Max deviations of the far field of ``curve`` shifted by h from the
+    unshifted one times exp(i kappa_a (d - x^) . h), and in modulus; both on ``grid``."""
+    ff, ff_h = (far_field(solve_forward(c, params, wave, grid), c, params, obs_angles, grid).values
+                for c in (curve, translate(curve, h)))
+    xhat = np.column_stack([np.cos(obs_angles), np.sin(obs_angles)])
+    factor = np.exp(1j * params.kappa_a * (wave.direction - xhat) @ np.asarray(h, dtype=float))
+    return float(np.abs(ff_h - factor * ff).max()), float(np.abs(np.abs(ff_h) - np.abs(ff)).max())
+
+
 def boundary_residual(
     densities: DensitySet,
     curve: StarlikeCurve,
@@ -809,12 +821,4 @@ def boundary_residual(
     )
     A = assemble_system(curve, params, shifted)
     b = np.concatenate(rhs_plane_wave(curve, params, wave, shifted))
-    res = A @ x - b
-    N = shifted.size
-    return np.array(
-        [
-            np.abs(res[:N]).max(),
-            np.abs(res[N : 2 * N]).max(),
-            np.abs(res[2 * N :]).max(),
-        ]
-    )
+    return np.abs(A @ x - b).reshape(3, shifted.size).max(axis=1)

@@ -43,6 +43,7 @@ from .forward import (
     MaterialParams,
     _far_field_on,
     _gemm,
+    gamma_far,
     solve_forward,
 )
 from .geometry import (
@@ -64,6 +65,7 @@ __all__ = [
     "add_noise_phased",
     "noise_samples",
     "frechet_columns",
+    "frechet_fd_error",
     "tikhonov_step",
     "apply_update",
     "initial_curve",
@@ -243,6 +245,37 @@ def _phase_columns(Fx, obs_angles, motion: BoundaryMotion, kappa_a: float) -> np
     matrix times the fixed acoustic density, and the node motion."""
     return -1j * kappa_a * (np.cos(obs_angles)[:, None] * _gemm(Fx, motion.dp[:, 0])
                             + np.sin(obs_angles)[:, None] * _gemm(Fx, motion.dp[:, 1]))
+
+
+def _frozen_far_field(curve: StarlikeCurve, densities: DensitySet, params: MaterialParams,
+                      obs_angles, grid: NodeGrid, update: BoundaryUpdate) -> np.ndarray:
+    """The far field with the nodes of ``grid`` moved to p + dc + dr e_r by
+    ``update`` and the acoustic density times G^2 held, which ``frechet_columns``
+    differentiates; built from the update itself, not ``_boundary_motion``."""
+    t, ka = grid.nodes, params.kappa_a
+    vartheta = densities.phi3_tilde * jet(curve, t).G ** 2
+    p = curve.point(t) + update.delta_c \
+        + update.delta_r(t)[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+    phase = np.exp(-1j * ka * (np.cos(obs_angles)[:, None] * p[:, 0]
+                               + np.sin(obs_angles)[:, None] * p[:, 1]))
+    return gamma_far(ka) * (np.pi / grid.n) * phase @ vartheta
+
+
+def frechet_fd_error(curve: StarlikeCurve, densities: DensitySet, params: MaterialParams,
+                     obs_angles, M: int, grid: NodeGrid, rng: np.random.Generator) -> float:
+    """Worst relative deviation of ``frechet_columns`` times xi from the central
+    difference of ``_frozen_far_field`` along xi, step 1e-5, over 5 unit xi,
+    each one rng.standard_normal(2M + 3)."""
+    B, eps, worst = frechet_columns(curve, densities, params, obs_angles, M, grid), 1e-5, 0.0
+    for _ in range(5):
+        xi = rng.standard_normal(2 * M + 3)
+        xi /= np.linalg.norm(xi)
+        step = BoundaryUpdate(eps * xi[:2], eps * xi[2:3 + M], eps * xi[3 + M:])
+        plus, minus = (_frozen_far_field(curve, densities, params, obs_angles, grid,
+                                         step.scaled(sign)) for sign in (1.0, -1.0))
+        fd = (plus - minus) / (2 * eps)
+        worst = max(worst, np.abs(fd - B @ xi).max() / np.abs(fd).max())
+    return float(worst)
 
 
 def _penalty_diag(M: int) -> np.ndarray:

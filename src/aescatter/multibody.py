@@ -198,13 +198,8 @@ def solve_two_body_forward(
     del A_bb, pair  # in A now: held through the LU, they raised its peak by 22 MB at n=100
     b_d = np.concatenate(rhs_plane_wave(curve_d, params, wave, grid_d))
     b_b = np.concatenate(rhs_plane_wave(curve_b, params, wave, grid_b))
-    x = factor_system(A)(np.concatenate([b_d, b_b]))
-    Nd, Nb = grid_d.size, grid_b.size
-    xd, xb = x[: 3 * Nd], x[3 * Nd :]
-    return TwoBodyDensities(
-        body_d=DensitySet(xd[:Nd], xd[Nd : 2 * Nd], xd[2 * Nd :]),
-        body_b=DensitySet(xb[:Nb], xb[Nb : 2 * Nb], xb[2 * Nb :]),
-    )
+    x_d, x_b = np.split(factor_system(A)(np.concatenate([b_d, b_b])), [len(b_d)])
+    return TwoBodyDensities(DensitySet(*np.split(x_d, 3)), DensitySet(*np.split(x_b, 3)))
 
 
 def far_field_sum(

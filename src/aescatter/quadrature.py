@@ -29,6 +29,7 @@ __all__ = [
     "log_weight_table",
     "cauchy_weight_table",
     "lagrange_basis_matrix",
+    "identity_errors",
 ]
 
 _NODE_TOL = 1e-12
@@ -120,6 +121,21 @@ def cauchy_weight_table(n: int) -> np.ndarray:
     """
     i = np.arange(2 * n)
     return np.tile(cauchy_weights(0.0, n), 2)[2 * n + i[None, :] - i[:, None]]
+
+
+def identity_errors(n: int, i: int) -> dict[str, float]:
+    """Errors of the rules at node t = ς_i of the n-grid: sum_j R_j ("log sum"),
+    R cos(m ς) + (2 pi/m) cos(mt), m <= n/2 ("log modes"), T sin(ς - t) - 2 pi
+    ("cauchy"), and D on cos 3ς and sin 5ς ("diff"); each exact in theory."""
+    nodes = _nodes(n)
+    t = nodes[i]
+    R, D = log_weights(t, n), diff_matrix(n)
+    modes = [abs(R @ np.cos(m * nodes) + (2 * np.pi / m) * np.cos(m * t))
+             for m in range(1, n // 2 + 1)]
+    return {"log sum": abs(R.sum()), "log modes": max(modes),
+            "cauchy": abs(cauchy_weights(t, n) @ np.sin(nodes - t) - 2.0 * np.pi),
+            "diff": max(np.abs(D @ np.cos(3 * nodes) + 3 * np.sin(3 * nodes)).max(),
+                        np.abs(D @ np.sin(5 * nodes) - 5 * np.cos(5 * nodes)).max())}
 
 
 def lagrange_basis_matrix(n: int, targets) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Bessel and Hankel functions of orders 0 and 1.
 
 Thin, validated wrappers around scipy.special. The Wronskian identity
-J1(x) Y0(x) - J0(x) Y1(x) = 2/(pi x) is enforced by the test suite as the
-accuracy gate for the whole Nystrom pipeline. Accuracy is guaranteed on
-(0, 100], which covers kappa * diameter for all configurations used here.
+J1(x) Y0(x) - J0(x) Y1(x) = 2/(pi x), measured by ``wronskian_error``, is
+the accuracy gate of the test suite and ``aescatter verify`` for the whole
+Nystrom pipeline. Accuracy is guaranteed on (0, 100], which covers
+kappa * diameter for all configurations used here.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "bessel_y1",
     "hankel1_0",
     "hankel1_1",
+    "wronskian_error",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -65,3 +67,10 @@ def hankel1_1(x):
     """H1^(1)(x) = J1(x) + i Y1(x) for x > 0."""
     x = _checked(x, "hankel1_1", "hankel1_1 expects x > 0")
     return special.j1(x) + 1j * special.y1(x)
+
+
+def wronskian_error(x) -> float:
+    """max |J1(x) Y0(x) - J0(x) Y1(x) - 2/(pi x)| over the samples x > 0."""
+    x = np.asarray(x, dtype=float)
+    wron = bessel_j1(x) * bessel_y0(x) - bessel_j0(x) * bessel_y1(x)
+    return float(np.abs(wron - 2.0 / (np.pi * x)).max())

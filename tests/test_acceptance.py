@@ -18,6 +18,7 @@ from aescatter.forward import (
     far_field,
     jump_check,
     solve_forward,
+    translation_errors,
 )
 from aescatter.geometry import (
     NodeGrid,
@@ -30,10 +31,10 @@ from aescatter.geometry import (
 from aescatter.inverse_phased import (
     BoundaryUpdate,
     InverseConfig,
+    _frozen_far_field,
     add_noise_phased,
-    frechet_columns,
+    frechet_fd_error,
     run_phased,
-    trapezoid_norm,
 )
 from aescatter.inverse_phaseless import (
     PhaselessData,
@@ -43,8 +44,8 @@ from aescatter.inverse_phaseless import (
     run_phaseless,
 )
 from aescatter.multibody import far_field_sum, solve_two_body_forward
-from aescatter.quadrature import cauchy_weights, diff_matrix, log_weights
-from aescatter.specfun import bessel_j0, bessel_j1, bessel_y0, bessel_y1
+from aescatter.quadrature import identity_errors
+from aescatter.specfun import wronskian_error
 
 PARAMS = MaterialParams.default()
 
@@ -56,20 +57,9 @@ def report(n, ok, detail):
 
 def test_criterion_01_quadrature_identities():
     t0 = time.time()
-    n = 16
-    nodes = np.pi * np.arange(2 * n) / n
-    t = nodes[5]
-    worst = abs(log_weights(t, n).sum())
-    R = log_weights(t, n)
-    for m in range(1, 9):
-        worst = max(worst, abs(R @ np.cos(m * nodes) + (2 * np.pi / m) * np.cos(m * t)))
-    T = cauchy_weights(t, n)
-    cauchy_err = abs(T @ np.sin(nodes - t) - 2.0 * np.pi)
-    D = diff_matrix(n)
-    diff_err = max(
-        np.abs(D @ np.cos(3 * nodes) + 3 * np.sin(3 * nodes)).max(),
-        np.abs(D @ np.sin(5 * nodes) - 5 * np.cos(5 * nodes)).max(),
-    )
+    errors = identity_errors(16, 5)
+    worst = max(errors["log sum"], errors["log modes"])
+    cauchy_err, diff_err = errors["cauchy"], errors["diff"]
     elapsed = time.time() - t0
     ok = worst < 1e-12 and cauchy_err < 1e-12 and diff_err < 1e-12 and elapsed < 1.0
     report(1, ok, f"log {worst:.2e}, cauchy {cauchy_err:.2e}, "
@@ -78,9 +68,7 @@ def test_criterion_01_quadrature_identities():
 
 def test_criterion_02_wronskian():
     t0 = time.time()
-    x = np.linspace(1e-3, 50.0, 20000)
-    wron = bessel_j1(x) * bessel_y0(x) - bessel_j0(x) * bessel_y1(x)
-    err = np.abs(wron - 2.0 / (np.pi * x)).max()
+    err = wronskian_error(np.linspace(1e-3, 50.0, 20000))
     elapsed = time.time() - t0
     ok = err < 1e-11 and elapsed < 1.0
     report(2, ok, f"max deviation {err:.2e}, {elapsed:.2f}s")
@@ -145,18 +133,9 @@ def test_criterion_04_forward_self_convergence():
 
 def test_criterion_05_translation_covariance():
     t0 = time.time()
-    wave = IncidentWave(np.pi / 8)
-    curve = make_apple()
-    h = np.array([0.5, 0.3])
-    grid = NodeGrid(64)
     obs = np.pi * np.arange(128) / 64
-    ff = far_field(solve_forward(curve, PARAMS, wave, grid), curve, PARAMS, obs, grid)
-    moved = translate(curve, h)
-    ff_h = far_field(solve_forward(moved, PARAMS, wave, grid), moved, PARAMS, obs, grid)
-    xhat = np.column_stack([np.cos(obs), np.sin(obs)])
-    factor = np.exp(1j * PARAMS.kappa_a * (wave.direction - xhat) @ h)
-    phase_err = np.abs(ff_h.values - factor * ff.values).max()
-    mod_err = np.abs(np.abs(ff_h.values) - np.abs(ff.values)).max()
+    phase_err, mod_err = translation_errors(make_apple(), np.array([0.5, 0.3]), PARAMS,
+                                            IncidentWave(np.pi / 8), NodeGrid(64), obs)
     elapsed = time.time() - t0
     ok = phase_err <= 1e-6 and mod_err <= 1e-6 and elapsed < 10.0
     report(5, ok, f"phase-corrected {phase_err:.2e}, modulus {mod_err:.2e}, {elapsed:.1f}s")
@@ -174,20 +153,6 @@ def test_criterion_06_jump_relations():
     report(6, ok, f"{detail}, {elapsed:.1f}s")
 
 
-def _frozen_far_field(curve, dens, grid, obs, update, sign):
-    from aescatter.forward import gamma_far
-
-    t = grid.nodes
-    vartheta = dens.phi3_tilde * jet(curve, t).G ** 2
-    p = curve.point(t) + sign * update.delta_c \
-        + (sign * update.delta_r(t))[:, None] \
-        * np.column_stack([np.cos(t), np.sin(t)])
-    ka = PARAMS.kappa_a
-    phase = np.exp(-1j * ka * (np.cos(obs)[:, None] * p[:, 0]
-                               + np.sin(obs)[:, None] * p[:, 1]))
-    return gamma_far(ka) * (np.pi / grid.n) * phase @ vartheta
-
-
 def test_criterion_07_frechet_finite_differences():
     t0 = time.time()
     wave = IncidentWave(np.pi / 8)
@@ -197,17 +162,9 @@ def test_criterion_07_frechet_finite_differences():
 
     curve = make_apple()
     dens = solve_forward(curve, PARAMS, wave, grid)
-    B = frechet_columns(curve, dens, PARAMS, obs, M, grid)
     rng = np.random.default_rng(5)
     eps = 1e-5
-    worst_phased = 0.0
-    for _ in range(5):
-        xi = rng.standard_normal(2 * M + 3)
-        xi /= np.linalg.norm(xi)
-        upd = BoundaryUpdate(eps * xi[:2], eps * xi[2:3 + M], eps * xi[3 + M:])
-        fd = (_frozen_far_field(curve, dens, grid, obs, upd, 1.0)
-              - _frozen_far_field(curve, dens, grid, obs, upd, -1.0)) / (2 * eps)
-        worst_phased = max(worst_phased, np.abs(fd - B @ xi).max() / np.abs(fd).max())
+    worst_phased = frechet_fd_error(curve, dens, PARAMS, obs, M, grid, rng)
 
     # phaseless matrix: same frozen-density derivative through |.|^2
     peanut = make_peanut()
@@ -218,17 +175,16 @@ def test_criterion_07_frechet_finite_differences():
     total = far_field_sum(dens2, peanut, ball.curve(), PARAMS, obs2, grid2, grid2)
     A = phaseless_columns(peanut, dens2, PARAMS, total.values, obs2, M, grid2)
     ball_part = total.values - _frozen_far_field(
-        peanut, dens2.body_d, grid2, obs2,
-        BoundaryUpdate(np.zeros(2), np.zeros(M + 1), np.zeros(M)), 1.0)
+        peanut, dens2.body_d, PARAMS, obs2, grid2,
+        BoundaryUpdate(np.zeros(2), np.zeros(M + 1), np.zeros(M)))
     worst_phaseless = 0.0
     for _ in range(5):
         xi = rng.standard_normal(2 * M + 3)
         xi /= np.linalg.norm(xi)
         upd = BoundaryUpdate(eps * xi[:2], eps * xi[2:3 + M], eps * xi[3 + M:])
-        plus = np.abs(_frozen_far_field(peanut, dens2.body_d, grid2, obs2, upd, 1.0)
-                      + ball_part) ** 2
-        minus = np.abs(_frozen_far_field(peanut, dens2.body_d, grid2, obs2, upd, -1.0)
-                       + ball_part) ** 2
+        plus, minus = (np.abs(_frozen_far_field(peanut, dens2.body_d, PARAMS, obs2, grid2,
+                                                upd.scaled(sign)) + ball_part) ** 2
+                       for sign in (1.0, -1.0))
         fd = (plus - minus) / (2 * eps)
         worst_phaseless = max(worst_phaseless,
                               np.abs(fd - A @ xi).max() / np.abs(fd).max())

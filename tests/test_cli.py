@@ -63,11 +63,18 @@ class TestConfig:
             cmd_invert(p, tmp_path / "never_read.dat")
 
     @pytest.mark.parametrize("section, key", [("grids", "n_forwad"), ("noise", "delat"),
-                                              ("wave", "thetta")])
+                                              ("wave", "thetta"), ("obstacle", "radius"),
+                                              ("ball", "raduis")])
     def test_unknown_section_key_raises(self, tmp_path, section, key):
-        # before the check these loaded with the key's default in its place
+        # before the check these loaded with the key's default in its place, or
+        # (a ball's radius) failed later with a KeyError
         p = write_config(tmp_path / "typo.json", **{section: {key: 16}})
         with pytest.raises(ValueError, match=f"{section} key: {key}"):
+            load_config(p)
+
+    def test_unknown_obstacle_kind_raises(self, tmp_path):
+        p = write_config(tmp_path / "typo.json", obstacle={"kind": "cirle", "radius": 0.5})
+        with pytest.raises(ValueError, match="obstacle kind 'cirle'"):
             load_config(p)
 
     def test_unknown_section_raises(self, tmp_path):
@@ -177,7 +184,7 @@ class TestInvertCommand:
 
 class TestVerifyCommand:
     def test_quick_report_passes(self):
-        ok, report = cmd_verify(quick=True)
+        ok, report = cmd_verify()
         assert ok, report
         assert "translation covariance" in report
         assert report.count("PASS") >= 8
@@ -187,3 +194,8 @@ class TestVerifyCommand:
         assert main(["forward", str(p)]) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
+
+    def test_main_verify(self, capsys):
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("PASS") for line in lines) == 10

@@ -30,6 +30,7 @@ from aescatter.forward import (
     solve_densities,
     solve_forward,
     system_sensitivity,
+    translation_errors,
 )
 from aescatter.geometry import (
     NodeGrid,
@@ -248,16 +249,10 @@ class TestGridsArePassed:
 
 class TestTranslationCovariance:
     def test_phase_factor(self, params, wave):
-        curve = make_apple()
-        h = np.array([0.5, 0.3])
-        grid = NodeGrid(64)
-        ff = far_field(solve_forward(curve, params, wave, grid), curve, params, OBS, grid)
-        moved = translate(curve, h)
-        ff_h = far_field(solve_forward(moved, params, wave, grid), moved, params, OBS, grid)
-        xhat = np.column_stack([np.cos(OBS), np.sin(OBS)])
-        factor = np.exp(1j * params.kappa_a * (wave.direction - xhat) @ h)
-        assert np.abs(ff_h.values - factor * ff.values).max() < 1e-10
-        assert np.abs(np.abs(ff_h.values) - np.abs(ff.values)).max() < 1e-10
+        phase, modulus = translation_errors(make_apple(), (0.5, 0.3), params, wave,
+                                            NodeGrid(64), OBS)
+        assert phase < 1e-10
+        assert modulus < 1e-10
 
     @pytest.mark.parametrize("make", [
         make_apple,
@@ -613,6 +608,19 @@ class TestFactorSystem:
         A = np.eye(6)
         A[2, 2] = 0.0
         with pytest.warns(RuntimeWarning, match="nearly singular"):
+            solve = factor_system(A)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError, match="linear solve residual too large"):
+            solve(np.ones(6))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_fails_the_gate(self, bad):
+        """LAPACK takes the system unchecked; one NaN or inf entry still
+        stops its solver at the backward-error gate."""
+        A = np.eye(6, dtype=complex) + 0.1
+        A[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf gives rcond 0
             solve = factor_system(A)
         with np.errstate(invalid="ignore"), pytest.raises(
                 FloatingPointError, match="linear solve residual too large"):
