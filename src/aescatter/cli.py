@@ -68,7 +68,8 @@ _DEFAULTS = {
     "noise": {"delta": 0.0, "model": "uniform"},
     "seed": 0,
 }
-# The keys of each obstacle kind besides ``kind`` and ``center``.
+# The keys of each obstacle kind besides ``kind`` and ``center``; all but
+# a Fourier shape's ``b`` are required.
 _SHAPE_KEYS = {"apple": [], "peanut": [], "circle": ["radius"], "fourier": ["a", "b"]}
 
 
@@ -78,7 +79,9 @@ def load_config(path) -> dict:
     The result is fully populated, so dumping and re-loading it is
     idempotent. An unknown section, obstacle kind, or key of ``wave``,
     ``grids``, ``noise``, ``obstacle`` (per kind) or ``ball`` raises
-    ValueError (the dataclasses check the others).
+    ValueError (the dataclasses check the others), as does a missing key
+    that has no default: an obstacle's shape keys but a Fourier ``b``, and
+    a given ball's ``center`` and ``radius``.
     """
     with open(path) as f:
         raw = json.load(f)
@@ -92,6 +95,12 @@ def load_config(path) -> dict:
         unknown = sorted(set(given) - set(known))
         if unknown:
             raise ValueError(f"unknown config {what}: {', '.join(unknown)}")
+    required = {"obstacle": [key for key in _SHAPE_KEYS[kind] if key != "b"],
+                "ball": fields["ball"] if raw.get("ball") is not None else []}
+    for section, keys in required.items():
+        missing = [key for key in keys if key not in (raw.get(section) or {})]
+        if missing:
+            raise ValueError(f"missing config {section} key: {', '.join(missing)}")
     return {key: {**default, **(raw.get(key) or {})} if isinstance(default, dict)
             else raw.get(key, default) for key, default in _DEFAULTS.items()}
 

@@ -72,6 +72,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{section} key: {key}"):
             load_config(p)
 
+    @pytest.mark.parametrize("section, body, key", [
+        ("ball", {"center": [6.6, 0]}, "radius"), ("ball", {"radius": 0.7}, "center"),
+        ("obstacle", {"kind": "circle"}, "radius"), ("obstacle", {"kind": "fourier"}, "a")],
+        ids=["ball-radius", "ball-center", "circle-radius", "fourier-a"])
+    def test_missing_section_key_raises(self, tmp_path, section, body, key):
+        # before the check these failed later, in cmd_forward, with a bare KeyError
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps({section: body}))
+        with pytest.raises(ValueError, match=f"missing config {section} key: {key}"):
+            load_config(p)
+
     def test_unknown_obstacle_kind_raises(self, tmp_path):
         p = write_config(tmp_path / "typo.json", obstacle={"kind": "cirle", "radius": 0.5})
         with pytest.raises(ValueError, match="obstacle kind 'cirle'"):
