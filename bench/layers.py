@@ -18,7 +18,7 @@ pool of numpy's OpenBLAS at 1 and at 2 threads (set in this process only,
 and restored afterwards): equal medians show that no numpy product in
 either Newton loop runs on threads that would compete with scipy's LU.
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_28.json]
+    python3 bench/layers.py [--src SRC] [--out BENCH_29.json]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's); the workloads and the tracer come from the ``perfbench``
@@ -123,11 +123,18 @@ def _rows(a, result):
     return int(a["system"].shape[0])
 
 
+def _chosen_n(a, result):
+    return result[0].n
+
+
 def traced_set(tracing) -> list:
     """``tracing.TRACED`` with the grid n as the info of ``solve_forward``,
     ``assemble_system`` and ``_predicted_modulus`` (a phased prediction is a
-    ``solve_forward``), plus the layers the benchmark does not wrap."""
-    from aescatter import forward, inverse_phased, inverse_phaseless, multibody
+    ``solve_forward``), plus the layers the benchmark does not wrap: among
+    them the Newton loop's own steps, the grid rule ``_iterate_grid`` (with
+    the n it chooses), its ``_strip_width``, ``_boundary_motion`` and
+    ``boundary_error``."""
+    from aescatter import forward, inverse_phased, multibody
 
     grid_n = {"forward.solve_forward", "forward.assemble_system",
               "inverse_phaseless.predicted_modulus"}
@@ -136,12 +143,15 @@ def traced_set(tracing) -> list:
         ("forward.discretize", forward, "discretize", _grid_n),
         ("forward._fill_system", forward, "_fill_system", None),
         ("forward.factor_system", forward, "factor_system", _rows),
-        ("forward._far_field_on", forward, "_far_field_on", _grid_n),
+        ("forward.far_field_matrix", forward, "far_field_matrix", _grid_n),
         ("forward.system_sensitivity", forward, "system_sensitivity", None),
         ("multibody.cross_pair", multibody, "cross_pair", None),
         ("multibody.cross_block_sensitivity", multibody, "cross_block_sensitivity", None),
         ("inverse_phased._phase_columns", inverse_phased, "_phase_columns", None),
-        ("inverse_phaseless._jacobian_at", inverse_phaseless, "_jacobian_at", None),
+        ("inverse_phased._iterate_grid", inverse_phased, "_iterate_grid", _chosen_n),
+        ("inverse_phased._strip_width", inverse_phased, "_strip_width", None),
+        ("inverse_phased._boundary_motion", inverse_phased, "_boundary_motion", None),
+        ("inverse_phased.boundary_error", inverse_phased, "boundary_error", None),
     ]
 
 
@@ -299,7 +309,7 @@ def paired(parent: Path, src: Path, rounds: int) -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_28.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_29.json")
     parser.add_argument("--pair", type=Path, default=None,
                         help="checkout of the commit to compare with, alternated with this one")
     parser.add_argument("--rounds", type=int, default=10)

@@ -51,3 +51,15 @@ def test_tracer_installs_the_traced_set_and_restores_it():
     assert tracing.TRACED is before and forward.discretize is original
     assert [(s.name, s.info) for s in active.spans if s.name == "forward.discretize"] == [
         ("forward.discretize", 8)]
+
+
+def test_iterate_grid_span_reads_the_chosen_n():
+    from aescatter import forward, geometry, inverse_phased
+
+    curve = inverse_phased.initial_curve(inverse_phased.InverseConfig((0.0, 0.0), 0.4, 0.1))
+    with layers.tracer(tracing, layers.traced_set(tracing)) as active:
+        grid, _ = inverse_phased._iterate_grid(curve, 64, forward.MaterialParams.default())
+    spans = [(s.name, s.info) for s in active.spans]
+    assert ("inverse_phased._iterate_grid", grid.n) in spans
+    assert ("inverse_phased._strip_width", None) in spans
+    assert isinstance(grid, geometry.NodeGrid) and grid.n == 24

@@ -81,10 +81,10 @@ def load_config(path) -> dict:
     ``grids``, ``noise``, ``obstacle`` (per kind) or ``ball`` raises
     ValueError (the dataclasses check the others), as does a missing key
     that has no default: an obstacle's shape keys but a Fourier ``b``, and
-    a given ball's ``center`` and ``radius``.
+    a given ball's ``center`` and ``radius``; so does a NaN or Infinity.
     """
     with open(path) as f:
-        raw = json.load(f)
+        raw = json.load(f, parse_constant=_reject_constant)
     kind = (raw.get("obstacle") or {}).get("kind", "apple")
     if kind not in _SHAPE_KEYS:
         raise ValueError(f"unknown obstacle kind {kind!r}")
@@ -103,6 +103,10 @@ def load_config(path) -> dict:
             raise ValueError(f"missing config {section} key: {', '.join(missing)}")
     return {key: {**default, **(raw.get(key) or {})} if isinstance(default, dict)
             else raw.get(key, default) for key, default in _DEFAULTS.items()}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"config value {name} is not a JSON number")
 
 
 def dump_config(cfg: dict, path) -> None:
@@ -153,7 +157,6 @@ def cmd_forward(config_path) -> list[Path]:
     seed = cfg["seed"]
     out = _out_dir()
     stem = Path(config_path).stem
-    written = []
 
     if ball is None:
         densities = solve_forward(curve, params, wave, grid)
@@ -163,7 +166,6 @@ def cmd_forward(config_path) -> list[Path]:
         path = out / f"{stem}_phased.dat"
         table = np.column_stack([ff.angles, ff.values.real, ff.values.imag])
         np.savetxt(path, table, header="angle re im")
-        written.append(path)
     else:
         densities = solve_two_body_forward(curve, ball.curve(), params, wave, grid)
         total = far_field_sum(densities, curve, ball.curve(), params, angles, grid, grid)
@@ -173,8 +175,7 @@ def cmd_forward(config_path) -> list[Path]:
         path = out / f"{stem}_phaseless.dat"
         np.savetxt(path, np.column_stack([data.angles, data.values]),
                    header="angle abs2")
-        written.append(path)
-    return written
+    return [path]
 
 
 def _write_history(path: Path, records, M: int, ball: ReferenceBallSpec | None) -> None:

@@ -99,10 +99,10 @@ class MaterialParams:
     omega: float = 0.7 * np.pi
     c: float = 1.0
 
-    def __post_init__(self):
-        if self.mu <= 0.0 or self.lam + self.mu <= 0.0:
+    def __post_init__(self):  # written so that a NaN fails each check
+        if not (self.mu > 0.0 and self.lam + self.mu > 0.0):
             raise ValueError("need mu > 0 and lam + mu > 0")
-        if min(self.rho_e, self.rho_a, self.omega, self.c) <= 0.0:
+        if not all(v > 0.0 for v in (self.rho_e, self.rho_a, self.omega, self.c)):
             raise ValueError("densities, frequency and sound speed must be positive")
 
     @property
@@ -116,6 +116,11 @@ class MaterialParams:
     @property
     def kappa_a(self) -> float:
         return self.omega / self.c
+
+    @property
+    def kappas(self) -> tuple[float, float, float]:
+        """(kappa_p, kappa_s, kappa_a), the order of the three densities."""
+        return self.kappa_p, self.kappa_s, self.kappa_a
 
     @staticmethod
     def default() -> "MaterialParams":
@@ -168,31 +173,34 @@ class FarField:
             raise ValueError("angles and values must match in length")
 
 
-def rhs_plane_wave(
-    curve: StarlikeCurve,
-    params: MaterialParams,
-    wave: IncidentWave,
-    grid: NodeGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-hand sides (w1, w2, w3) of the discretized system.
+def rhs_plane_wave(jets: CurveJet, params: MaterialParams, wave: IncidentWave) -> tuple:
+    """Right-hand sides (w1, w2, w3) of the discretized system at the nodes
+    of the node jet ``jets``.
 
     w1 = -2 u_inc on the boundary, w2 = 0, and w3 carries the normal
     derivative of the incident wave scaled by 1/(omega^2 rho_a).
     """
-    return _rhs_on(jet(curve, grid.nodes), params, wave)
-
-
-def _rhs_on(jets: CurveJet, params: MaterialParams, wave: IncidentWave) -> tuple:
-    """``rhs_plane_wave`` at the nodes of ``jets``."""
     d = wave.direction
     uinc = np.exp(1j * params.kappa_a * (jets.p @ d))
-    w1 = -2.0 * uinc
-    w2 = np.zeros_like(w1)
     w3 = 2j * params.kappa_a * (jets.nu @ d) * uinc / (params.omega**2 * params.rho_a)
-    return w1, w2, w3
+    return -2.0 * uinc, np.zeros_like(uinc), w3
 
 
-# Per wavenumber (kappa_p, kappa_s, kappa_a): the jump +-1/G of K on the diagonal
+def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
+                     motion: BoundaryMotion) -> np.ndarray:
+    """Derivative of the right-hand side (w1, w2, w3) of ``rhs_plane_wave``
+    under ``motion``, 3N x P: u_inc changes by i kappa_a (d . dp) u_inc and
+    nu by -dtheta tau."""
+    ka, d = params.kappa_a, wave.direction
+    uinc = np.exp(1j * ka * (jets.p @ d))[:, None]
+    d_dp = np.einsum("k,ikp->ip", d, motion.dp)
+    dw1 = -2j * ka * d_dp * uinc
+    dw3 = (2j * ka / (params.omega**2 * params.rho_a)) * uinc * (
+        1j * ka * (jets.nu @ d)[:, None] * d_dp - (jets.tau @ d)[:, None] * motion.dtheta)
+    return np.concatenate([dw1, np.zeros_like(dw1), dw3])
+
+
+# Per wavenumber (``MaterialParams.kappas``): the jump +-1/G of K on the diagonal
 # (the diagonal terms and the identities next to D), and whether a row reads its H.
 _JUMPS, _TANGENTIAL = (1.0, 1.0, -1.0), (True, True, False)
 
@@ -338,8 +346,7 @@ def _density_ops(geom, grid: NodeGrid, params: MaterialParams):
     if grid.n < 8:
         raise ValueError("grid too coarse for the singular quadrature (need n >= 8)")
     tables = _shared_tables(geom, grid)
-    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
-    for kappa, jump, tangential in zip(kappas, _JUMPS, _TANGENTIAL):
+    for kappa, jump, tangential in zip(params.kappas, _JUMPS, _TANGENTIAL):
         yield _ops(geom, grid, kappa, tables, jump, tangential)
 
 
@@ -447,8 +454,8 @@ def _block_sensitivity(f: dict, targets: CurveJet, r, a, b, ops, params: Materia
     times (dp_x, dp_y, dtheta) of node i."""
     x = np.reshape(x, (3, -1))
     y, terms = _times_d(-x[:2]), _terms(params)
-    kappas = (params.kappa_p, params.kappa_s, params.kappa_a)
-    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b) for op, kappa in zip(ops, kappas)))
+    ops_r, ops_phi = zip(*(_derivative_ops(op, kappa, r, a, b)
+                           for op, kappa in zip(ops, params.kappas)))
     B, B_r, B_phi = [_weights(o, x, y, terms) for o in (ops, ops_r, ops_phi)]
     del ops_r, ops_phi
     nu, tau = targets.nu, targets.tau
@@ -596,20 +603,13 @@ def solve_forward(
 ) -> DensitySet:
     """Assemble and solve in one step."""
     A = assemble_system(curve, params, grid)
-    return solve_densities(A, rhs_plane_wave(curve, params, wave, grid))
+    return solve_densities(A, rhs_plane_wave(jet(curve, grid.nodes), params, wave))
 
 
-def far_field_matrix(
-    curve: StarlikeCurve, params: MaterialParams, obs_angles, grid: NodeGrid
-) -> np.ndarray:
-    """Trapezoid-rule matrix taking the scaled acoustic density at the grid
-    nodes to the far field at the observation angles."""
-    obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
-    return _far_field_on(jet(curve, grid.nodes), params, obs_angles, grid)
-
-
-def _far_field_on(jets: CurveJet, params: MaterialParams, obs_angles, grid: NodeGrid):
-    """``far_field_matrix`` at the nodes of ``jets``."""
+def far_field_matrix(jets: CurveJet, params: MaterialParams, obs_angles, grid: NodeGrid):
+    """Trapezoid-rule matrix taking the scaled acoustic density at the nodes
+    of the node jet ``jets`` on ``grid`` to the far field at the observation
+    angles, an array."""
     ka = params.kappa_a
     xhat = np.stack([np.cos(obs_angles), np.sin(obs_angles)])
     # cos + i sin of the real phase: np.exp of the imaginary array gives
@@ -628,8 +628,8 @@ def far_field(
 ) -> FarField:
     """Far-field pattern by the trapezoidal rule from the acoustic density solved on ``grid``."""
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
-    vals = _gemm(far_field_matrix(curve, params, obs_angles, grid), densities.phi3_tilde)
-    return FarField(angles=obs_angles, values=vals)
+    F = far_field_matrix(jet(curve, grid.nodes), params, obs_angles, grid)
+    return FarField(angles=obs_angles, values=_gemm(F, densities.phi3_tilde))
 
 
 class NearField(NamedTuple):
@@ -820,5 +820,5 @@ def boundary_residual(
         [P @ densities.phi1_tilde, P @ densities.phi2_tilde, P @ densities.phi3_tilde]
     )
     A = assemble_system(curve, params, shifted)
-    b = np.concatenate(rhs_plane_wave(curve, params, wave, shifted))
+    b = np.concatenate(rhs_plane_wave(jet(curve, shifted.nodes), params, wave))
     return np.abs(A @ x - b).reshape(3, shifted.size).max(axis=1)

@@ -41,8 +41,8 @@ from .forward import (
     FarField,
     IncidentWave,
     MaterialParams,
-    _far_field_on,
     _gemm,
+    far_field_matrix,
     gamma_far,
     solve_forward,
 )
@@ -86,15 +86,17 @@ class InverseConfig:
     max_iter: int = 50
     n_forward: int = 64
 
-    def __post_init__(self):
-        if self.M < 1:
+    def __post_init__(self):  # written so that a NaN fails each check
+        if not self.M >= 1:
             raise ValueError("truncation degree M must be >= 1")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("step scaling rho must be in (0, 1]")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("stopping tolerance epsilon must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
+        if not self.n_forward >= 8:  # the least n of the singular quadrature
+            raise ValueError("grid cap n_forward must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -180,11 +182,9 @@ def trapezoid_norm(values) -> float:
 def boundary_error(curve: StarlikeCurve, truth: StarlikeCurve, samples: int = 256) -> float:
     """Relative L^2 distance between two boundary position vectors."""
     t = 2.0 * np.pi * np.arange(samples) / samples
-    diff = curve.point(t) - truth.point(t)
     ref = truth.point(t)
-    return float(
-        np.sqrt(np.sum(diff**2)) / np.sqrt(np.sum(ref**2))
-    )
+    diff = curve.point(t) - ref
+    return float(np.sqrt(np.sum(diff**2)) / np.sqrt(np.sum(ref**2)))
 
 
 def noise_samples(rng: np.random.Generator, size, model: str) -> np.ndarray:
@@ -236,7 +236,7 @@ def frechet_columns(
     """
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
     jets = jet(curve, grid.nodes)
-    Fx = _far_field_on(jets, params, obs_angles, grid) * densities.phi3_tilde
+    Fx = far_field_matrix(jets, params, obs_angles, grid) * densities.phi3_tilde
     return _phase_columns(Fx, obs_angles, _boundary_motion(jets, grid.nodes, M), params.kappa_a)
 
 
@@ -379,7 +379,7 @@ def _iterate_grid(curve: StarlikeCurve, cap: int, params: MaterialParams,
         center, radius = near
         gap = np.min(np.linalg.norm(curve.point(t) - center, axis=1)) - radius
         width = min(width, 0.5 * gap / speed)
-    kappa = max(params.kappa_p, params.kappa_s, params.kappa_a)
+    kappa = max(params.kappas)
     n = max(_GRID_FLOOR, _wave_band(kappa * speed, _WAVE_TOL),
             _GRID_TARGET / (2 * width) if width > 0 else cap)
     return NodeGrid(min(cap, _GRID_STEP * int(np.ceil(n / _GRID_STEP)))), sigma
@@ -448,7 +448,7 @@ def run_phased(
     def predict(curve, grid):
         densities = solve_forward(curve, params, wave, grid)
         jets = jet(curve, grid.nodes)
-        F = _far_field_on(jets, params, angles, grid)
+        F = far_field_matrix(jets, params, angles, grid)
         return _gemm(F, densities.phi3_tilde), (grid, jets, F, densities.phi3_tilde)
 
     def jacobian(curve, predicted, state):

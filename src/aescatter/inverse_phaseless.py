@@ -11,9 +11,9 @@ same center-plus-trig-polynomial parameter space as the phased algorithm.
 
 The far-field products of a step, F_D and F_B times the densities in
 ``_predicted_modulus`` and times the densities and their responses in
-``_jacobian_at``, go through ``forward._gemm``, by the rule stated in
-``inverse_phased``; the (N x 2) frame products of ``_rhs_sensitivity`` (a
-gemv with m n = 2N) stay in numpy.
+``exact_phaseless_jacobian``, go through ``forward._gemm``, by the rule
+stated in ``inverse_phased``; the (N x 2) frame products of
+``forward._rhs_sensitivity`` (a gemv with m n = 2N) stay in numpy.
 """
 
 from __future__ import annotations
@@ -27,16 +27,17 @@ from .forward import (
     Discretization,
     IncidentWave,
     MaterialParams,
-    _far_field_on,
     _fill_system,
     _gemm,
-    _rhs_on,
+    _rhs_sensitivity,
     assemble_system,
     discretize,
     factor_system,
+    far_field_matrix,
+    rhs_plane_wave,
     system_sensitivity,
 )
-from .geometry import BoundaryMotion, CurveJet, NodeGrid, StarlikeCurve, jet, make_circle
+from .geometry import CurveJet, NodeGrid, StarlikeCurve, jet, make_circle
 from .inverse_phased import (
     InverseConfig,
     IterationRecord,
@@ -143,7 +144,7 @@ _BALL_TOL = 1e-13
 def _ball_grid(radius: float, params: MaterialParams, n_d: int) -> NodeGrid:
     """The ball's grid: the least n_b the rule above allows, at most n_d."""
     n_b = int(np.ceil(np.log(_BALL_TOL) / (-2.0 * np.log1p(_BALL_CLEARANCE))))
-    band = _wave_band(max(params.kappa_p, params.kappa_s, params.kappa_a) * radius, _BALL_TOL)
+    band = _wave_band(max(params.kappas) * radius, _BALL_TOL)
     return NodeGrid(min(n_d, max(n_b, band)))
 
 
@@ -168,8 +169,8 @@ def _fixed_ball(ball_curve: StarlikeCurve, params: MaterialParams, wave: Inciden
     jets = jet(ball_curve, ball_grid.nodes)
     return _FixedBall(ball_curve, ball_grid, jets, (1.0 + _BALL_CLEARANCE) * radius,
                       assemble_system(ball_curve, params, ball_grid),
-                      np.concatenate(_rhs_on(jets, params, wave)),
-                      _far_field_on(jets, params, angles, ball_grid))
+                      np.concatenate(rhs_plane_wave(jets, params, wave)),
+                      far_field_matrix(jets, params, angles, ball_grid))
 
 
 class _Scene(NamedTuple):
@@ -206,65 +207,31 @@ def _predicted_modulus(
     jets = disc.geom.jets
     pair = cross_pair(jets, ball.jets, params, grid, ball.grid)
     solve = factor_system(assemble_two_body(pair, _fill_system(jets, disc.ops, params), ball.A))
-    x = solve(np.concatenate([*_rhs_on(jets, params, wave), ball.b]))
+    x = solve(np.concatenate([*rhs_plane_wave(jets, params, wave), ball.b]))
     N = grid.size
-    F_d = _far_field_on(jets, params, angles, grid)
+    F_d = far_field_matrix(jets, params, angles, grid)
     total = _gemm(F_d, x[2 * N : 3 * N]) + _gemm(ball.F, x[3 * N + 2 * ball.grid.size :])
     return np.abs(total) ** 2, _Scene(solve, x, pair, F_d, disc, total)
 
 
-def exact_phaseless_jacobian(
-    curve_d: StarlikeCurve,
-    ball_curve: StarlikeCurve,
-    params: MaterialParams,
-    wave: IncidentWave,
-    angles: np.ndarray,
-    M: int,
-    grid: NodeGrid,
-) -> np.ndarray:
+def exact_phaseless_jacobian(scene: _Scene, ball: _FixedBall, params: MaterialParams,
+                             wave: IncidentWave, angles: np.ndarray, M: int) -> np.ndarray:
     """Jacobian of the predicted |u_inf|^2, 2n x (2M+3), by implicit
-    differentiation of the two-body Nystrom system A x = b.
+    differentiation of the two-body Nystrom system A x = b, at the curve and
+    on the grid of the ``_predicted_modulus`` that gave ``scene``.
 
     The parameters are those of ``apply_update`` (the center shift, then
-    a_0..a_M, b_1..b_M of a radial update r + dr), and
-    ``inverse_phased._boundary_motion`` gives how they move the nodes, so
-    any starlike ``curve_d`` will do and no perturbed curve is built. The
-    ball's blocks are built once on its own grid (``_ball_grid``; ValueError
-    within one ball radius of it) and do not move; A is assembled and
-    factored once, as a prediction of ``run_phaseless`` does. Then
-    dx = -A^{-1}(dA x - db), every column behind the residual gate of a
-    forward solve, and du_inf = dF_D x_d + F_D dx_d + F_B dx_b, with every
-    piece that moves with the obstacle differentiated analytically: A_dd x_d
+    a_0..a_M, b_1..b_M of a radial update r + dr), whose node motion
+    ``inverse_phased._boundary_motion`` gives, so any starlike curve will
+    do. The ball does not move. dx = -A^{-1}(dA x - db) on the scene's
+    factorization, every column behind the residual gate of a forward solve,
+    and du_inf = dF_D x_d + F_D dx_d + F_B dx_b, with A_dd x_d
     (``system_sensitivity``), A_db x_b and A_bd x_d
-    (``cross_block_sensitivity``), b_d and the obstacle's far-field
-    quadrature. Unlike ``phaseless_columns`` it includes the density
-    response, which is no small correction for the squared modulus: the
-    frozen-density matrix can point uphill.
+    (``cross_block_sensitivity``), b_d and F_D differentiated analytically.
+    It evaluates no Hankel function or far field, rebuilds no jet, operator
+    or F_D, and does not change the scene. Unlike ``phaseless_columns`` it
+    includes the density response: the frozen-density matrix can point uphill.
     """
-    ball = _fixed_ball(ball_curve, params, wave, angles, grid)
-    _, scene = _predicted_modulus(curve_d, ball, params, wave, angles, grid)
-    return _jacobian_at(scene, ball, params, wave, angles, M)
-
-
-def _rhs_sensitivity(jets: CurveJet, params: MaterialParams, wave: IncidentWave,
-                     motion: BoundaryMotion) -> np.ndarray:
-    """Derivative of the right-hand side (w1, w2, w3) of ``rhs_plane_wave``
-    under ``motion``, 3N x P: u_inc changes by i kappa_a (d . dp) u_inc and
-    nu by -dtheta tau."""
-    ka, d = params.kappa_a, wave.direction
-    uinc = np.exp(1j * ka * (jets.p @ d))[:, None]
-    d_dp = np.einsum("k,ikp->ip", d, motion.dp)
-    dw1 = -2j * ka * d_dp * uinc
-    dw3 = (2j * ka / (params.omega**2 * params.rho_a)) * uinc * (
-        1j * ka * (jets.nu @ d)[:, None] * d_dp - (jets.tau @ d)[:, None] * motion.dtheta)
-    return np.concatenate([dw1, np.zeros_like(dw1), dw3])
-
-
-def _jacobian_at(scene: _Scene, ball, params, wave, angles, M):
-    """``exact_phaseless_jacobian`` from the ``_Scene`` of a prediction, on
-    its grid, and the ``_FixedBall``: it evaluates no Hankel function and no
-    far field, rebuilds no jet, pair geometry, obstacle operator or F_D, and
-    does not change the scene."""
     solve, x, pair, F_d, disc, u = scene
     grid, jets = disc.grid, disc.geom.jets
     N, b3 = grid.size, 3 * grid.size + 2 * ball.grid.size  # b3: where phi3 on B starts
@@ -312,5 +279,6 @@ def run_phaseless(
     return _newton_tikhonov(
         data.values,
         lambda curve, grid: _predicted_modulus(curve, fixed, params, wave, data.angles, grid),
-        lambda curve, _, scene: _jacobian_at(scene, fixed, params, wave, data.angles, config.M),
+        lambda curve, _, scene: exact_phaseless_jacobian(scene, fixed, params, wave,
+                                                         data.angles, config.M),
         config, ground_truth, params, near=(ball.center, ball.radius))

@@ -16,7 +16,7 @@ moves: for each direction, the self block's derivative routine,
 ``cross_block_sensitivity`` runs in every phaseless Newton step, so by the
 rule stated in ``inverse_phased`` its products with the node motion go
 through ``forward._gemm`` and D is applied by FFT; the (N x 2) frame
-products of the right-hand side (``forward._rhs_on``) and ``_features``
+products of the right-hand side (``forward.rhs_plane_wave``) and ``_features``
 stay in numpy.
 """
 
@@ -111,7 +111,7 @@ def cross_pair(
             f"{_MIN_SEPARATION}); the cross kernels would be nearly singular"
         )
     S_db, S_bd = [], []
-    for kappa in (params.kappa_p, params.kappa_s, params.kappa_a):
+    for kappa in params.kappas:
         z = kappa * r
         f, f_r = 0.5j * hankel1_0(z), -0.5j * kappa * hankel1_1(z)
         S_db.append(((np.pi / grid_b.n) * f, (np.pi / grid_b.n) * f_r))
@@ -192,12 +192,12 @@ def solve_two_body_forward(
     if grid_b is None:
         grid_b = NodeGrid(grid_d.n)
     A_bb = assemble_system(curve_b, params, grid_b)
-    pair = cross_pair(jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes),
-                      params, grid_d, grid_b)
+    jets_d, jets_b = jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes)
+    pair = cross_pair(jets_d, jets_b, params, grid_d, grid_b)
     A = assemble_two_body(pair, assemble_system(curve_d, params, grid_d), A_bb)
     del A_bb, pair  # in A now: held through the LU, they raised its peak by 22 MB at n=100
-    b_d = np.concatenate(rhs_plane_wave(curve_d, params, wave, grid_d))
-    b_b = np.concatenate(rhs_plane_wave(curve_b, params, wave, grid_b))
+    b_d = np.concatenate(rhs_plane_wave(jets_d, params, wave))
+    b_b = np.concatenate(rhs_plane_wave(jets_b, params, wave))
     x_d, x_b = np.split(factor_system(A)(np.concatenate([b_d, b_b])), [len(b_d)])
     return TwoBodyDensities(DensitySet(*np.split(x_d, 3)), DensitySet(*np.split(x_b, 3)))
 

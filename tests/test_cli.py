@@ -62,6 +62,16 @@ class TestConfig:
         with pytest.raises(TypeError, match=key):
             cmd_invert(p, tmp_path / "never_read.dat")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("noise", "delta", float("nan")), ("inversion", "epsilon", float("nan")),
+        ("material", "lam", float("inf")), ("wave", "theta", -float("inf"))])
+    def test_non_number_constant_raises(self, tmp_path, section, key, value):
+        # Python's json reads these as floats: a NaN delta wrote noise-free
+        # data, and a NaN epsilon ran on to the iteration cap
+        p = write_config(tmp_path / "constant.json", **{section: {key: value}})
+        with pytest.raises(ValueError, match=json.dumps(value)):
+            load_config(p)
+
     @pytest.mark.parametrize("section, key", [("grids", "n_forwad"), ("noise", "delat"),
                                               ("wave", "thetta"), ("obstacle", "radius"),
                                               ("ball", "raduis")])

@@ -370,11 +370,11 @@ class TestSharedGeometryAssembly:
 
 
 # The functions of a Newton step that make products over the nodes.
-NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "_jacobian_at",
+NEWTON_STEP_FUNCTIONS = ("_phase_columns", "_predicted_modulus", "exact_phaseless_jacobian",
                          "cross_block_sensitivity", "far_field", "factor_system",
                          "system_sensitivity", "_block_sensitivity", "_motion_columns",
                          "_direction_ops", "_times_d", "_shared_tables", "discretize",
-                         "_density_ops", "_fill_system", "_far_field_on", "run_phased")
+                         "_density_ops", "_fill_system", "far_field_matrix", "run_phased")
 
 
 class TestSolvePathProducts:
@@ -442,10 +442,12 @@ def reciprocity_gap(curve: StarlikeCurve, params, n: int, thetas) -> float:
     grid, thetas = NodeGrid(n), np.asarray(thetas, dtype=float)
     solve = factor_system(assemble_system(curve, params, grid))
 
+    jets = jet(curve, grid.nodes)
+
     def patterns(angles):  # u_inf(angles[b]; angles[a]) at [b, a]
-        b = np.column_stack([np.concatenate(rhs_plane_wave(curve, params, IncidentWave(t), grid))
+        b = np.column_stack([np.concatenate(rhs_plane_wave(jets, params, IncidentWave(t)))
                              for t in angles])
-        return far_field_matrix(curve, params, angles, grid) @ solve(b)[2 * grid.size :]
+        return far_field_matrix(jets, params, angles, grid) @ solve(b)[2 * grid.size :]
 
     forward, reverse = patterns(thetas), patterns(thetas + np.pi)
     return np.abs(forward - reverse.T).max() / np.abs(forward).max()

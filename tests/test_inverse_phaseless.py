@@ -53,6 +53,15 @@ def _ball(params, wave, grid):
     return _fixed_ball(BALL.curve(), params, wave, OBS, grid)
 
 
+def _jacobian(curve, params, wave, M, grid):
+    """The exact Jacobian at ``curve`` with ``BALL``, on ``grid``, built as
+    ``run_phaseless`` builds it: the fixed ball, then the prediction whose
+    scene the Jacobian reads."""
+    ball = _ball(params, wave, grid)
+    scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+    return exact_phaseless_jacobian(scene, ball, params, wave, OBS, M)
+
+
 @pytest.fixture(scope="module")
 def peanut_scene(params, wave):
     curve = make_peanut()
@@ -191,7 +200,7 @@ class TestColumns:
 
         grid = NodeGrid(32)
         curve = make_fourier((0.0, 0.0), [0.49, 0.0, -0.15], [0.0, 0.0])
-        J = exact_phaseless_jacobian(curve, BALL.curve(), params, wave, OBS, 1, grid)
+        J = _jacobian(curve, params, wave, 1, grid)
         # compare the center column against an independent secant at a
         # different step size
         from aescatter.inverse_phaseless import _predicted_modulus
@@ -218,7 +227,7 @@ class TestExactJacobian:
         solves on the perturbed boundaries."""
         grid, M, h = NodeGrid(32), self.DEGREE, 1e-6
         curve = self._curve()
-        J = exact_phaseless_jacobian(curve, BALL.curve(), params, wave, OBS, M, grid)
+        J = _jacobian(curve, params, wave, M, grid)
         n_par, ball = 2 * M + 3, _ball(params, wave, grid)
         fd = np.empty((len(OBS), n_par))
         for i in range(n_par):
@@ -246,8 +255,7 @@ class TestExactJacobian:
             # inverse_phaseless does not import solve_two_body_forward
             for module in (m for m in (inverse_phaseless, multibody) if hasattr(m, name)):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        exact_phaseless_jacobian(self._curve(), BALL.curve(), params, wave, OBS,
-                                 self.DEGREE, NodeGrid(16))
+        _jacobian(self._curve(), params, wave, self.DEGREE, NodeGrid(16))
         assert calls == {"assemble_two_body": 1, "factor_system": 1,
                          "solve_two_body_forward": 0}
 
@@ -264,7 +272,7 @@ class TestRunPhaseless:
         inside = []
         assemble = multibody.assemble_two_body
         predict = inverse_phaseless._predicted_modulus
-        jacobian = inverse_phaseless._jacobian_at
+        jacobian = inverse_phaseless.exact_phaseless_jacobian
 
         def counting_assemble(*args, **kwargs):
             counts["assemble_two_body"] += 1
@@ -286,7 +294,7 @@ class TestRunPhaseless:
         for module in (inverse_phaseless, multibody):
             monkeypatch.setattr(module, "assemble_two_body", counting_assemble)
         monkeypatch.setattr(inverse_phaseless, "_predicted_modulus", counting_predict)
-        monkeypatch.setattr(inverse_phaseless, "_jacobian_at", marked_jacobian)
+        monkeypatch.setattr(inverse_phaseless, "exact_phaseless_jacobian", marked_jacobian)
         cfg = InverseConfig(initial_center=(0.0, 0.1), initial_radius=0.5,
                             epsilon=1e-6, M=2, max_iter=2, n_forward=16)
         records = run_phaseless(data, BALL, params, wave, cfg)
@@ -400,7 +408,7 @@ class TestRunPhaseless:
                             epsilon=1e-3, M=2, max_iter=3, n_forward=16)
         full = run_phaseless(data, BALL, params, wave, cfg, ground_truth=curve)
         assert len(full) >= 3
-        jacobian, calls = inverse_phaseless._jacobian_at, []
+        jacobian, calls = inverse_phaseless.exact_phaseless_jacobian, []
 
         def failing_second(*args, **kwargs):
             calls.append(True)
@@ -408,7 +416,7 @@ class TestRunPhaseless:
                 raise FloatingPointError("backward error gate")
             return jacobian(*args, **kwargs)
 
-        monkeypatch.setattr(inverse_phaseless, "_jacobian_at", failing_second)
+        monkeypatch.setattr(inverse_phaseless, "exact_phaseless_jacobian", failing_second)
         records = run_phaseless(data, BALL, params, wave, cfg, ground_truth=curve)
         assert len(calls) == 2
         assert [(r.k, r.E_k, r.Err_k, r.curve.to_dict()) for r in records] == [
@@ -444,14 +452,15 @@ def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, st
     x_d, x_b = x[: 3 * N], x[3 * N :]
 
     def moving_terms(curve):
+        jets = jet(curve, grid.nodes)
         A_db, A_bd = multibody.cross_blocks(
-            multibody.cross_pair(jet(curve, grid.nodes), ball.jets, params, grid, ball.grid))
+            multibody.cross_pair(jets, ball.jets, params, grid, ball.grid))
         rows_d = (
             assemble_system(curve, params, grid) @ x_d
             + A_db @ x_b
-            - np.concatenate(rhs_plane_wave(curve, params, wave, grid))
+            - np.concatenate(rhs_plane_wave(jets, params, wave))
         )
-        ff = far_field_matrix(curve, params, angles, grid) @ x_d[2 * N :]
+        ff = far_field_matrix(jets, params, angles, grid) @ x_d[2 * N :]
         return np.concatenate([rows_d, A_bd @ x_d]), ff
 
     n_par = 2 * M + 3
@@ -467,8 +476,8 @@ def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, st
         dF[:, i] = (f_plus - f_minus) / (2.0 * step)
     dx = solve(-dR)
 
-    F_d = far_field_matrix(curve_d, params, angles, grid)
-    F_b = far_field_matrix(ball_curve, params, angles, ball.grid)
+    F_d = far_field_matrix(jet(curve_d, grid.nodes), params, angles, grid)
+    F_b = far_field_matrix(ball.jets, params, angles, ball.grid)
     u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * ball.grid.size :]
     du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[3 * N + 2 * ball.grid.size :]
     return 2.0 * (np.conj(u)[:, None] * du).real
@@ -494,7 +503,7 @@ class TestAnalyticJacobian:
         """Analytic cross blocks, right-hand side and far field (and zero
         center columns of the self block) against differencing them all."""
         grid, curve, ball = NodeGrid(32), JACOBIAN_CURVES[name](), BALL.curve()
-        J = exact_phaseless_jacobian(curve, ball, params, wave, OBS, degree, grid)
+        J = _jacobian(curve, params, wave, degree, grid)
         ref = _differenced_jacobian(curve, ball, params, wave, OBS, degree, grid)
         assert np.abs(J - ref).max() / np.abs(ref).max() <= 1e-6
 
@@ -517,16 +526,16 @@ class TestAnalyticJacobian:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         degree = 3
-        inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, degree)
+        exact_phaseless_jacobian(scene, ball, params, wave, OBS, degree)
         assert calls == {"assemble_system": 0, "cross_blocks": 0}
 
     def test_scene_values_reused(self, params, wave, monkeypatch):
         """The Jacobian takes the cross blocks' Hankel values and F_D from the
         scene of its prediction: it calls neither H0 nor H1 from
         ``multibody`` and builds no far-field matrix, and it equals the
-        public Jacobian bit for bit."""
+        Jacobian of a fresh scene bit for bit."""
         grid, curve, degree = NodeGrid(16), TestExactJacobian._curve(), 3
-        ref = exact_phaseless_jacobian(curve, BALL.curve(), params, wave, OBS, degree, grid)
+        ref = _jacobian(curve, params, wave, degree, grid)
         ball = _ball(params, wave, grid)
         scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
         calls = {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
@@ -540,11 +549,10 @@ class TestAnalyticJacobian:
         for name in ("hankel1_0", "hankel1_1"):
             monkeypatch.setattr(multibody, name, counting(name, getattr(multibody, name)))
         for module in (forward, inverse_phased, inverse_phaseless):
-            for name in ("far_field_matrix", "_far_field_on"):  # the matrix, or its core
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name,
-                                        counting("far_field_matrix", getattr(module, name)))
-        J = inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, degree)
+            if hasattr(module, "far_field_matrix"):
+                monkeypatch.setattr(module, "far_field_matrix",
+                                    counting("far_field_matrix", module.far_field_matrix))
+        J = exact_phaseless_jacobian(scene, ball, params, wave, OBS, degree)
         assert calls == {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
         assert np.array_equal(J, ref)
 
@@ -566,7 +574,7 @@ class TestAnalyticJacobian:
             for name in ("jet", "pair_geometry", "_ops", "_shared_tables", "kernel_tables"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, 3)
+        exact_phaseless_jacobian(scene, ball, params, wave, OBS, 3)
         assert calls == []
 
     def test_no_dense_differentiation_matrix(self, params, wave, monkeypatch):
@@ -583,7 +591,7 @@ class TestAnalyticJacobian:
 
         for module in (forward, quadrature):
             monkeypatch.setattr(module, "diff_matrix", counting)
-        inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, 3)
+        exact_phaseless_jacobian(scene, ball, params, wave, OBS, 3)
         assert calls == []
 
     def test_scene_holds_the_predicted_field(self, params, wave):
@@ -598,7 +606,7 @@ class TestAnalyticJacobian:
         the same scene is bit for bit the first."""
         grid, curve, ball = NodeGrid(16), make_peanut(), _ball(params, wave, NodeGrid(16))
         scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
-        first, second = (inverse_phaseless._jacobian_at(scene, ball, params, wave, OBS, M)
+        first, second = (exact_phaseless_jacobian(scene, ball, params, wave, OBS, M)
                          for _ in range(2))
         assert np.array_equal(first, second)
 
@@ -606,9 +614,9 @@ class TestAnalyticJacobian:
         """A profile that is not a trigonometric polynomial: every column
         against central differences of full two-body solves on the bumped
         peanut."""
-        grid, degree, h, ball = NodeGrid(32), 2, 1e-6, BALL.curve()
+        grid, degree, h = NodeGrid(32), 2, 1e-6
         curve = make_peanut()
-        J = exact_phaseless_jacobian(curve, ball, params, wave, OBS, degree, grid)
+        J = _jacobian(curve, params, wave, degree, grid)
         fixed = _ball(params, wave, grid)
         fd = np.column_stack([
             (_predicted_modulus(bumped(curve, degree, k, h), fixed, params, wave, OBS, grid)[0]
