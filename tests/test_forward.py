@@ -57,7 +57,7 @@ def series_coefficients(params, a, theta_d, M=40):
     """Mode-by-mode solution of the fluid-solid transmission problem on a
     disk of radius a: interior potentials alpha J_m(kp r), beta J_m(ks r),
     exterior scattered field c H_m(ka r), driven by a plane wave."""
-    kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
+    kp, ks, ka = params.kappas
     lam, mu = params.lam, params.mu
     w2ra = params.omega**2 * params.rho_a
 
@@ -156,7 +156,7 @@ class TestManufacturedSolutions:
     @staticmethod
     def manufactured_rhs(curve, params, grid):
         lam, mu = params.lam, params.mu
-        kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
+        kp, ks, ka = params.kappas
         w2ra = params.omega**2 * params.rho_a
         z1 = np.array([2.1, 0.8])   # exterior source -> interior p-potential
         z2 = np.array([-1.9, 1.2])  # exterior source -> interior s-potential
@@ -184,7 +184,7 @@ class TestManufacturedSolutions:
         dens = solve_densities(A, rhs)
         nf_in = near_field(dens, curve, params, x_in, grid)
         nf_out = near_field(dens, curve, params, x_out, grid)
-        kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
+        kp, ks, ka = params.kappas
         # the apple's kernel is less analytic (near-reentrant notch), so its
         # spectral rate at n=64 lands slightly above the smoother shapes
         tol = 1e-6 if name == "apple" else 5e-8
@@ -285,7 +285,7 @@ def per_wavenumber_assembly(curve, params, grid):
     jets = jet(curve, grid.nodes)
     t, n, N = grid.nodes, grid.n, grid.size
     lam, mu = params.lam, params.mu
-    kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
+    kp, ks, ka = params.kappas
     D = diff_matrix(n)
     R, T = log_weight_table(n), cauchy_weight_table(n)
 

@@ -157,7 +157,7 @@ def _pointwise_cross_block(jets_t, jets_s, grid_s, params):
     """Cross block from the pointwise phi / grad_phi / hess_phi formulas:
     rows the three equations at the target nodes, columns the source's
     three densities, weighted by the trapezoid rule times G^2."""
-    kp, ks, ka = params.kappa_p, params.kappa_s, params.kappa_a
+    kp, ks, ka = params.kappas
     lam, mu = params.lam, params.mu
     w2r = params.omega**2 * params.rho_a
     x, y = jets_t.p[:, None, :], jets_s.p[None, :, :]
