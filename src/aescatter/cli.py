@@ -42,7 +42,7 @@ from .forward import (
     solve_forward,
     translation_errors,
 )
-from .geometry import NodeGrid, StarlikeCurve, make_apple, make_fourier
+from .geometry import NodeGrid, StarlikeCurve, _integral, make_apple, make_fourier
 from .inverse_phased import InverseConfig, add_noise_phased, frechet_fd_error, run_phased
 from .inverse_phaseless import (
     PhaselessData,
@@ -81,7 +81,8 @@ def load_config(path) -> dict:
     ``grids``, ``noise``, ``obstacle`` (per kind) or ``ball`` raises
     ValueError (the dataclasses check the others), as does a missing key
     that has no default: an obstacle's shape keys but a Fourier ``b``, and
-    a given ball's ``center`` and ``radius``; so does a NaN or Infinity.
+    a given ball's ``center`` and ``radius``; so does a NaN or Infinity, and
+    an ``observation_points`` or ``seed`` that is not an integer.
     """
     with open(path) as f:
         raw = json.load(f, parse_constant=_reject_constant)
@@ -101,8 +102,11 @@ def load_config(path) -> dict:
         missing = [key for key in keys if key not in (raw.get(section) or {})]
         if missing:
             raise ValueError(f"missing config {section} key: {', '.join(missing)}")
-    return {key: {**default, **(raw.get(key) or {})} if isinstance(default, dict)
-            else raw.get(key, default) for key, default in _DEFAULTS.items()}
+    cfg = {key: {**default, **(raw.get(key) or {})} if isinstance(default, dict)
+           else raw.get(key, default) for key, default in _DEFAULTS.items()}
+    if not (_integral(cfg["grids"]["observation_points"]) and _integral(cfg["seed"])):
+        raise ValueError("config observation_points and seed must be integers")
+    return cfg
 
 
 def _reject_constant(name: str):

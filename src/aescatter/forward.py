@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve
@@ -82,6 +82,8 @@ __all__ = [
 _COND_WARN_RCOND = 1e-12
 _BACKWARD_GATE = 1e-14  # of ||Ax - b|| / (||A|| ||x|| + ||b||), 1-norms; LU gives ~1e-16
 _NEAR_FIELD_CLEARANCE = 1e-3
+# jump_check: distances h off the boundary, grid of the limits, target nodes
+_JUMP_H, _JUMP_N, _JUMP_TARGETS = (1e-2, 5e-3, 2.5e-3, 1.25e-3), 64, (0, 17, 51, 90)
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,10 @@ class IncidentWave:
 
     theta: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.theta):
+            raise ValueError("incidence angle theta must be finite")
+
     @property
     def direction(self) -> np.ndarray:
         return np.array([np.cos(self.theta), np.sin(self.theta)])
@@ -171,6 +177,8 @@ class FarField:
     def __post_init__(self):
         if len(self.angles) != len(self.values):
             raise ValueError("angles and values must match in length")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("far-field values must be finite")
 
 
 def rhs_plane_wave(jets: CurveJet, params: MaterialParams, wave: IncidentWave) -> tuple:
@@ -340,9 +348,7 @@ class Discretization(NamedTuple):
 
 def _density_ops(geom, grid: NodeGrid, params: MaterialParams):
     """Each density's ``_ops`` in turn, at its wavenumber with its jump, on
-    one ``_shared_tables``, made before the first: built after the split
-    tables, the cached weight tables sat above their freed temporaries in
-    glibc's heap (10 MB resident at n=128)."""
+    one ``_shared_tables``, made before the first."""
     if grid.n < 8:
         raise ValueError("grid too coarse for the singular quadrature (need n >= 8)")
     tables = _shared_tables(geom, grid)
@@ -681,107 +687,61 @@ def near_field(
 # Verification helpers
 # ---------------------------------------------------------------------------
 
-def _offside_sum(curve, kappa, g_fn, x_eval, h, kernel):
-    """Trapezoid sum of kernel(x_eval, y, kappa) g(y) ds(y) at a point at
-    distance ~h off the boundary, with a node count sized to the
-    near-singularity; ``kernel`` is grad_phi or hess_phi."""
-    N = int(min(2 ** 17, max(4096, 2 ** int(np.ceil(np.log2(60.0 / h))))))
-    s = 2.0 * np.pi * np.arange(N) / N
-    js = jet(curve, s)
-    theta = g_fn(s) * js.G
-    values = kernel(x_eval, js.p, kappa)
-    return (2.0 * np.pi / N) * np.einsum("j...,j->...", values, theta)
+def jump_check(curve: StarlikeCurve, params: MaterialParams,
+               density: Callable[[np.ndarray], np.ndarray]) -> dict:
+    """Compare one-sided derivatives of the single-layer potential of
+    ``density`` (at kappa_p) to their limit formulas.
 
-
-def jump_check(
-    curve: StarlikeCurve,
-    params: MaterialParams,
-    density: Callable[[np.ndarray], np.ndarray],
-    h_sequence: Sequence[float] = (1e-2, 5e-3, 2.5e-3, 1.25e-3),
-    n: int = 64,
-    target_indices: Sequence[int] = (0, 17, 51, 90),
-) -> dict:
-    """Compare one-sided layer-potential derivatives to their limit formulas.
-
-    For each h the potential gradient (and, for the second-derivative
-    relations, the Hessian contracted with nu) is evaluated at x +- h nu
-    by a dense trapezoid rule, and compared to the one-sided limit computed
-    with the singular node quadrature. Errors should decay like h log h.
+    For each h the gradient and the Hessian contracted with nu are
+    evaluated at x +- h nu by a dense trapezoid rule, on one node set per h
+    sized to the near-singularity, and compared to the one-sided limits
+    computed with the singular node quadrature (``grad`` and
+    ``traction_grad``). Errors should decay like h log h. In 2D the curl of
+    a potential is its gradient turned by 90 degrees, so the curl relations
+    of the shear potential are these two turned and need no check of their own.
     """
-    kappa = params.kappa_p
-    grid = NodeGrid(n)
+    kappa, grid, T = params.kappa_p, NodeGrid(_JUMP_N), list(_JUMP_TARGETS)
     jets = jet(curve, grid.nodes)
     geom = pair_geometry(jets, grid.nodes)
     # The factor 1/2 turns the doubled boundary operators into plain
-    # boundary integrals of theta = G * g.
+    # boundary integrals of theta = G * g; only the targets' rows are needed.
     ops = _ops(geom, grid, kappa, _shared_tables(geom, grid), 0.0, True)
-    Smat, Kmat, Hmat = (0.5 * ops[k] for k in "SKH")
-    D = diff_matrix(n)
-
+    S, K, H = (0.5 * ops[k][T] for k in "SKH")
+    D = diff_matrix(_JUMP_N)
     g = density(grid.nodes)
     theta = jets.G * g
     # Tangential derivatives of g nu and g tau along the curve.
     dgnu = (D @ (g[:, None] * jets.nu)) / jets.G[:, None]
     dgtau = (D @ (g[:, None] * jets.tau)) / jets.G[:, None]
+    # The direct values at the targets, the means of the two one-sided limits.
+    x, nu = jets.p[T], jets.nu[T]
+    grad_lim = (K @ theta)[:, None] * nu + (H @ theta)[:, None] * jets.tau[T]
+    hess_lim = (-kappa**2 * (S * (nu @ jets.nu.T) * theta) @ jets.nu
+                - H @ (jets.G[:, None] * dgnu) + K @ (jets.G[:, None] * dgtau))
 
-    int_dnu = Kmat @ theta            # nu-component of int grad Phi g ds
-    int_dtau = Hmat @ theta
-    grad_int = int_dnu[:, None] * jets.nu + int_dtau[:, None] * jets.tau
-    curl_int = np.stack([grad_int[:, 1], -grad_int[:, 0]], axis=-1)
+    report = {name: {"h": list(_JUMP_H), "plus": [], "minus": []}
+              for name in ("grad", "traction_grad")}
+    for h in _JUMP_H:
+        N = int(min(2 ** 17, max(4096, 2 ** int(np.ceil(np.log2(60.0 / h))))))
+        s = 2.0 * np.pi * np.arange(N) / N
+        dense = jet(curve, s)
+        weights = density(s) * dense.G
 
-    def s_vec(weight_rows, vec):
-        # int Phi (vec(y) * weight(y; x_i)) g ds, componentwise
-        return np.stack(
-            [Smat @ (weight_rows * vec[:, l] * theta) for l in (0, 1)], axis=-1
-        )
+        def offside(xe, kernel):   # trapezoid sum of kernel(xe, y) g(y) ds(y)
+            return (2.0 * np.pi / N) * np.einsum("j...,j->...", kernel(xe, dense.p, kappa), weights)
 
-    report: dict[str, dict] = {}
-    for name in ("grad", "curl", "traction_grad", "traction_curl"):
-        report[name] = {"h": list(h_sequence), "plus": [], "minus": []}
+        for sign, key in ((+1.0, "plus"), (-1.0, "minus")):
+            xe = x + sign * h * nu
+            grad = np.array([offside(xe_i, grad_phi) for xe_i in xe])
+            hess = np.array([offside(xe_i, hess_phi) @ nu_i for xe_i, nu_i in zip(xe, nu)])
+            grad_err = grad - (grad_lim - sign * 0.5 * nu * g[T, None])
+            hess_err = hess - (hess_lim - sign * 0.5 * dgtau[T])
+            report["grad"][key].append(np.linalg.norm(grad_err, axis=1).max())
+            report["traction_grad"][key].append(np.linalg.norm(hess_err, axis=1).max())
 
-    for h in h_sequence:
-        errs = {name: {"plus": [], "minus": []} for name in report}
-        for i in target_indices:
-            x0, nu_i, tau_i = jets.p[i], jets.nu[i], jets.tau[i]
-            nu_dot = jets.nu @ nu_i   # nu(y) . nu(x_i), per source node
-            tau_lim_base = s_vec(nu_dot, jets.nu)      # int Phi <nu,nu> nu(x) g
-            curl_lim_base = s_vec(nu_dot, jets.tau)    # int Phi <tau,nu> nu(x) g
-
-            hess_lim = (
-                -kappa**2 * tau_lim_base[i]
-                - np.stack([Hmat[i] @ (jets.G * dgnu[:, l]) for l in (0, 1)])
-                + np.stack([Kmat[i] @ (jets.G * dgtau[:, l]) for l in (0, 1)])
-            )
-            hess_curl_lim = (
-                kappa**2 * curl_lim_base[i]
-                + np.stack([Hmat[i] @ (jets.G * dgtau[:, l]) for l in (0, 1)])
-                + np.stack([Kmat[i] @ (jets.G * dgnu[:, l]) for l in (0, 1)])
-            )
-
-            for sign, key in ((+1.0, "plus"), (-1.0, "minus")):
-                xe = x0 + sign * h * nu_i
-                grad_num = _offside_sum(curve, kappa, density, xe, h, grad_phi)
-                curl_num = np.array([grad_num[1], -grad_num[0]])
-                grad_lim = grad_int[i] - sign * 0.5 * nu_i * g[i]
-                curl_lim = curl_int[i] + sign * 0.5 * tau_i * g[i]
-                errs["grad"][key].append(np.linalg.norm(grad_num - grad_lim))
-                errs["curl"][key].append(np.linalg.norm(curl_num - curl_lim))
-
-                hess_num = _offside_sum(curve, kappa, density, xe, h, hess_phi) @ nu_i
-                hess_curl_num = np.array([hess_num[1], -hess_num[0]])
-                lim1 = hess_lim - sign * 0.5 * dgtau[i]
-                lim2 = hess_curl_lim - sign * 0.5 * dgnu[i]
-                errs["traction_grad"][key].append(np.linalg.norm(hess_num - lim1))
-                errs["traction_curl"][key].append(
-                    np.linalg.norm(hess_curl_num - lim2)
-                )
-        for name in report:
-            report[name]["plus"].append(max(errs[name]["plus"]))
-            report[name]["minus"].append(max(errs[name]["minus"]))
-
-    for name in report:
-        seq = np.maximum(report[name]["plus"], report[name]["minus"])
-        report[name]["monotone"] = bool(np.all(np.diff(seq) < 0.0))
+    for entry in report.values():
+        seq = np.maximum(entry["plus"], entry["minus"])
+        entry["monotone"] = bool(np.all(np.diff(seq) < 0.0))
     return report
 
 
@@ -802,7 +762,6 @@ def boundary_residual(
     params: MaterialParams,
     wave: IncidentWave,
     grid: NodeGrid,
-    offset: float | None = None,
 ) -> np.ndarray:
     """Max-norm residuals of the three boundary equations at offset nodes.
 
@@ -812,9 +771,7 @@ def boundary_residual(
     on-grid targets, so collocation moves with the nodes), and the residual
     against the incident-wave data is measured.
     """
-    if offset is None:
-        offset = 0.5 * np.pi / grid.n
-    shifted = NodeGrid(grid.n, offset=grid.offset + offset)
+    shifted = NodeGrid(grid.n, offset=grid.offset + 0.5 * np.pi / grid.n)
     P = lagrange_basis_matrix(grid.n, shifted.nodes - grid.offset)
     x = np.concatenate(
         [P @ densities.phi1_tilde, P @ densities.phi2_tilde, P @ densities.phi3_tilde]

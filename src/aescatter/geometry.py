@@ -8,6 +8,7 @@ produced analytically by :func:`jet`; no finite differencing anywhere.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 _POSITIVITY_SAMPLES = 512
+
+
+def _integral(x) -> bool:  # an int or a numpy integer; a bool (JSON's true) is not one
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class RadialProfile:
@@ -146,6 +151,8 @@ class StarlikeCurve:
         object.__setattr__(
             self, "center", np.asarray(self.center, dtype=float).reshape(2)
         )
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("curve center must be finite")
         grid = np.linspace(0.0, 2.0 * np.pi, _POSITIVITY_SAMPLES, endpoint=False)
         r = self.radial.radius(grid)
         if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
@@ -255,8 +262,8 @@ class NodeGrid:
     nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("grid size n must be >= 1")
+        if not (_integral(self.n) and self.n >= 1):
+            raise ValueError("grid size n must be an integer >= 1")
         nodes = np.pi * np.arange(2 * self.n) / self.n + self.offset
         object.__setattr__(self, "nodes", nodes)
 

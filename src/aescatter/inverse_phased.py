@@ -52,6 +52,7 @@ from .geometry import (
     FourierProfile,
     NodeGrid,
     StarlikeCurve,
+    _integral,
     jet,
     make_fourier,
 )
@@ -87,16 +88,16 @@ class InverseConfig:
     n_forward: int = 64
 
     def __post_init__(self):  # written so that a NaN fails each check
-        if not self.M >= 1:
-            raise ValueError("truncation degree M must be >= 1")
+        if not (_integral(self.M) and self.M >= 1):
+            raise ValueError("truncation degree M must be an integer >= 1")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("step scaling rho must be in (0, 1]")
         if not self.epsilon > 0.0:
             raise ValueError("stopping tolerance epsilon must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.n_forward >= 8:  # the least n of the singular quadrature
-            raise ValueError("grid cap n_forward must be >= 8")
+        if not (_integral(self.max_iter) and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer >= 1")
+        if not (_integral(self.n_forward) and self.n_forward >= 8):  # least n of the quadrature
+            raise ValueError("grid cap n_forward must be an integer >= 8")
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,8 @@ def add_noise_phased(
     data: FarField, delta: float, seed: int, model: str = "uniform"
 ) -> FarField:
     """Multiplicative complex noise u(1 + delta*(eta1 + i eta2))."""
-    if delta < 0.0:
-        raise ValueError("noise level must be non-negative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("noise level must be finite and non-negative")
     rng = np.random.default_rng(seed)
     eta = noise_samples(rng, len(data.values), model) + 1j * noise_samples(
         rng, len(data.values), model
@@ -286,8 +287,8 @@ def _penalty_diag(M: int) -> np.ndarray:
 
 def tikhonov_step(B, w, lambda_k: float, M: int, rho: float) -> BoundaryUpdate:
     """Scaled Newton step: xi = rho (lambda I~ + Re(B* B))^{-1} Re(B* w)."""
-    if lambda_k < 0.0:
-        raise ValueError("regularization parameter must be non-negative")
+    if not 0.0 <= lambda_k < np.inf:
+        raise ValueError("regularization parameter must be finite and non-negative")
     B = np.asarray(B)
     w = np.asarray(w)
     lhs = lambda_k * np.diag(_penalty_diag(M)) + (B.conj().T @ B).real
@@ -391,7 +392,7 @@ def _newton_tikhonov(values, predict, jacobian, config, ground_truth, params, ne
     ``predict(curve, grid)`` gives the predicted data on the grid that
     ``_iterate_grid`` chooses (with ``params`` and ``near``) and a state, and
     raises ValueError on a collision or FloatingPointError on a failed
-    solve; ``jacobian(curve, predicted, state)`` gives the data's derivative
+    solve; ``jacobian(predicted, state)`` gives the data's derivative
     B, and a FloatingPointError from it stops the loop as stagnation does.
     One state is alive at a time, so no two-body factorization is held twice.
     """
@@ -408,7 +409,7 @@ def _newton_tikhonov(values, predict, jacobian, config, ground_truth, params, ne
         if E_k <= config.epsilon or k == config.max_iter:
             break
         try:
-            B = jacobian(curve, predicted, state)
+            B = jacobian(predicted, state)
         except FloatingPointError:
             break  # the Jacobian's solve failed: keep the records so far
         state = None  # only an accepted candidate's state is needed next
@@ -451,7 +452,7 @@ def run_phased(
         F = far_field_matrix(jets, params, angles, grid)
         return _gemm(F, densities.phi3_tilde), (grid, jets, F, densities.phi3_tilde)
 
-    def jacobian(curve, predicted, state):
+    def jacobian(predicted, state):
         grid, jets, F, phi3 = state
         B = _phase_columns(F * phi3, angles, _boundary_motion(jets, grid.nodes, config.M),
                            params.kappa_a)

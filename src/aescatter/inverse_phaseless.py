@@ -91,8 +91,8 @@ class ReferenceBallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("ball radius must be positive")
+        if not (0.0 < self.radius < np.inf and np.all(np.isfinite(self.center))):
+            raise ValueError("ball radius must be positive and finite, its center finite")
 
     def curve(self) -> StarlikeCurve:
         return make_circle(self.center, self.radius)
@@ -279,6 +279,6 @@ def run_phaseless(
     return _newton_tikhonov(
         data.values,
         lambda curve, grid: _predicted_modulus(curve, fixed, params, wave, data.angles, grid),
-        lambda curve, _, scene: exact_phaseless_jacobian(scene, fixed, params, wave,
-                                                         data.angles, config.M),
+        lambda _, scene: exact_phaseless_jacobian(scene, fixed, params, wave, data.angles,
+                                                  config.M),
         config, ground_truth, params, near=(ball.center, ball.radius))

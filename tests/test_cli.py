@@ -103,6 +103,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="section: inversions"):
             load_config(p)
 
+    @pytest.mark.parametrize("overrides", [
+        {"grids": {"observation_points": 10.5}}, {"grids": {"observation_points": True}},
+        {"seed": 2.5}, {"seed": True}], ids=["points-float", "points-true", "seed-float",
+                                             "seed-true"])
+    def test_non_integer_count_raises(self, tmp_path, overrides):
+        # 10.5 observation points wrote 11 rows at the angles 2 pi k / 10.5
+        p = write_config(tmp_path / "float.json", **overrides)
+        with pytest.raises(ValueError, match="must be integers"):
+            load_config(p)
+
+    @pytest.mark.parametrize("key", ["M", "max_iter"])
+    def test_non_integer_inversion_field_raises(self, tmp_path, outdir, key):
+        # these constructed, then raised a TypeError inside the run
+        p = write_config(tmp_path / "float.json", inversion={key: 2.5})
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            cmd_invert(p, tmp_path / "never_read.dat")
+
 
 class TestForwardCommand:
     def test_phased_file_shape(self, tmp_path, outdir):
@@ -171,6 +188,16 @@ class TestInvertCommand:
         assert hist.shape[1] == 2 + 2 + 7 + 6  # no Err column
         assert not (outdir / f"{data.stem}_truth.dat").exists()
 
+
+    def test_phased_table_with_nan_raises(self, tmp_path, outdir):
+        # the run stopped at k=0 with E_k=nan; a phaseless table already raised
+        p = write_config(tmp_path / "apple.json")
+        data = tmp_path / "apple_phased.dat"
+        values = np.ones((8, 2))
+        values[3, 0] = np.nan
+        np.savetxt(data, np.column_stack([np.arange(8.0), values]), header="angle re im")
+        with pytest.raises(ValueError, match="finite"):
+            cmd_invert(p, data)
 
     def test_phased_run_on_phaseless_table_raises(self, tmp_path, outdir):
         p = write_config(tmp_path / "apple.json")

@@ -179,6 +179,21 @@ class TestGridAndTranslate:
         np.testing.assert_allclose(g2.nodes - g.nodes, 0.1, atol=1e-15)
         with pytest.raises(ValueError):
             NodeGrid(0)
+        assert NodeGrid(np.int64(4)).size == 8
+
+    @pytest.mark.parametrize("n", [16.5, 16.0, True, np.float64(16)],
+                             ids=["float", "whole-float", "bool", "numpy-float"])
+    def test_node_grid_needs_an_integer(self, n):
+        # 16.5 built 33 nodes with size 33.0, and the solve on it failed
+        # with "arrays used as indices must be of integer (or boolean) type"
+        with pytest.raises(ValueError, match="integer"):
+            NodeGrid(n)
+
+    @pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_non_finite_center_rejected(self, center):
+        # a NaN center failed only in the solve, with "hankel1_0 expects finite input"
+        with pytest.raises(ValueError, match="center must be finite"):
+            make_circle(center, 1.0)
 
     def test_translate(self):
         curve = make_apple()

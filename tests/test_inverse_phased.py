@@ -78,6 +78,13 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise_phased(ff, -0.1, seed=0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, apple_far_field, delta):
+        # both returned NaN or infinite data
+        _, _, ff, _ = apple_far_field
+        with pytest.raises(ValueError, match="finite"):
+            add_noise_phased(ff, delta, seed=0)
+
     @pytest.mark.parametrize("model", ["uniform", "truncated-normal"])
     def test_samples_in_range(self, model):
         rng = np.random.default_rng(0)
@@ -185,6 +192,13 @@ class TestTikhonovStep:
         B, _ = self.make_system()
         upd = tikhonov_step(B, np.zeros(40, complex), 1.0, M, 0.9)
         assert np.abs(upd.xi).max() == 0.0
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        # a NaN lambda returned a NaN update
+        B, w = self.make_system()
+        with pytest.raises(ValueError, match="finite"):
+            tikhonov_step(B, w, lam, M, 0.9)
 
     def test_large_lambda_shrinks_step(self):
         B, w = self.make_system()
@@ -363,6 +377,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             REJECTED[name]()
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", 2.5), ("M", True), ("max_iter", 2.5), ("n_forward", 64.0),
+        ("n_forward", np.float64(64))], ids=["M-float", "M-bool", "max_iter-float",
+                                             "n_forward-float", "n_forward-numpy-float"])
+    def test_non_integer_rejected(self, field, value):
+        # M = 2.5 and max_iter = 2.5 constructed, then raised a TypeError in the run
+        with pytest.raises(ValueError, match="integer"):
+            InverseConfig((0, 0), 0.5, 0.1, **{field: value})
+
     def test_initial_curve_is_circle(self):
         cfg = InverseConfig(initial_center=(0.2, -0.1), initial_radius=0.4,
                             epsilon=0.1)
@@ -534,6 +557,6 @@ class TestRunPhased:
             for name in ("jet", "far_field_matrix"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        B = loop["jacobian"](curve, predicted, state)
+        B = loop["jacobian"](predicted, state)
         assert calls == []
         assert np.array_equal(B, ref)

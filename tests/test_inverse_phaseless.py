@@ -95,6 +95,14 @@ class TestDataTypes:
         np.testing.assert_allclose(curve.center, [6.6, 0.0], atol=1e-15)
         np.testing.assert_allclose(curve.radial.radius(np.zeros(1)), 0.71, atol=1e-15)
 
+    @pytest.mark.parametrize("center, radius", [((6.6, 0.0), np.nan), ((6.6, 0.0), np.inf),
+                                                ((np.nan, 0.0), 0.71), ((6.6, np.inf), 0.71)])
+    def test_ball_spec_non_finite_rejected(self, center, radius):
+        # a NaN radius failed only at ball.curve(), with "radial profile must
+        # stay positive; min over grid is nan"
+        with pytest.raises(ValueError, match="finite"):
+            ReferenceBallSpec(center, radius)
+
 
 class TestNoise:
     def test_zero_delta_identity(self, peanut_scene):
