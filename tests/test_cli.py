@@ -188,7 +188,6 @@ class TestInvertCommand:
         assert hist.shape[1] == 2 + 2 + 7 + 6  # no Err column
         assert not (outdir / f"{data.stem}_truth.dat").exists()
 
-
     def test_phased_table_with_nan_raises(self, tmp_path, outdir):
         # the run stopped at k=0 with E_k=nan; a phaseless table already raised
         p = write_config(tmp_path / "apple.json")
