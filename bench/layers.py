@@ -18,7 +18,7 @@ pool of numpy's OpenBLAS at 1 and at 2 threads (set in this process only,
 and restored afterwards): equal medians show that no numpy product in
 either Newton loop runs on threads that would compete with scipy's LU.
 
-    python3 bench/layers.py [--src SRC] [--out BENCH_29.json]
+    python3 bench/layers.py --out BENCH_<n>.json [--src SRC]
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
 checkout's); the workloads and the tracer come from the ``perfbench``
@@ -26,7 +26,7 @@ directory beside it. Whole processes on a shared machine run 10-50% faster
 or slower than the next, so a comparison alternates fresh processes:
 
     git clone --quiet . <dir> && git -C <dir> checkout --quiet <commit>
-    python3 bench/layers.py --pair <dir> [--rounds 10] [--out BENCH_<n>.json]
+    python3 bench/layers.py --pair <dir> --out BENCH_<n>.json [--rounds 10]
 
 runs, ``--rounds`` times, the commit's own copy of this script on its
 ``src`` and this script on ``--src``, the commit first in even rounds,
@@ -119,6 +119,10 @@ def _grid_n(a, result):
     return a["grid"].n
 
 
+def _jets_n(a, result):  # the n of a jet on the 2n nodes of a grid
+    return len(a["jets"].G) // 2
+
+
 def _rows(a, result):
     return int(a["system"].shape[0])
 
@@ -143,7 +147,7 @@ def traced_set(tracing) -> list:
         ("forward.discretize", forward, "discretize", _grid_n),
         ("forward._fill_system", forward, "_fill_system", None),
         ("forward.factor_system", forward, "factor_system", _rows),
-        ("forward.far_field_matrix", forward, "far_field_matrix", _grid_n),
+        ("forward.far_field_matrix", forward, "far_field_matrix", _jets_n),
         ("forward.system_sensitivity", forward, "system_sensitivity", None),
         ("multibody.cross_pair", multibody, "cross_pair", None),
         ("multibody.cross_block_sensitivity", multibody, "cross_block_sensitivity", None),
@@ -309,7 +313,7 @@ def paired(parent: Path, src: Path, rounds: int) -> dict:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_29.json")
+    parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--pair", type=Path, default=None,
                         help="checkout of the commit to compare with, alternated with this one")
     parser.add_argument("--rounds", type=int, default=10)

@@ -63,3 +63,14 @@ def test_iterate_grid_span_reads_the_chosen_n():
     assert ("inverse_phased._iterate_grid", grid.n) in spans
     assert ("inverse_phased._strip_width", None) in spans
     assert isinstance(grid, geometry.NodeGrid) and grid.n == 24
+
+
+def test_far_field_matrix_span_reads_the_n_of_its_jet():
+    from aescatter import forward, geometry
+
+    jets = geometry.jet(geometry.make_apple(), geometry.NodeGrid(12).nodes)
+    with layers.tracer(tracing, layers.traced_set(tracing)) as active:
+        forward.far_field_matrix(jets, forward.MaterialParams.default(), [0.0, 1.0])
+    assert [(s.name, s.info) for s in active.spans if s.name == "forward.far_field_matrix"] == [
+        ("forward.far_field_matrix", 12)]
+

@@ -199,8 +199,11 @@ def _write_history(path: Path, records, M: int, ball: ReferenceBallSpec | None) 
     np.savetxt(path, np.array(rows), header=header)
 
 
-def _write_curve(path: Path, curve: StarlikeCurve, samples: int = 256) -> None:
-    t = 2.0 * np.pi * np.arange(samples) / samples
+_CURVE_SAMPLES = 256  # equispaced angles of a written curve
+
+
+def _write_curve(path: Path, curve: StarlikeCurve) -> None:
+    t = 2.0 * np.pi * np.arange(_CURVE_SAMPLES) / _CURVE_SAMPLES
     p = curve.point(t)
     np.savetxt(path, np.column_stack([t, p[:, 0], p[:, 1]]), header="t x y")
 

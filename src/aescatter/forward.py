@@ -612,17 +612,17 @@ def solve_forward(
     return solve_densities(A, rhs_plane_wave(jet(curve, grid.nodes), params, wave))
 
 
-def far_field_matrix(jets: CurveJet, params: MaterialParams, obs_angles, grid: NodeGrid):
-    """Trapezoid-rule matrix taking the scaled acoustic density at the nodes
-    of the node jet ``jets`` on ``grid`` to the far field at the observation
-    angles, an array."""
+def far_field_matrix(jets: CurveJet, params: MaterialParams, obs_angles):
+    """Trapezoid-rule matrix taking the scaled acoustic density at the N
+    equispaced nodes of the node jet ``jets`` (weight 2 pi / N) to the far
+    field at the observation angles, an array."""
     ka = params.kappa_a
     xhat = np.stack([np.cos(obs_angles), np.sin(obs_angles)])
     # cos + i sin of the real phase: np.exp of the imaginary array gives
     # the same values at several times the cost
     arg = _gemm(jets.p, -ka * xhat).T   # C-ordered, as F's products expect
     phase = np.cos(arg) + 1j * np.sin(arg)
-    return phase * (gamma_far(ka) * (np.pi / grid.n) * jets.G**2)
+    return phase * (gamma_far(ka) * (2.0 * np.pi / len(jets.G)) * jets.G**2)
 
 
 def far_field(
@@ -634,7 +634,7 @@ def far_field(
 ) -> FarField:
     """Far-field pattern by the trapezoidal rule from the acoustic density solved on ``grid``."""
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
-    F = far_field_matrix(jet(curve, grid.nodes), params, obs_angles, grid)
+    F = far_field_matrix(jet(curve, grid.nodes), params, obs_angles)
     return FarField(angles=obs_angles, values=_gemm(F, densities.phi3_tilde))
 
 

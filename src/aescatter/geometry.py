@@ -194,8 +194,7 @@ class CurveJet:
     """Pointwise curve data used by the kernels.
 
     ``n = (p2', -p1')`` is the unnormalized outward normal (length G),
-    ``n_perp = (p1', p2')`` the unnormalized tangent; ``n_prime`` and
-    ``n_perp_prime`` are their derivatives built from p''.
+    ``n_perp = (p1', p2')`` the unnormalized tangent.
     """
 
     p: np.ndarray
@@ -206,8 +205,6 @@ class CurveJet:
     n_perp: np.ndarray
     nu: np.ndarray
     tau: np.ndarray
-    n_prime: np.ndarray
-    n_perp_prime: np.ndarray
 
 
 def jet(curve: StarlikeCurve, t) -> CurveJet:
@@ -225,14 +222,9 @@ def jet(curve: StarlikeCurve, t) -> CurveJet:
     G = np.sqrt(dr**2 + r**2)
     n = np.stack([dp[..., 1], -dp[..., 0]], axis=-1)
     n_perp = dp
-    n_prime = np.stack([ddp[..., 1], -ddp[..., 0]], axis=-1)
-    n_perp_prime = ddp
     nu = n / G[..., None]
     tau = n_perp / G[..., None]
-    return CurveJet(
-        p=p, dp=dp, ddp=ddp, G=G, n=n, n_perp=n_perp,
-        nu=nu, tau=tau, n_prime=n_prime, n_perp_prime=n_perp_prime,
-    )
+    return CurveJet(p=p, dp=dp, ddp=ddp, G=G, n=n, n_perp=n_perp, nu=nu, tau=tau)
 
 
 class BoundaryMotion(NamedTuple):

@@ -88,6 +88,10 @@ class InverseConfig:
     n_forward: int = 64
 
     def __post_init__(self):  # written so that a NaN fails each check
+        if not (np.shape(self.initial_center) == (2,) and np.all(np.isfinite(self.initial_center))):
+            raise ValueError("initial_center must be two finite numbers")
+        if not 0.0 < self.initial_radius < np.inf:
+            raise ValueError("initial_radius must be positive and finite")
         if not (_integral(self.M) and self.M >= 1):
             raise ValueError("truncation degree M must be an integer >= 1")
         if not 0.0 < self.rho <= 1.0:
@@ -180,9 +184,13 @@ def trapezoid_norm(values) -> float:
     return float(np.sqrt((2.0 * np.pi / len(values)) * np.sum(np.abs(values) ** 2)))
 
 
-def boundary_error(curve: StarlikeCurve, truth: StarlikeCurve, samples: int = 256) -> float:
-    """Relative L^2 distance between two boundary position vectors."""
-    t = 2.0 * np.pi * np.arange(samples) / samples
+_ERROR_SAMPLES = 256
+
+
+def boundary_error(curve: StarlikeCurve, truth: StarlikeCurve) -> float:
+    """Relative L^2 distance between two boundary position vectors, sampled at
+    ``_ERROR_SAMPLES`` equispaced angles."""
+    t = 2.0 * np.pi * np.arange(_ERROR_SAMPLES) / _ERROR_SAMPLES
     ref = truth.point(t)
     diff = curve.point(t) - ref
     return float(np.sqrt(np.sum(diff**2)) / np.sqrt(np.sum(ref**2)))
@@ -237,7 +245,7 @@ def frechet_columns(
     """
     obs_angles = np.atleast_1d(np.asarray(obs_angles, dtype=float))
     jets = jet(curve, grid.nodes)
-    Fx = far_field_matrix(jets, params, obs_angles, grid) * densities.phi3_tilde
+    Fx = far_field_matrix(jets, params, obs_angles) * densities.phi3_tilde
     return _phase_columns(Fx, obs_angles, _boundary_motion(jets, grid.nodes, M), params.kappa_a)
 
 
@@ -449,7 +457,7 @@ def run_phased(
     def predict(curve, grid):
         densities = solve_forward(curve, params, wave, grid)
         jets = jet(curve, grid.nodes)
-        F = far_field_matrix(jets, params, angles, grid)
+        F = far_field_matrix(jets, params, angles)
         return _gemm(F, densities.phi3_tilde), (grid, jets, F, densities.phi3_tilde)
 
     def jacobian(predicted, state):

@@ -150,27 +150,29 @@ def _ball_grid(radius: float, params: MaterialParams, n_d: int) -> NodeGrid:
 
 class _FixedBall(NamedTuple):
     """The part of the two-body problem that no obstacle update changes: the
-    ball's curve, grid and node jet, the clearance ``reach`` (least distance
-    of an obstacle node from its center), A_bb, b_b and F_b at the angles."""
+    ball's spec, the material, wave and angles of the run, the ball's grid
+    and node jet, A_bb, b_b and F_b at the angles."""
 
-    curve: StarlikeCurve
+    spec: ReferenceBallSpec
+    params: MaterialParams
+    wave: IncidentWave
+    angles: np.ndarray
     grid: NodeGrid
     jets: CurveJet
-    reach: float
     A: np.ndarray
     b: np.ndarray
     F: np.ndarray
 
 
-def _fixed_ball(ball_curve: StarlikeCurve, params: MaterialParams, wave: IncidentWave,
-                angles: np.ndarray, grid: NodeGrid) -> _FixedBall:
-    radius = float(ball_curve.radial.radius(np.zeros(1))[0])
-    ball_grid = _ball_grid(radius, params, grid.n)
-    jets = jet(ball_curve, ball_grid.nodes)
-    return _FixedBall(ball_curve, ball_grid, jets, (1.0 + _BALL_CLEARANCE) * radius,
-                      assemble_system(ball_curve, params, ball_grid),
+def _fixed_ball(spec: ReferenceBallSpec, params: MaterialParams, wave: IncidentWave,
+                angles: np.ndarray, cap: int) -> _FixedBall:
+    """The ``_FixedBall`` of ``spec`` on the ``_ball_grid`` under the grid cap ``cap``."""
+    curve, ball_grid = spec.curve(), _ball_grid(spec.radius, params, cap)
+    jets = jet(curve, ball_grid.nodes)
+    return _FixedBall(spec, params, wave, angles, ball_grid, jets,
+                      assemble_system(curve, params, ball_grid),
                       np.concatenate(rhs_plane_wave(jets, params, wave)),
-                      far_field_matrix(jets, params, angles, ball_grid))
+                      far_field_matrix(jets, params, angles))
 
 
 class _Scene(NamedTuple):
@@ -188,34 +190,30 @@ class _Scene(NamedTuple):
     u: np.ndarray
 
 
-def _predicted_modulus(
-    curve_d: StarlikeCurve,
-    ball: _FixedBall,
-    params: MaterialParams,
-    wave: IncidentWave,
-    angles: np.ndarray,
-    grid: NodeGrid,
-) -> tuple[np.ndarray, _Scene]:
-    """Predicted |u_inf|^2 at ``angles``, with the ``_Scene`` of the two-body
-    system it came from, for a Jacobian there. The clearance is checked on
-    the obstacle's nodes before anything is built; then the obstacle is
-    evaluated once, as one ``Discretization``, and the ball not at all."""
-    near = curve_d.point(grid.nodes) - ball.curve.center
-    if np.min(np.hypot(near[:, 0], near[:, 1])) < ball.reach:
-        raise ValueError(f"obstacle inside the reference ball's clearance ({ball.reach:.3f})")
+def _predicted_modulus(curve_d: StarlikeCurve, ball: _FixedBall,
+                       grid: NodeGrid) -> tuple[np.ndarray, _Scene]:
+    """Predicted |u_inf|^2 at the ball's angles, with the ``_Scene`` of the
+    two-body system it came from, for a Jacobian there. The clearance is
+    checked on the obstacle's nodes before anything is built; then the
+    obstacle is evaluated once, as one ``Discretization``, and the ball not
+    at all."""
+    params = ball.params
+    reach = (1.0 + _BALL_CLEARANCE) * ball.spec.radius
+    near = curve_d.point(grid.nodes) - ball.spec.center
+    if np.min(np.hypot(near[:, 0], near[:, 1])) < reach:
+        raise ValueError(f"obstacle inside the reference ball's clearance ({reach:.3f})")
     disc = discretize(curve_d, params, grid)
     jets = disc.geom.jets
-    pair = cross_pair(jets, ball.jets, params, grid, ball.grid)
+    pair = cross_pair(jets, ball.jets, params)
     solve = factor_system(assemble_two_body(pair, _fill_system(jets, disc.ops, params), ball.A))
-    x = solve(np.concatenate([*rhs_plane_wave(jets, params, wave), ball.b]))
+    x = solve(np.concatenate([*rhs_plane_wave(jets, params, ball.wave), ball.b]))
     N = grid.size
-    F_d = far_field_matrix(jets, params, angles, grid)
+    F_d = far_field_matrix(jets, params, ball.angles)
     total = _gemm(F_d, x[2 * N : 3 * N]) + _gemm(ball.F, x[3 * N + 2 * ball.grid.size :])
     return np.abs(total) ** 2, _Scene(solve, x, pair, F_d, disc, total)
 
 
-def exact_phaseless_jacobian(scene: _Scene, ball: _FixedBall, params: MaterialParams,
-                             wave: IncidentWave, angles: np.ndarray, M: int) -> np.ndarray:
+def exact_phaseless_jacobian(scene: _Scene, ball: _FixedBall, M: int) -> np.ndarray:
     """Jacobian of the predicted |u_inf|^2, 2n x (2M+3), by implicit
     differentiation of the two-body Nystrom system A x = b, at the curve and
     on the grid of the ``_predicted_modulus`` that gave ``scene``.
@@ -233,19 +231,19 @@ def exact_phaseless_jacobian(scene: _Scene, ball: _FixedBall, params: MaterialPa
     includes the density response: the frozen-density matrix can point uphill.
     """
     solve, x, pair, F_d, disc, u = scene
-    grid, jets = disc.grid, disc.geom.jets
+    params, grid, jets = ball.params, disc.grid, disc.geom.jets
     N, b3 = grid.size, 3 * grid.size + 2 * ball.grid.size  # b3: where phi3 on B starts
     x_d, x_b = x[: 3 * N], x[3 * N :]
     motion = _boundary_motion(jets, grid.nodes, M)
 
     d_db, d_bd = cross_block_sensitivity(pair, x_d, x_b, motion)
     d_dd = system_sensitivity(disc, params, x_d, motion)
-    dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, wave, motion), d_bd])
+    dR = np.concatenate([d_dd + d_db - _rhs_sensitivity(jets, params, ball.wave, motion), d_bd])
     dx = solve(-dR)
     # moving the nodes changes F_D x_d through the phase (the frozen-density
     # Frechet columns) and through the weight G^2, by 2 dG_i / G_i per node
     Fx = F_d * x_d[2 * N :]
-    dF = (_phase_columns(Fx, angles, motion, params.kappa_a)
+    dF = (_phase_columns(Fx, ball.angles, motion, params.kappa_a)
           + _gemm(Fx, 2.0 * motion.dG / jets.G[:, None]))
     du = dF + _gemm(F_d, dx[2 * N : 3 * N]) + _gemm(ball.F, dx[b3:])
     return 2.0 * (np.conj(u)[:, None] * du).real
@@ -273,12 +271,10 @@ def run_phaseless(
     that sizes n_b) is skipped as a collision; an initial guess that close
     raises that ``ValueError``.
     """
-    ball_curve = ball.curve()
-    fixed = _fixed_ball(ball_curve, params, wave, data.angles, NodeGrid(config.n_forward))
+    fixed = _fixed_ball(ball, params, wave, data.angles, config.n_forward)
     # the module attributes are read at each call, so that they can be patched
     return _newton_tikhonov(
         data.values,
-        lambda curve, grid: _predicted_modulus(curve, fixed, params, wave, data.angles, grid),
-        lambda _, scene: exact_phaseless_jacobian(scene, fixed, params, wave, data.angles,
-                                                  config.M),
+        lambda curve, grid: _predicted_modulus(curve, fixed, grid),
+        lambda _, scene: exact_phaseless_jacobian(scene, fixed, config.M),
         config, ground_truth, params, near=(ball.center, ball.radius))

@@ -71,7 +71,8 @@ class TwoBodyDensities:
 class _Direction(NamedTuple):
     """One cross block's targets and sources, and, [target i, source j], the
     ``kernels._chords`` r, a and b from target to source, and per wavenumber
-    S = (pi/n_s) f and S_r = (pi/n_s) f_r on the source grid."""
+    S = w f and S_r = w f_r, w = 2 pi / N_s the trapezoid weight of the
+    N_s source nodes."""
 
     targets: CurveJet
     sources: CurveJet
@@ -92,15 +93,9 @@ class CrossPair:
     bd: _Direction
 
 
-def cross_pair(
-    jets_d: CurveJet,
-    jets_b: CurveJet,
-    params: MaterialParams,
-    grid_d: NodeGrid,
-    grid_b: NodeGrid,
-) -> CrossPair:
+def cross_pair(jets_d: CurveJet, jets_b: CurveJet, params: MaterialParams) -> CrossPair:
     """The ``CrossPair`` of two disjoint bodies with the node jets ``jets_d``
-    on ``grid_d`` and ``jets_b`` on ``grid_b``: f = (i/2) H0(kappa r) and
+    and ``jets_b``, each on equispaced nodes: f = (i/2) H0(kappa r) and
     f_r = -(i/2) kappa H1(kappa r) once per wavenumber on the D x B
     distances, the only Hankel values of the cross blocks. Nodes closer than
     0.1 apart raise ValueError."""
@@ -110,12 +105,13 @@ def cross_pair(
             f"obstacle too close to the reference ball (separation {r.min():.3f} < "
             f"{_MIN_SEPARATION}); the cross kernels would be nearly singular"
         )
+    w_d, w_b = 2.0 * np.pi / len(jets_d.G), 2.0 * np.pi / len(jets_b.G)  # trapezoid weights
     S_db, S_bd = [], []
     for kappa in params.kappas:
         z = kappa * r
         f, f_r = 0.5j * hankel1_0(z), -0.5j * kappa * hankel1_1(z)
-        S_db.append(((np.pi / grid_b.n) * f, (np.pi / grid_b.n) * f_r))
-        S_bd.append(((np.pi / grid_d.n) * f.T.copy(), (np.pi / grid_d.n) * f_r.T.copy()))
+        S_db.append((w_b * f, w_b * f_r))
+        S_bd.append((w_d * f.T.copy(), w_d * f_r.T.copy()))
     return CrossPair(params, _Direction(jets_d, jets_b, r, a, b, S_db),
                      _Direction(jets_b, jets_d, *_chords(jets_b, jets_d), S_bd))
 
@@ -193,7 +189,7 @@ def solve_two_body_forward(
         grid_b = NodeGrid(grid_d.n)
     A_bb = assemble_system(curve_b, params, grid_b)
     jets_d, jets_b = jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes)
-    pair = cross_pair(jets_d, jets_b, params, grid_d, grid_b)
+    pair = cross_pair(jets_d, jets_b, params)
     A = assemble_two_body(pair, assemble_system(curve_d, params, grid_d), A_bb)
     del A_bb, pair  # in A now: held through the LU, they raised its peak by 22 MB at n=100
     b_d = np.concatenate(rhs_plane_wave(jets_d, params, wave))

@@ -346,26 +346,28 @@ def per_wavenumber_assembly(curve, params, grid):
         return S, K, H
 
     nu, tau, G = jets.nu, jets.tau, jets.G
+    n_perp_prime = jets.ddp   # the derivatives of n_perp and n, from p''
+    n_prime = np.stack([n_perp_prime[:, 1], -n_perp_prime[:, 0]], axis=-1)
     nu_n, nu_np = nu @ jets.n.T, nu @ jets.n_perp.T
-    nu_npd, nu_nd = nu @ jets.n_perp_prime.T, nu @ jets.n_prime.T
+    nu_npd, nu_nd = nu @ n_perp_prime.T, nu @ n_prime.T
     tau_n, tau_np = tau @ jets.n.T, tau @ jets.n_perp.T
-    tau_npd, tau_nd = tau @ jets.n_perp_prime.T, tau @ jets.n_prime.T
+    tau_npd, tau_nd = tau @ n_perp_prime.T, tau @ n_prime.T
     G2 = np.broadcast_to(G**2, (N, N))
     Sp, Kp, Hp = ops(kp)
     Ss, Ks, Hs = ops(ks)
     Sa, Ka, _ = ops(ka)
     A11 = (-mu * kp**2 * (Sp * nu_n**2) + mu * (Kp * nu_np) @ D + mu * (Kp * nu_npd)
            - mu * (Hp * nu_n) @ D - mu * (Hp * nu_nd) - (lam + mu) * kp**2 * (Sp * G2)
-           + np.diag(mu * np.einsum("ik,ik->i", nu, jets.n_perp_prime) / G))
+           + np.diag(mu * np.einsum("ik,ik->i", nu, n_perp_prime) / G))
     A12 = (mu * ks**2 * (Ss * (nu_np * nu_n)) + mu * (Ks * nu_n) @ D + mu * (Ks * nu_nd)
            + mu * (Hs * nu_np) @ D + mu * (Hs * nu_npd) + mu * D
-           + np.diag(mu * np.einsum("ik,ik->i", nu, jets.n_prime) / G))
+           + np.diag(mu * np.einsum("ik,ik->i", nu, n_prime) / G))
     A21 = (-kp**2 * (Sp * (tau_n * nu_n)) + (Kp * tau_np) @ D + (Kp * tau_npd)
            - (Hp * tau_n) @ D - (Hp * tau_nd) + D
-           + np.diag(np.einsum("ik,ik->i", tau, jets.n_perp_prime) / G))
+           + np.diag(np.einsum("ik,ik->i", tau, n_perp_prime) / G))
     A22 = (ks**2 * (Ss * (tau_np * nu_n)) + (Ks * tau_n) @ D + (Ks * tau_nd)
            + (Hs * tau_np) @ D + (Hs * tau_npd)
-           + np.diag(np.einsum("ik,ik->i", tau, jets.n_prime) / G))
+           + np.diag(np.einsum("ik,ik->i", tau, n_prime) / G))
     w2r = params.omega**2 * params.rho_a
     return np.block([
         [A11, A12, Sa * G2],
@@ -470,7 +472,7 @@ def reciprocity_gap(curve: StarlikeCurve, params, n: int, thetas) -> float:
     def patterns(angles):  # u_inf(angles[b]; angles[a]) at [b, a]
         b = np.column_stack([np.concatenate(rhs_plane_wave(jets, params, IncidentWave(t)))
                              for t in angles])
-        return far_field_matrix(jets, params, angles, grid) @ solve(b)[2 * grid.size :]
+        return far_field_matrix(jets, params, angles) @ solve(b)[2 * grid.size :]
 
     forward, reverse = patterns(thetas), patterns(thetas + np.pi)
     return np.abs(forward - reverse.T).max() / np.abs(forward).max()
@@ -558,7 +560,7 @@ class TestSystemSensitivity:
         assert not any("H" in d for d in forward._derivative_ops(
             disc.ops[2], kappa, geom.r, geom.a, geom.b))
         pair = cross_pair(disc.geom.jets, jet(make_circle((4.0, 0.0), 0.7), ball_grid.nodes),
-                          params, grid, ball_grid)
+                          params)
         for d in (pair.db, pair.bd):
             assert ["H" in multibody._direction_ops(d, c) for c in range(3)] == [
                 True, True, False]
@@ -579,8 +581,7 @@ class TestBlockSensitivity:
         if block == "self":
             args = (forward._features(jets), jets, geom.r, geom.a, geom.b, disc.ops)
         else:
-            pair = cross_pair(jets, jet(make_circle((6.6, 0.0), 0.71), ball_grid.nodes),
-                              params, grid, ball_grid)
+            pair = cross_pair(jets, jet(make_circle((6.6, 0.0), 0.71), ball_grid.nodes), params)
             d = getattr(pair, block)
             args = (forward._features(d.targets, d.sources), d.targets, d.r, d.a, d.b,
                     [multibody._direction_ops(d, c) for c in range(3)])
@@ -671,8 +672,7 @@ class TestFactorSystem:
         A = assemble_system(curve, params, grid)
         if system == "two-body":
             ball, ball_grid = make_circle((4.0, 0.0), 0.7), NodeGrid(16)
-            pair = cross_pair(jet(curve, grid.nodes), jet(ball, ball_grid.nodes),
-                              params, grid, ball_grid)
+            pair = cross_pair(jet(curve, grid.nodes), jet(ball, ball_grid.nodes), params)
             A = assemble_two_body(pair, A, assemble_system(ball, params, ball_grid))
         norms, get = [], forward.get_lapack_funcs
 

@@ -348,8 +348,16 @@ class TestIterateGrid:
 
 # Settings that must not construct: a NaN in a checked field, a grid cap
 # below the singular quadrature's n = 8, a count that is not an integer
-# (M = 2.5 and max_iter = 2.5 constructed, then raised a TypeError in the run).
+# (M = 2.5 and max_iter = 2.5 constructed, then raised a TypeError in the run),
+# an initial circle that no curve has (it failed only when the run built its
+# first curve; a 3-vector center with "cannot reshape array of size 3").
 REJECTED = {
+    "initial_radius-nan": lambda: InverseConfig((0, 0), np.nan, 0.1),
+    "initial_radius-zero": lambda: InverseConfig((0, 0), 0.0, 0.1),
+    "initial_radius-negative": lambda: InverseConfig((0, 0), -0.4, 0.1),
+    "initial_center-nan": lambda: InverseConfig((np.nan, 0.0), 0.5, 0.1),
+    "initial_center-inf": lambda: InverseConfig((0.0, np.inf), 0.5, 0.1),
+    "initial_center-3": lambda: InverseConfig((0.0, 0.0, 0.0), 0.5, 0.1),
     "epsilon-nan": lambda: InverseConfig((0, 0), 0.5, np.nan),
     "max_iter-nan": lambda: InverseConfig((0, 0), 0.5, 0.1, max_iter=np.nan),
     "n_forward-4": lambda: InverseConfig((0, 0), 0.5, 0.1, n_forward=4),

@@ -50,7 +50,7 @@ BALL = ReferenceBallSpec((6.6, 0.0), 0.71)
 def _ball(params, wave, grid):
     """The fixed part of ``BALL``'s two-body problem, as ``run_phaseless``
     builds it once."""
-    return _fixed_ball(BALL.curve(), params, wave, OBS, grid)
+    return _fixed_ball(BALL, params, wave, OBS, grid.n)
 
 
 def _jacobian(curve, params, wave, M, grid):
@@ -58,8 +58,8 @@ def _jacobian(curve, params, wave, M, grid):
     ``run_phaseless`` builds it: the fixed ball, then the prediction whose
     scene the Jacobian reads."""
     ball = _ball(params, wave, grid)
-    scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
-    return exact_phaseless_jacobian(scene, ball, params, wave, OBS, M)
+    scene = _predicted_modulus(curve, ball, grid)[1]
+    return exact_phaseless_jacobian(scene, ball, M)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,7 @@ class TestNoise:
 class TestResidual:
     def test_consistency_zero(self, params, wave, peanut_scene):
         curve, _, _, data, grid = peanut_scene
-        pred, _ = _predicted_modulus(curve, _ball(params, wave, grid), params, wave, OBS, grid)
+        pred, _ = _predicted_modulus(curve, _ball(params, wave, grid), grid)
         assert np.abs(data.values - pred).max() < 1e-9
 
     def test_global_phase_invariance(self, params, wave, peanut_scene):
@@ -140,14 +140,14 @@ class TestResidual:
         # squared-modulus data unchanged
         curve, _, total, _, grid = peanut_scene
         rotated = PhaselessData(OBS, np.abs(np.exp(0.7j) * total.values) ** 2)
-        pred, _ = _predicted_modulus(curve, _ball(params, wave, grid), params, wave, OBS, grid)
+        pred, _ = _predicted_modulus(curve, _ball(params, wave, grid), grid)
         assert np.abs(rotated.values - pred).max() < 1e-9
 
     def test_translation_sensitivity(self, params, wave, peanut_scene):
         # moving the obstacle with the ball fixed changes the data
         curve, _, _, data, grid = peanut_scene
         moved = translate(curve, (0.5, 0.0))
-        pred, _ = _predicted_modulus(moved, _ball(params, wave, grid), params, wave, OBS, grid)
+        pred, _ = _predicted_modulus(moved, _ball(params, wave, grid), grid)
         assert np.abs(data.values - pred).max() > 1e-3
 
 
@@ -215,10 +215,9 @@ class TestColumns:
         h = 1e-5
         up = BoundaryUpdate(np.array([h, 0.0]), np.zeros(2), np.zeros(1))
         from aescatter.inverse_phased import apply_update
-        pp, _ = _predicted_modulus(apply_update(curve, up), _ball(params, wave, grid), params,
-                                   wave, OBS, grid)
+        pp, _ = _predicted_modulus(apply_update(curve, up), _ball(params, wave, grid), grid)
         pm, _ = _predicted_modulus(apply_update(curve, up.scaled(-1.0)),
-                                   _ball(params, wave, grid), params, wave, OBS, grid)
+                                   _ball(params, wave, grid), grid)
         secant = (pp - pm) / (2 * h)
         assert np.abs(J[:, 0] - secant).max() / np.abs(secant).max() < 1e-4
 
@@ -243,8 +242,7 @@ class TestExactJacobian:
             xi[i] = h
             bump = BoundaryUpdate(xi[:2], xi[2:3 + M], xi[3 + M:])
             plus, minus = (
-                _predicted_modulus(apply_update(curve, b), ball, params,
-                                   wave, OBS, grid)[0]
+                _predicted_modulus(apply_update(curve, b), ball, grid)[0]
                 for b in (bump, bump.scaled(-1.0))
             )
             fd[:, i] = (plus - minus) / (2.0 * h)
@@ -397,7 +395,7 @@ class TestRunPhaseless:
         for module in (forward, inverse_phased, inverse_phaseless, kernels, multibody):
             if hasattr(module, "jet"):
                 monkeypatch.setattr(module, "jet", counting)
-        _predicted_modulus(curve, ball, params, wave, OBS, grid)
+        _predicted_modulus(curve, ball, grid)
         assert calls == ["obstacle"]
 
     def test_residual_strictly_decreases(self, params, wave, peanut_scene):
@@ -450,25 +448,25 @@ class TestRunPhaseless:
             run_phaseless(data, BALL, params, wave, cfg)
 
 
-def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, step=1e-6):
+def _differenced_jacobian(curve_d, ball_spec, params, wave, angles, M, grid, step=1e-6):
     """The implicit-differentiation Jacobian with every obstacle-dependent
     piece (A_dd x_d, both cross-block products, b_d and the obstacle's
     far-field quadrature) central-differenced on perturbed curves."""
-    ball = _fixed_ball(ball_curve, params, wave, angles, grid)
-    solve, x, *_ = _predicted_modulus(curve_d, ball, params, wave, angles, grid)[1]
+    ball = _fixed_ball(ball_spec, params, wave, angles, grid.n)
+    solve, x, *_ = _predicted_modulus(curve_d, ball, grid)[1]
     N = grid.size
     x_d, x_b = x[: 3 * N], x[3 * N :]
 
     def moving_terms(curve):
         jets = jet(curve, grid.nodes)
         A_db, A_bd = multibody.cross_blocks(
-            multibody.cross_pair(jets, ball.jets, params, grid, ball.grid))
+            multibody.cross_pair(jets, ball.jets, params))
         rows_d = (
             assemble_system(curve, params, grid) @ x_d
             + A_db @ x_b
             - np.concatenate(rhs_plane_wave(jets, params, wave))
         )
-        ff = far_field_matrix(jets, params, angles, grid) @ x_d[2 * N :]
+        ff = far_field_matrix(jets, params, angles) @ x_d[2 * N :]
         return np.concatenate([rows_d, A_bd @ x_d]), ff
 
     n_par = 2 * M + 3
@@ -484,8 +482,8 @@ def _differenced_jacobian(curve_d, ball_curve, params, wave, angles, M, grid, st
         dF[:, i] = (f_plus - f_minus) / (2.0 * step)
     dx = solve(-dR)
 
-    F_d = far_field_matrix(jet(curve_d, grid.nodes), params, angles, grid)
-    F_b = far_field_matrix(ball.jets, params, angles, ball.grid)
+    F_d = far_field_matrix(jet(curve_d, grid.nodes), params, angles)
+    F_b = far_field_matrix(ball.jets, params, angles)
     u = F_d @ x_d[2 * N :] + F_b @ x_b[2 * ball.grid.size :]
     du = dF + F_d @ dx[2 * N : 3 * N] + F_b @ dx[3 * N + 2 * ball.grid.size :]
     return 2.0 * (np.conj(u)[:, None] * du).real
@@ -510,7 +508,7 @@ class TestAnalyticJacobian:
     def test_matches_differenced_moving_terms(self, params, wave, name, degree):
         """Analytic cross blocks, right-hand side and far field (and zero
         center columns of the self block) against differencing them all."""
-        grid, curve, ball = NodeGrid(32), JACOBIAN_CURVES[name](), BALL.curve()
+        grid, curve, ball = NodeGrid(32), JACOBIAN_CURVES[name](), BALL
         J = _jacobian(curve, params, wave, degree, grid)
         ref = _differenced_jacobian(curve, ball, params, wave, OBS, degree, grid)
         assert np.abs(J - ref).max() / np.abs(ref).max() <= 1e-6
@@ -520,7 +518,7 @@ class TestAnalyticJacobian:
         obstacle-dependent piece is differentiated on the given scene."""
         grid, curve = NodeGrid(16), TestExactJacobian._curve()
         ball = _ball(params, wave, grid)
-        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        scene = _predicted_modulus(curve, ball, grid)[1]
         calls = {"assemble_system": 0, "cross_blocks": 0}
 
         def counting(name, fn):
@@ -534,7 +532,7 @@ class TestAnalyticJacobian:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         degree = 3
-        exact_phaseless_jacobian(scene, ball, params, wave, OBS, degree)
+        exact_phaseless_jacobian(scene, ball, degree)
         assert calls == {"assemble_system": 0, "cross_blocks": 0}
 
     def test_scene_values_reused(self, params, wave, monkeypatch):
@@ -545,7 +543,7 @@ class TestAnalyticJacobian:
         grid, curve, degree = NodeGrid(16), TestExactJacobian._curve(), 3
         ref = _jacobian(curve, params, wave, degree, grid)
         ball = _ball(params, wave, grid)
-        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        scene = _predicted_modulus(curve, ball, grid)[1]
         calls = {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
 
         def counting(name, fn):
@@ -560,7 +558,7 @@ class TestAnalyticJacobian:
             if hasattr(module, "far_field_matrix"):
                 monkeypatch.setattr(module, "far_field_matrix",
                                     counting("far_field_matrix", module.far_field_matrix))
-        J = exact_phaseless_jacobian(scene, ball, params, wave, OBS, degree)
+        J = exact_phaseless_jacobian(scene, ball, degree)
         assert calls == {"hankel1_0": 0, "hankel1_1": 0, "far_field_matrix": 0}
         assert np.array_equal(J, ref)
 
@@ -569,7 +567,7 @@ class TestAnalyticJacobian:
         the Jacobian builds no jet, pair geometry or operator table."""
         grid, curve = NodeGrid(16), TestExactJacobian._curve()
         ball = _ball(params, wave, grid)
-        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        scene = _predicted_modulus(curve, ball, grid)[1]
         calls = []
 
         def counting(name, fn):
@@ -582,7 +580,7 @@ class TestAnalyticJacobian:
             for name in ("jet", "pair_geometry", "_ops", "_shared_tables", "kernel_tables"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        exact_phaseless_jacobian(scene, ball, params, wave, OBS, 3)
+        exact_phaseless_jacobian(scene, ball, 3)
         assert calls == []
 
     def test_no_dense_differentiation_matrix(self, params, wave, monkeypatch):
@@ -590,7 +588,7 @@ class TestAnalyticJacobian:
         the dense differentiation matrix, under either module's name."""
         grid, curve = NodeGrid(16), TestExactJacobian._curve()
         ball = _ball(params, wave, grid)
-        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
+        scene = _predicted_modulus(curve, ball, grid)[1]
         calls, dense = [], quadrature.diff_matrix
 
         def counting(n):
@@ -599,22 +597,22 @@ class TestAnalyticJacobian:
 
         for module in (forward, quadrature):
             monkeypatch.setattr(module, "diff_matrix", counting)
-        exact_phaseless_jacobian(scene, ball, params, wave, OBS, 3)
+        exact_phaseless_jacobian(scene, ball, 3)
         assert calls == []
 
     def test_scene_holds_the_predicted_field(self, params, wave):
         """The scene's complex far field is the one the prediction squared:
         |u|^2 is the predicted modulus bit for bit."""
         grid, ball = NodeGrid(16), _ball(params, wave, NodeGrid(16))
-        modulus, scene = _predicted_modulus(make_peanut(), ball, params, wave, OBS, grid)
+        modulus, scene = _predicted_modulus(make_peanut(), ball, grid)
         assert np.array_equal(np.abs(scene.u) ** 2, modulus)
 
     def test_same_matrix_twice_on_one_scene(self, params, wave):
         """The Jacobian does not change the scene it reads: a second one on
         the same scene is bit for bit the first."""
         grid, curve, ball = NodeGrid(16), make_peanut(), _ball(params, wave, NodeGrid(16))
-        scene = _predicted_modulus(curve, ball, params, wave, OBS, grid)[1]
-        first, second = (exact_phaseless_jacobian(scene, ball, params, wave, OBS, M)
+        scene = _predicted_modulus(curve, ball, grid)[1]
+        first, second = (exact_phaseless_jacobian(scene, ball, M)
                          for _ in range(2))
         assert np.array_equal(first, second)
 
@@ -627,9 +625,8 @@ class TestAnalyticJacobian:
         J = _jacobian(curve, params, wave, degree, grid)
         fixed = _ball(params, wave, grid)
         fd = np.column_stack([
-            (_predicted_modulus(bumped(curve, degree, k, h), fixed, params, wave, OBS, grid)[0]
-             - _predicted_modulus(bumped(curve, degree, k, -h), fixed, params, wave, OBS,
-                                  grid)[0]) / (2.0 * h)
+            (_predicted_modulus(bumped(curve, degree, k, h), fixed, grid)[0]
+             - _predicted_modulus(bumped(curve, degree, k, -h), fixed, grid)[0]) / (2.0 * h)
             for k in range(2 * degree + 3)
         ])
         assert np.abs(J - fd).max() / np.abs(fd).max() <= 1e-6
@@ -665,11 +662,11 @@ class TestBallGrid:
 
     @staticmethod
     def _modulus_gap(curve, ball_spec, params, wave, grid, monkeypatch):
-        ball = _fixed_ball(ball_spec.curve(), params, wave, OBS, grid)
-        coarse = _predicted_modulus(curve, ball, params, wave, OBS, grid)[0]
+        ball = _fixed_ball(ball_spec, params, wave, OBS, grid.n)
+        coarse = _predicted_modulus(curve, ball, grid)[0]
         monkeypatch.setattr(inverse_phaseless, "_ball_grid", lambda r, p, n: NodeGrid(n))
-        full_ball = _fixed_ball(ball_spec.curve(), params, wave, OBS, grid)
-        full = _predicted_modulus(curve, full_ball, params, wave, OBS, grid)[0]
+        full_ball = _fixed_ball(ball_spec, params, wave, OBS, grid.n)
+        full = _predicted_modulus(curve, full_ball, grid)[0]
         return ball.grid.n, np.abs(coarse - full).max() / np.abs(full).max()
 
     @pytest.mark.parametrize("clearances", [1.0, 2.0, None])
@@ -747,7 +744,7 @@ class TestClearance:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         with pytest.raises(ValueError, match="reference ball's clearance"):
-            _predicted_modulus(make_circle((4.9, 0.0), 0.3), ball, params, wave, OBS, grid)
+            _predicted_modulus(make_circle((4.9, 0.0), 0.3), ball, grid)
         assert calls == []
 
     def test_initial_guess_inside_raises(self, params, wave, peanut_scene):

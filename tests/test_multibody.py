@@ -36,8 +36,7 @@ OBS = 2.0 * np.pi * np.arange(64) / 64
 
 def _pair(curve_d, curve_b, params, grid_d, grid_b):
     """The ``cross_pair`` of two curves, from their node jets."""
-    return cross_pair(jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes),
-                      params, grid_d, grid_b)
+    return cross_pair(jet(curve_d, grid_d.nodes), jet(curve_b, grid_b.nodes), params)
 
 
 class TestSeparation:
@@ -131,7 +130,7 @@ class TestTwoBodyOracles:
     u_inf(x; d) = u_inf(-d; -x), for the peanut and the reference ball
     together: neither is built into the solver, and both see every block of
     the coupled system, the cross blocks included. The apple is left out:
-    its equispaced nodes do not resolve it at n_d = 64 (ROADMAP item 4),
+    its equispaced nodes do not resolve it at n_d = 64 (ROADMAP item 3),
     where the optical gap reads 4.1e-5 and the reciprocity gap 1.7e-3
     (4.1e-15 and 6.1e-14 for the peanut)."""
 
@@ -217,7 +216,7 @@ class TestAssembleTwoBody:
         curve, ball = shape(), make_circle((6.6, 0.0), 0.71)
         grid_d, grid_b = NodeGrid(n_d), NodeGrid(n_b)
         disc = discretize(curve, params, grid_d)
-        pair = cross_pair(disc.geom.jets, jet(ball, grid_b.nodes), params, grid_d, grid_b)
+        pair = cross_pair(disc.geom.jets, jet(ball, grid_b.nodes), params)
         A = assemble_two_body(pair, _fill_system(disc.geom.jets, disc.ops, params),
                               assemble_system(ball, params, grid_b))
         A_db, A_bd = cross_blocks(_pair(curve, ball, params, grid_d, grid_b))
