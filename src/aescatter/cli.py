@@ -24,11 +24,12 @@ rows are ``angle abs2``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .forward import (
     solve_forward,
     translation_errors,
 )
-from .geometry import NodeGrid, StarlikeCurve, _integral, make_apple, make_fourier
+from .geometry import _PROFILES, NodeGrid, StarlikeCurve, _integral, make_apple, make_fourier
 from .inverse_phased import InverseConfig, add_noise_phased, frechet_fd_error, run_phased
 from .inverse_phaseless import (
     PhaselessData,
@@ -68,9 +69,6 @@ _DEFAULTS = {
     "noise": {"delta": 0.0, "model": "uniform"},
     "seed": 0,
 }
-# The keys of each obstacle kind besides ``kind`` and ``center``; all but
-# a Fourier shape's ``b`` are required.
-_SHAPE_KEYS = {"apple": [], "peanut": [], "circle": ["radius"], "fourier": ["a", "b"]}
 
 
 def load_config(path) -> dict:
@@ -78,26 +76,28 @@ def load_config(path) -> dict:
 
     The result is fully populated, so dumping and re-loading it is
     idempotent. An unknown section, obstacle kind, or key of ``wave``,
-    ``grids``, ``noise``, ``obstacle`` (per kind) or ``ball`` raises
-    ValueError (the dataclasses check the others), as does a missing key
-    that has no default: an obstacle's shape keys but a Fourier ``b``, and
-    a given ball's ``center`` and ``radius``; so does a NaN or Infinity, and
-    an ``observation_points`` or ``seed`` that is not an integer.
+    ``grids``, ``noise``, ``obstacle`` (``kind``, ``center`` and the profile
+    parameters) or ``ball`` (``ReferenceBallSpec``'s fields) raises
+    ValueError (the dataclasses check the others), as does a missing ball
+    field or profile parameter with no default, a NaN or Infinity, and an
+    ``observation_points`` or ``seed`` that is not an integer.
     """
     with open(path) as f:
         raw = json.load(f, parse_constant=_reject_constant)
     kind = (raw.get("obstacle") or {}).get("kind", "apple")
-    if kind not in _SHAPE_KEYS:
+    if kind not in _PROFILES:
         raise ValueError(f"unknown obstacle kind {kind!r}")
-    fields = {key: _DEFAULTS[key] for key in ("wave", "grids", "noise")}
-    fields.update(obstacle=["kind", "center", *_SHAPE_KEYS[kind]], ball=["center", "radius"])
-    for what, given, known in [("section", raw, _DEFAULTS)] + [
-            (f"{key} key", raw.get(key) or {}, known) for key, known in fields.items()]:
-        unknown = sorted(set(given) - set(known))
+    shape = inspect.signature(_PROFILES[kind]).parameters.values()
+    ball = [field.name for field in fields(ReferenceBallSpec)]
+    known = {key: _DEFAULTS[key] for key in ("wave", "grids", "noise")}
+    known.update(obstacle=["kind", "center", *(p.name for p in shape)], ball=ball)
+    for what, given, keys in [("section", raw, _DEFAULTS)] + [
+            (f"{key} key", raw.get(key) or {}, keys) for key, keys in known.items()]:
+        unknown = sorted(set(given) - set(keys))
         if unknown:
             raise ValueError(f"unknown config {what}: {', '.join(unknown)}")
-    required = {"obstacle": [key for key in _SHAPE_KEYS[kind] if key != "b"],
-                "ball": fields["ball"] if raw.get("ball") is not None else []}
+    required = {"obstacle": [p.name for p in shape if p.default is p.empty],
+                "ball": ball if raw.get("ball") is not None else []}
     for section, keys in required.items():
         missing = [key for key in keys if key not in (raw.get(section) or {})]
         if missing:
@@ -120,16 +120,13 @@ def dump_config(cfg: dict, path) -> None:
 
 
 def _obstacle(cfg: dict) -> StarlikeCurve:
-    spec = {"center": [0.0, 0.0], "b": [], **cfg["obstacle"]}
-    return StarlikeCurve.from_dict(
-        {"kind": spec["kind"], "center": spec["center"], "parameters": spec}
-    )
+    shape = dict(cfg["obstacle"])
+    kind, center = shape.pop("kind"), shape.pop("center", [0.0, 0.0])
+    return StarlikeCurve.from_dict({"kind": kind, "center": center, "parameters": shape})
 
 
 def _ball(cfg: dict) -> ReferenceBallSpec | None:
-    if cfg.get("ball") is None:
-        return None
-    return ReferenceBallSpec(tuple(cfg["ball"]["center"]), cfg["ball"]["radius"])
+    return None if cfg.get("ball") is None else ReferenceBallSpec(**cfg["ball"])
 
 
 def _inverse_config(cfg: dict) -> InverseConfig:

@@ -32,6 +32,7 @@ they run on one thread while m n <= 131072.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -136,9 +137,10 @@ class IncidentWave:
 
     theta: float
 
-    def __post_init__(self):
-        if not np.isfinite(self.theta):
-            raise ValueError("incidence angle theta must be finite")
+    def __post_init__(self):  # one real number: a bool, list, string or None is not
+        if not (isinstance(self.theta, numbers.Real) and not isinstance(self.theta, bool)
+                and np.isfinite(self.theta)):
+            raise ValueError("incidence angle theta must be one finite real number")
 
     @property
     def direction(self) -> np.ndarray:
@@ -177,6 +179,8 @@ class FarField:
     def __post_init__(self):
         if len(self.angles) != len(self.values):
             raise ValueError("angles and values must match in length")
+        if not np.all(np.isfinite(self.angles)):
+            raise ValueError("far-field angles must be finite")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("far-field values must be finite")
 

@@ -44,6 +44,9 @@ class RadialProfile:
 
     kind = "abstract"
 
+    def __init__(self):
+        """A fixed shape takes no parameters, and ``params`` gives none."""
+
     def derivatives(self, t):
         """(r, r', r'') at t, in one pass over the shared subexpressions."""
         raise NotImplementedError
@@ -52,7 +55,7 @@ class RadialProfile:
         return self.derivatives(t)[0]
 
     def params(self) -> dict:
-        raise NotImplementedError
+        return {}
 
 
 class AppleProfile(RadialProfile):
@@ -71,9 +74,6 @@ class AppleProfile(RadialProfile):
         ddr = (ddnum * den - num * ddden) / den**2 - 2.0 * dden * dr / den
         return num / den, dr, ddr
 
-    def params(self):
-        return {}
-
 
 class PeanutProfile(RadialProfile):
     """r(t) = 0.65 sqrt(0.25 cos^2 t + sin^2 t)."""
@@ -87,9 +87,6 @@ class PeanutProfile(RadialProfile):
         sq = np.sqrt(q)
         ddr = 0.65 * (ddq / (2.0 * sq) - dq**2 / (4.0 * q**1.5))
         return 0.65 * sq, 0.65 * dq / (2.0 * sq), ddr
-
-    def params(self):
-        return {}
 
 
 class ConstantProfile(RadialProfile):
@@ -113,9 +110,9 @@ class FourierProfile(RadialProfile):
 
     kind = "fourier"
 
-    def __init__(self, a, b):
+    def __init__(self, a, b=()):
         self.a = np.atleast_1d(np.asarray(a, dtype=float))
-        self.b = np.atleast_1d(np.asarray(b, dtype=float)) if len(b) else np.zeros(0)
+        self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if len(self.b) != len(self.a) - 1:
             raise ValueError(
                 f"need M sine coefficients for M+1 cosine coefficients, "
@@ -134,6 +131,10 @@ class FourierProfile(RadialProfile):
 
     def params(self):
         return {"a": self.a.tolist(), "b": self.b.tolist()}
+
+
+# Each curve kind and the profile class whose constructor takes its parameters.
+_PROFILES = {p.kind: p for p in (AppleProfile, PeanutProfile, ConstantProfile, FourierProfile)}
 
 
 @dataclass(frozen=True)
@@ -176,17 +177,9 @@ class StarlikeCurve:
     @staticmethod
     def from_dict(record: dict) -> "StarlikeCurve":
         kind = record["kind"]
-        center = record["center"]
-        params = record.get("parameters", {})
-        if kind == "apple":
-            return StarlikeCurve(center, AppleProfile())
-        if kind == "peanut":
-            return StarlikeCurve(center, PeanutProfile())
-        if kind == "circle":
-            return StarlikeCurve(center, ConstantProfile(params["radius"]))
-        if kind == "fourier":
-            return StarlikeCurve(center, FourierProfile(params["a"], params["b"]))
-        raise ValueError(f"unknown curve kind {kind!r}")
+        if kind not in _PROFILES:
+            raise ValueError(f"unknown curve kind {kind!r}")
+        return StarlikeCurve(record["center"], _PROFILES[kind](**record.get("parameters", {})))
 
 
 @dataclass(frozen=True)

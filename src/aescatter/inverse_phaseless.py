@@ -77,6 +77,8 @@ class PhaselessData:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.angles.shape != self.values.shape:
             raise ValueError("angles and values must have matching shapes")
+        if not np.all(np.isfinite(self.angles)):
+            raise ValueError("phaseless angles must be finite")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("phaseless data must be finite")
         if np.any(self.values < 0.0):
@@ -91,6 +93,9 @@ class ReferenceBallSpec:
     radius: float
 
     def __post_init__(self):
+        if np.shape(self.center) != (2,):
+            raise ValueError("ball center must be two finite numbers")
+        object.__setattr__(self, "center", tuple(self.center))
         if not (0.0 < self.radius < np.inf and np.all(np.isfinite(self.center))):
             raise ValueError("ball radius must be positive and finite, its center finite")
 

@@ -122,6 +122,13 @@ class TestConfig:
 
 
 class TestForwardCommand:
+    def test_list_theta_raises(self, tmp_path, outdir):
+        # [0.5] wrote a table with a 2 x 1 incident direction
+        p = write_config(tmp_path / "apple.json", wave={"theta": [0.5]})
+        with pytest.raises(ValueError, match="theta"):
+            cmd_forward(p)
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     def test_phased_file_shape(self, tmp_path, outdir):
         p = write_config(tmp_path / "apple.json")
         (path,) = cmd_forward(p)
@@ -196,6 +203,17 @@ class TestInvertCommand:
         values[3, 0] = np.nan
         np.savetxt(data, np.column_stack([np.arange(8.0), values]), header="angle re im")
         with pytest.raises(ValueError, match="finite"):
+            cmd_invert(p, data)
+
+    def test_phased_table_with_nan_angle_raises(self, tmp_path, outdir):
+        # the run stopped in tikhonov_step, with "regularization parameter
+        # must be finite and non-negative"
+        p = write_config(tmp_path / "apple.json", inversion={"max_iter": 1})
+        data = tmp_path / "apple_phased.dat"
+        angles = 2.0 * np.pi * np.arange(8) / 8
+        angles[5] = np.nan
+        np.savetxt(data, np.column_stack([angles, np.ones((8, 2))]), header="angle re im")
+        with pytest.raises(ValueError, match="angles must be finite"):
             cmd_invert(p, data)
 
     def test_phased_run_on_phaseless_table_raises(self, tmp_path, outdir):

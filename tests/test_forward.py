@@ -291,6 +291,32 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="finite"):
             IncidentWave(theta)
 
+    @pytest.mark.parametrize("theta", [[0.5], [0.1, 0.2], "0.3", None, True],
+                             ids=["one-list", "two-list", "string", "none", "bool"])
+    def test_incidence_angle_is_one_real_number(self, theta):
+        # [0.5] made a 2 x 1 direction, [0.1, 0.2] failed on "truth value of an
+        # array", "0.3" and None with a TypeError from np.isfinite; True passed
+        with pytest.raises(ValueError, match="theta"):
+            IncidentWave(theta)
+
+    @pytest.mark.parametrize("theta", [0.3, 1, np.float64(0.3), np.float32(0.5), np.int64(2)])
+    def test_incidence_angle_scalars_accepted(self, theta):
+        assert IncidentWave(theta).direction.shape == (2,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_far_field_angles(self, bad):
+        # a phased table with a nan angle ran to tikhonov_step's "regularization
+        # parameter must be finite and non-negative"
+        with pytest.raises(ValueError, match="angles must be finite"):
+            FarField(np.array([0.0, bad]), np.ones(2, dtype=complex))
+
+    def test_far_field_at_a_nan_angle_blames_the_angle(self, params, wave):
+        # the nan angle made nan values, and the message named the values
+        curve, grid = make_apple(), NodeGrid(16)
+        densities = solve_forward(curve, params, wave, grid)
+        with pytest.raises(ValueError, match="angles must be finite"):
+            far_field(densities, curve, params, [0.0, np.nan], grid)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
     def test_far_field_values(self, bad):
         # a phased data table with one nan ran the inversion to "E_k=nan"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aescatter.geometry import (
+    _PROFILES,
     NodeGrid,
     StarlikeCurve,
     jet,
@@ -17,6 +18,9 @@ from aescatter.geometry import (
 )
 
 T_SAMPLES = np.linspace(0.0, 2.0 * np.pi, 17, endpoint=False)
+# One curve of each kind in the table; a kind missing here fails the round trip.
+EXAMPLES = {"apple": make_apple(), "peanut": make_peanut(), "circle": make_circle((1, 2), 0.7),
+            "fourier": make_fourier((0, 0.5), [1.0, 0.1], [0.05])}
 
 
 def fd_jet(curve, t, h=1e-6):
@@ -66,11 +70,21 @@ class TestShapes:
             make_fourier((0, 0), [1.0, 0.1], [0.1, 0.2])
 
     def test_serialization_roundtrip(self):
-        for curve in (make_apple(), make_peanut(), make_circle((1, 2), 0.7),
-                      make_fourier((0, 0.5), [1.0, 0.1], [0.05])):
+        for curve in (EXAMPLES[kind] for kind in _PROFILES):
             clone = StarlikeCurve.from_dict(curve.to_dict())
             t = T_SAMPLES
             np.testing.assert_allclose(clone.point(t), curve.point(t), atol=1e-15)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown curve kind 'ellipse'"):
+            StarlikeCurve.from_dict({"kind": "ellipse", "center": [0.0, 0.0]})
+
+    def test_fourier_sine_terms_default_to_none(self):
+        # a record without "b" raised a KeyError
+        curve = StarlikeCurve.from_dict(
+            {"kind": "fourier", "center": [0.0, 0.0], "parameters": {"a": [0.5]}})
+        assert curve.to_dict()["parameters"] == {"a": [0.5], "b": []}
+        np.testing.assert_array_equal(curve.radial.radius(T_SAMPLES), 0.5)
 
 
 class TestJet:

@@ -87,6 +87,13 @@ class TestDataTypes:
         with pytest.raises(ValueError):
             PhaselessData(OBS, vals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_angle_rejected(self, bad):
+        angles = OBS.copy()
+        angles[3] = bad
+        with pytest.raises(ValueError, match="angles must be finite"):
+            PhaselessData(angles, np.ones_like(OBS))
+
     def test_ball_spec(self):
         with pytest.raises(ValueError):
             ReferenceBallSpec((0, 0), -1.0)
@@ -96,10 +103,13 @@ class TestDataTypes:
         np.testing.assert_allclose(curve.radial.radius(np.zeros(1)), 0.71, atol=1e-15)
 
     @pytest.mark.parametrize("center, radius", [((6.6, 0.0), np.nan), ((6.6, 0.0), np.inf),
-                                                ((np.nan, 0.0), 0.71), ((6.6, np.inf), 0.71)])
+                                                ((np.nan, 0.0), 0.71), ((6.6, np.inf), 0.71),
+                                                ((6.6, 0, 0), 0.71), ((6.6,), 0.71),
+                                                ((np.nan, 0), 0.71)])
     def test_ball_spec_non_finite_rejected(self, center, radius):
         # a NaN radius failed only at ball.curve(), with "radial profile must
-        # stay positive; min over grid is nan"
+        # stay positive; min over grid is nan"; a center of three numbers
+        # (or one) with "cannot reshape array of size 3 into shape (2,)"
         with pytest.raises(ValueError, match="finite"):
             ReferenceBallSpec(center, radius)
 
