@@ -45,7 +45,7 @@ class RadialProfile:
     kind = "abstract"
 
     def __init__(self):
-        """A fixed shape takes no parameters, and ``params`` gives none."""
+        """A fixed shape takes no parameters; the config loader reads them from here."""
 
     def derivatives(self, t):
         """(r, r', r'') at t, in one pass over the shared subexpressions."""
